@@ -23,17 +23,7 @@ engine now wins ~1.6x rather than the pre-template ~3.5x, because the
 *absolute* per-statement cost dropped ~5x for everyone. The full run
 enforces a recalibrated 1.25x floor.
 
-A second section measures **partition-parallel ingest**: the shared engine
-re-runs a many-session trace (default 32 sessions over 4 large parts) once
-per worker count (default 1 and 4), pinning aggregate st/s per pool size.
-The 1-worker row is the determinism oracle — every row must produce
-exactly the same recommendations and totWork — and on capable hosts
-(≥4 cpus, numpy kernel backend) the full run enforces a ≥2.5× floor at
-4 workers; under-provisioned runners WARN instead (the fan-out runs on
-threads, so cores and a GIL-releasing kernel are prerequisites, mirroring
-perf_gate's unavailable-backend handling).
-
-A third section measures the **priority flood** QoS contract (ISSUE 10):
+A second section measures the **priority flood** QoS contract:
 an interactive session trickles statements into a live engine while a
 large background flood sits queued. Paired rounds pin the interactive
 p95 submit→analyzed latency with and without the flood; the scheduler's
@@ -77,107 +67,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: optimizer work that sharing amortizes ~5x cheaper in absolute terms (see
 #: module docstring) — the gate still catches any loss of cache sharing.
 SPEEDUP_FLOOR = 1.25
-
-#: Partition-parallel ingest acceptance floor (ISSUE 6): aggregate st/s of
-#: the shared engine at PARALLEL_WORKERS_GATE workers / PARALLEL_CLIENTS_GATE
-#: sessions must be at least this multiple of the 1-worker pin. Enforced
-#: only on capable hosts: the fan-out runs on threads, so it needs >=
-#: PARALLEL_WORKERS_GATE cores and the (GIL-releasing) numpy kernel backend
-#: — under-provisioned runners report the measurement and WARN, mirroring
-#: perf_gate's unavailable-backend handling.
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_WORKERS_GATE = 4
-PARALLEL_CLIENTS_GATE = 32
-
-
-def _parallel_gate_capable(parallel: dict) -> bool:
-    """Whether the parallel floor is meaningful for this measurement."""
-    return (
-        parallel["clients"] >= PARALLEL_CLIENTS_GATE
-        and (parallel["cpu_count"] or 1) >= PARALLEL_WORKERS_GATE
-        and "numpy" in parallel["backend"]
-        and str(PARALLEL_WORKERS_GATE) in parallel["speedup"]
-    )
-
-
-def run_parallel_scaling(stats, statements, args):
-    """Shared-engine aggregate st/s keyed by worker count.
-
-    Every worker count analyzes the identical trace (``--scaling-clients``
-    sessions round-robin over the same statements) on a fresh engine with a
-    fresh optimizer, so rows differ only in pool size. Parts are sized
-    large (``--scaling-part-size``) so the per-part kernel relaxation — the
-    phase the pool parallelizes — dominates each statement. The rows'
-    recommendations and totWork must be exactly equal (``identical``): the
-    1-worker row is the determinism oracle.
-    """
-    worker_counts = [int(w) for w in str(args.workers).split(",") if w.strip()]
-    pool_size = args.scaling_parts * args.scaling_part_size
-    pool = candidate_pool(statements, limit=pool_size)
-    partition = chunk_partition(pool, args.scaling_part_size)
-    clients = [f"client-{i}" for i in range(args.scaling_clients)]
-    trace = MultiClientTrace.round_robin(
-        {client: statements for client in clients}
-    )
-    rows = []
-    outcomes = []
-    backend = None
-    for workers in worker_counts:
-        optimizer = WhatIfOptimizer(stats)
-        engine = TuningEngine(
-            optimizer,
-            StatsTransitionCosts(stats),
-            batch_size=args.batch_size,
-            workers=workers,
-            fixed_partition=partition,
-        )
-        obs_before = obs.default_registry().snapshot()
-        started = time.perf_counter()
-        engine.submit_many(trace)
-        engine.pump()
-        elapsed = time.perf_counter() - started
-        metrics = engine.metrics()
-        backend = engine.tuner.kernel_backend
-        rows.append({
-            "workers": workers,
-            "elapsed_seconds": elapsed,
-            "stmts_per_sec": len(trace) / elapsed,
-            "parallel_efficiency": metrics["parallel"]["parallel_efficiency"],
-            "backend": backend,
-            # Windowed per-row cache counters (reset=True restarts the
-            # optimizer's counters for the next consumer) plus the registry
-            # delta over just this row's work — the engine/optimizer must
-            # still be alive here or their weak collectors drop out.
-            "cache": optimizer.cache_stats(reset=True),
-            "obs": obs.diff_snapshots(
-                obs_before, obs.default_registry().snapshot()
-            ),
-        })
-        outcomes.append((
-            tuple(sorted(ix.name for ix in engine.tuner.recommend())),
-            engine.total_work,
-        ))
-        engine.close()
-    by_workers = {row["workers"]: row["stmts_per_sec"] for row in rows}
-    serial = by_workers.get(1)
-    speedup = {
-        str(w): (rate / serial if serial else None)
-        for w, rate in by_workers.items()
-        if w != 1
-    }
-    return {
-        "clients": args.scaling_clients,
-        "part_size": args.scaling_part_size,
-        "parts": len(partition),
-        "pool_indices": len(pool),
-        "statements_total": len(trace),
-        "cpu_count": os.cpu_count(),
-        "backend": backend,
-        "rows": rows,
-        "identical": len(set(outcomes)) == 1,
-        "speedup": speedup,
-    }
-
 
 #: Priority-flood acceptance (ISSUE 10): with a large background flood
 #: queued, an interactive session's p95 submit→analyzed wall latency must
@@ -430,21 +319,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=16,
                         help="shared-engine ingest micro-batch size")
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument("--workers", type=str, default="1,4",
-                        help="comma list of worker counts for the "
-                        "parallel-scaling rows (default 1,4)")
-    parser.add_argument("--scaling-clients", type=int, default=None,
-                        help=f"sessions in the parallel-scaling rows "
-                        f"(default {PARALLEL_CLIENTS_GATE}, quick 8)")
-    parser.add_argument("--scaling-part-size", type=int, default=None,
-                        help="part size for the scaling rows (default 12, "
-                        "quick 6; large parts make the fanned-out kernel "
-                        "phase dominate)")
-    parser.add_argument("--scaling-parts", type=int, default=None,
-                        help="number of parts for the scaling rows "
-                        "(default 4, quick 2)")
-    parser.add_argument("--no-parallel", action="store_true",
-                        help="skip the worker-count scaling rows")
     parser.add_argument("--no-wal", action="store_true",
                         help="skip the WAL-overhead section")
     parser.add_argument("--no-flood", action="store_true",
@@ -470,12 +344,6 @@ def main(argv=None) -> int:
 
     per_phase = args.per_phase or (3 if args.quick else 8)
     scale = 0.02 if args.quick and args.scale == 0.05 else args.scale
-    if args.scaling_clients is None:
-        args.scaling_clients = 8 if args.quick else PARALLEL_CLIENTS_GATE
-    if args.scaling_part_size is None:
-        args.scaling_part_size = 6 if args.quick else 12
-    if args.scaling_parts is None:
-        args.scaling_parts = 2 if args.quick else 4
     if args.flood_count is None:
         args.flood_count = 1500 if args.quick else 4000
     if args.flood_interactive is None:
@@ -597,15 +465,6 @@ def main(argv=None) -> int:
         flood = run_priority_flood(stats, partition, statements, args)
         result["priority_flood"] = flood
 
-    parallel = None
-    if not args.no_parallel:
-        print("\nparallel scaling: "
-              f"{args.scaling_clients} sessions, "
-              f"{args.scaling_parts}×size-{args.scaling_part_size} parts, "
-              f"workers {args.workers}…")
-        parallel = run_parallel_scaling(stats, statements, args)
-        result["parallel"] = parallel
-
     print()
     print(f"{args.clients} overlapping sessions × {len(statements)} statements "
           f"({total} total), part size {args.part_size}")
@@ -646,25 +505,6 @@ def main(argv=None) -> int:
               f"flood backlog remaining when interactive stream finished: "
               f"{flood['flood_remaining_at_fg_done']}")
 
-    if parallel is not None:
-        print()
-        print(f"parallel scaling ({parallel['clients']} sessions × "
-              f"{parallel['parts']} parts of size {parallel['part_size']}, "
-              f"{parallel['statements_total']} statements, backend "
-              f"{parallel['backend']}, {parallel['cpu_count']} cpus)")
-        print(f"{'workers':<8} {'st/s':>10} {'elapsed':>9} {'efficiency':>11}")
-        print("-" * 42)
-        for row in parallel["rows"]:
-            print(f"{row['workers']:<8} {row['stmts_per_sec']:>10.1f} "
-                  f"{row['elapsed_seconds']:>8.2f}s "
-                  f"{row['parallel_efficiency']:>11.2f}")
-        for workers, ratio in sorted(parallel["speedup"].items()):
-            if ratio is not None:
-                print(f"speedup at {workers} workers: {ratio:.2f}x vs the "
-                      f"1-worker pin")
-        print("serial-vs-parallel outcomes identical: "
-              f"{parallel['identical']}")
-
     if not args.no_save:
         out = (
             pathlib.Path(args.out) if args.out
@@ -698,12 +538,6 @@ def main(argv=None) -> int:
         print("FAIL: admission control rejected flood submissions sized "
               "within the queue limit")
         return 1
-    if parallel is not None and not parallel["identical"]:
-        # Correctness, not perf: bit-identity across worker counts is the
-        # contract, so it gates every run, quick included.
-        print("FAIL: worker counts produced different recommendations or "
-              "totWork (parallel determinism bug)")
-        return 1
     if not args.quick and not args.no_check:
         if result["speedup"] < SPEEDUP_FLOOR:
             print(f"FAIL: shared-engine speedup {result['speedup']:.2f}x "
@@ -719,25 +553,6 @@ def main(argv=None) -> int:
                 return 1
             print(f"interactive p95 under flood {flood['ratio']:.3f}x "
                   f"≤ {PRIORITY_FLOOD_FACTOR}x ceiling")
-        if parallel is not None:
-            gate_ratio = parallel["speedup"].get(str(PARALLEL_WORKERS_GATE))
-            if _parallel_gate_capable(parallel):
-                if gate_ratio < PARALLEL_SPEEDUP_FLOOR:
-                    print(f"FAIL: parallel speedup {gate_ratio:.2f}x at "
-                          f"{PARALLEL_WORKERS_GATE} workers < "
-                          f"{PARALLEL_SPEEDUP_FLOOR}x floor")
-                    return 1
-                print(f"parallel speedup {gate_ratio:.2f}x at "
-                      f"{PARALLEL_WORKERS_GATE} workers ≥ "
-                      f"{PARALLEL_SPEEDUP_FLOOR}x floor")
-            else:
-                print(f"WARN: parallel floor not enforceable here "
-                      f"(needs ≥{PARALLEL_WORKERS_GATE} cpus, "
-                      f"≥{PARALLEL_CLIENTS_GATE} sessions, the numpy "
-                      f"kernel backend, and a {PARALLEL_WORKERS_GATE}-"
-                      f"worker row; have cpus={parallel['cpu_count']}, "
-                      f"sessions={parallel['clients']}, "
-                      f"backend={parallel['backend']})")
     return 0
 
 

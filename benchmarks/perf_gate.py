@@ -22,23 +22,13 @@ machine that pinned the baseline and an arbitrary CI runner):
 ``recommendations_match`` must hold on every current row. Raw kernel
 statements/sec drops are reported as *warnings* only.
 
-With ``--service-current`` the gate additionally checks a fresh
-``bench_service.py`` JSON's partition-parallel section: the worker-count
-rows must be *identical* in recommendations/totWork (a divergence FAILs —
-that is the parallel determinism contract, machine-independent), and on
-capable measurements (≥4 cpus, ≥32 sessions, numpy kernel backend, full
-run) the 4-worker aggregate st/s must hold the ≥2.5× floor over the
-1-worker pin. Under-provisioned or quick measurements WARN, exactly like
-baseline rows with no available backend.
-
 With ``--wal-overhead`` (requires ``--service-current``) the gate also
 checks the service payload's WAL-overhead section: durable ingest under
 a group-committed WAL must hold ≥0.90× of the same trace's non-durable
 throughput (same machine, same run) — below that FAILs full runs (quick
-measurements WARN, like the parallel floor), 0.90–0.97× WARNs — and the
-durable run's recommendations/totWork must be identical
-to the non-durable run's (a divergence FAILs: logging must never perturb
-tuning).
+measurements WARN), 0.90–0.97× WARNs — and the durable run's
+recommendations/totWork must be identical to the non-durable run's (a
+divergence FAILs: logging must never perturb tuning).
 
 With ``--priority-flood`` (requires ``--service-current``) the gate also
 checks the service payload's priority-flood section: the interactive
@@ -61,7 +51,7 @@ Usage (what the CI job runs)::
 
     python benchmarks/bench_kernel.py --quick --out /tmp/quick.json
     python benchmarks/perf_gate.py --current /tmp/quick.json \
-        [--service-current /tmp/service.json]
+        [--service-current /tmp/service.json --wal-overhead --priority-flood]
 
     REPRO_OBS=0 python benchmarks/bench_kernel.py --quick --out /tmp/off.json
     python benchmarks/bench_kernel.py --quick --out /tmp/on.json
@@ -145,54 +135,6 @@ def compare(baseline, current, max_regression):
                    f"of the pinned baseline (machine-dependent; not gated)")
 
 
-def compare_service(payload, parallel_floor):
-    """Gate checks for a bench_service JSON's partition-parallel section.
-
-    Yields the same (level, message) pairs as :func:`compare`. The
-    identity check is machine-independent and always gates; the speedup
-    floor gates only measurements taken where it is meaningful (full run,
-    enough cores/sessions, numpy backend) and WARNs elsewhere.
-    """
-    parallel = payload.get("parallel")
-    if parallel is None:
-        yield ("WARN", "service run has no parallel section (run "
-               "bench_service.py without --no-parallel); not gated")
-        return
-    if not parallel.get("identical", False):
-        yield ("FAIL", "parallel ingest: worker counts produced different "
-               "recommendations or totWork (determinism, not perf)")
-    else:
-        yield ("ok", "parallel ingest: all worker counts bit-identical")
-    # The floor constants live here (not read from the JSON) so a bench
-    # edit cannot quietly relax the gate.
-    workers_gate, clients_gate = 4, 32
-    ratio = (parallel.get("speedup") or {}).get(str(workers_gate))
-    capable = (
-        not payload.get("quick", False)
-        and ratio is not None
-        and parallel.get("clients", 0) >= clients_gate
-        and (parallel.get("cpu_count") or 1) >= workers_gate
-        and "numpy" in (parallel.get("backend") or "")
-    )
-    if not capable:
-        yield ("WARN", f"parallel floor not enforceable for this "
-               f"measurement (needs a full run at ≥{clients_gate} sessions "
-               f"with a {workers_gate}-worker row on ≥{workers_gate} cpus "
-               f"and the numpy backend; have quick="
-               f"{payload.get('quick', False)}, "
-               f"cpus={parallel.get('cpu_count')}, "
-               f"sessions={parallel.get('clients')}, "
-               f"backend={parallel.get('backend')}); not gated")
-        return
-    if ratio < parallel_floor:
-        yield ("FAIL", f"parallel ingest: {ratio:.2f}x aggregate st/s at "
-               f"{workers_gate} workers < {parallel_floor}x floor over the "
-               f"1-worker pin")
-    else:
-        yield ("ok", f"parallel ingest: {ratio:.2f}x at {workers_gate} "
-               f"workers ≥ {parallel_floor}x floor")
-
-
 #: --wal-overhead thresholds: durable-ingest throughput as a fraction of
 #: the same trace without a WAL attached (same machine, same run — raw
 #: rates are comparable). Below WAL_OVERHEAD_FAIL the group-committed log
@@ -226,9 +168,8 @@ def compare_wal(payload):
               f"{wal.get('wal_records')} records)")
     if ratio < WAL_OVERHEAD_FAIL:
         if payload.get("quick", False):
-            # Same convention as the parallel floor: quick measurements
-            # are too short to hold a throughput ratio steady on a noisy
-            # runner, so the floor only FAILs full runs.
+            # Quick measurements are too short to hold a throughput ratio
+            # steady on a noisy runner, so the floor only FAILs full runs.
             yield ("WARN", f"wal overhead: {detail}; below the "
                    f"{WAL_OVERHEAD_FAIL:.2f}x floor but this is a --quick "
                    f"measurement (not gated; rerun the full bench)")
@@ -366,13 +307,10 @@ def main(argv=None) -> int:
     parser.add_argument("--current", type=pathlib.Path, default=None,
                         help="freshly produced bench_kernel JSON to gate")
     parser.add_argument("--service-current", type=pathlib.Path, default=None,
-                        help="freshly produced bench_service JSON whose "
-                        "partition-parallel section should be gated too")
+                        help="freshly produced bench_service JSON, gated by "
+                        "--wal-overhead and --priority-flood")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed fractional drop/growth (default 0.25)")
-    parser.add_argument("--parallel-floor", type=float, default=2.5,
-                        help="aggregate st/s floor at 4 workers vs the "
-                        "1-worker pin (default 2.5)")
     parser.add_argument("--wal-overhead", action="store_true",
                         help="also gate the --service-current payload's "
                         "WAL-overhead section (durable ingest ≥ "
@@ -424,10 +362,6 @@ def main(argv=None) -> int:
                 failures += 1
     if args.service_current is not None:
         service = json.loads(args.service_current.read_text())
-        for level, message in compare_service(service, args.parallel_floor):
-            print(f"{level}: {message}")
-            if level == "FAIL":
-                failures += 1
         if args.wal_overhead:
             for level, message in compare_wal(service):
                 print(f"{level}: {message}")

@@ -264,16 +264,6 @@ class WFA:
             )
         return values  # type: ignore[return-value]
 
-    @staticmethod
-    def _lex_prefers(mask_a: int, mask_b: int) -> bool:
-        """Appendix-B tie-break: prefer the set containing the lowest-order
-        index where the two differ."""
-        diff = mask_a ^ mask_b
-        if diff == 0:
-            return False
-        lowest = diff & (-diff)
-        return bool(mask_a & lowest)
-
     # -- public properties -----------------------------------------------------
 
     @property
@@ -382,10 +372,9 @@ class WFA:
 
         This is the half of the update that touches *shared* state — the
         what-if optimizer's memo, template, and IBG caches (and their
-        accounting counters) — so WFIT runs it serially, on the ingest
-        thread, for every part in fixed part order. After it returns, the
-        part's cost vector is fully populated and :meth:`relax` needs
-        nothing outside this instance.
+        accounting counters). After it returns, the part's cost vector is
+        fully populated and :meth:`relax` needs nothing outside this
+        instance.
         """
         self._fill_costs(statement)
 
@@ -394,16 +383,10 @@ class WFA:
 
         Stage 1 (the per-dimension min-plus relaxation) and stage 2 (the
         fused minimum-score scan under the p[S] membership condition, with
-        the Appendix-B tie-break) both run inside the array kernel.
-
-        Thread-safety contract: this method reads and writes only state
-        owned by this instance — the kernel's ``w``/cost/scratch buffers
-        (allocated per instance, never shared; see
-        :mod:`repro.core.wfa_kernel`), ``_rec``, and
-        ``_statements_analyzed`` — so relaxations of *different* parts may
-        run concurrently on a worker pool. The per-part updates are
-        independent by the paper's §4 stability condition, so the result
-        is bit-identical to running them serially in part order.
+        the Appendix-B tie-break) both run inside the array kernel. Reads
+        and writes only state owned by this instance: the kernel's
+        ``w``/cost/scratch buffers (see :mod:`repro.core.wfa_kernel`),
+        ``_rec``, and ``_statements_analyzed``.
         """
         self._statements_analyzed += 1
         self._w_version += 1
@@ -429,9 +412,9 @@ class WFA:
     def analyze_statement(self, statement: object) -> FrozenSet[Index]:
         """``WFA.analyzeQuery`` of Figure 3; returns the new recommendation.
 
-        Exactly :meth:`prepare_statement` followed by :meth:`relax` — the
-        split exists so WFIT can serialize the shared-cache phase while
-        fanning the pure per-part kernel phase out to a worker pool.
+        Exactly :meth:`prepare_statement` followed by :meth:`relax` — WFIT
+        calls the two phases separately so its spans time the shared-cache
+        phase and the kernel phase apart.
         """
         self.prepare_statement(statement)
         return self.relax()

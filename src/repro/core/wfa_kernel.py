@@ -38,23 +38,17 @@ Backend selection: :func:`make_kernel` picks numpy when it is importable
 and ``REPRO_NO_NUMPY`` is unset/``0``; tests and benchmarks can pin a
 backend with :func:`force_backend`.
 
-**Buffer ownership / threading contract.** Every kernel instance *owns*
-its buffers: the ``w`` vector, the cost vector, and all integer/float
-scratch are allocated per instance in ``__init__`` and never shared —
-there is no module-level scratch, and the only module-level mutable state
+**Buffer ownership.** Every kernel instance *owns* its buffers: the ``w``
+vector, the cost vector, and all integer/float scratch are allocated per
+instance in ``__init__`` and never aliased by another instance — there
+is no module-level scratch, and the only module-level mutable state
 (:data:`_forced_backend`) is a configuration switch read at construction
 time, not during :meth:`analyze`. The δ prefix-sum arrays come from the
 :class:`~repro.core.bitset.MaskDeltaTable` the kernel was built over
 (per-WFA-instance as well) and are only ever *read* after construction.
-Consequently kernels of different parts may run :meth:`analyze` /
-:meth:`feedback` concurrently — this is what WFIT's partition-parallel
-fan-out relies on. The numpy backend additionally releases the GIL inside
-its whole-vector operations, so per-part relaxations of a large partition
-genuinely overlap on threads; the pure-Python twin stays correct under
-the same contract but holds the GIL throughout, so it does not scale with
-a thread pool. A *single* kernel instance is not reentrant: never run two
-operations on the same instance concurrently
-(``tests/core/test_wfit_parallel.py`` pins the no-aliasing property).
+A kernel instance is not reentrant: never run two operations on the same
+instance concurrently (``tests/core/test_wfa.py`` pins the no-aliasing
+property).
 """
 
 from __future__ import annotations

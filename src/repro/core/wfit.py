@@ -19,37 +19,16 @@ WFIT wraps an array of per-part :class:`~repro.core.wfa.WFA` instances
 Passing ``fixed_partition`` disables candidate maintenance, yielding the
 configuration most of the paper's experiments use (WFIT ≡ WFA⁺ + feedback).
 
-Partition-parallel updates
---------------------------
-The §4 stability condition makes per-part WFA state disjoint by
-construction, so the per-statement work-function updates of different
-parts are independent. With ``workers > 1`` (constructor knob, or the
-``REPRO_WORKERS`` environment variable), :meth:`WFIT.analyze_statement`
-splits each update into two phases: the shared-cache cost fetch
-(:meth:`~repro.core.wfa.WFA.prepare_statement`) runs serially in fixed
-part order — it touches the one shared what-if optimizer — and the pure
-per-part kernel relaxation (:meth:`~repro.core.wfa.WFA.relax`) fans out
-to a thread pool. Recommendations are then merged in fixed part order.
-``workers=1`` (the default) is the bit-identical serial oracle; any
-worker count produces exactly the same recommendations, work-function
-vectors, and totWork, because the fanned-out phase touches only
-per-part-owned kernel buffers (see :mod:`repro.core.wfa_kernel`'s
-threading contract). Threads genuinely overlap only on the numpy kernel
-backend, which releases the GIL inside its vector ops.
+:meth:`WFIT.analyze_statement` updates the parts in two serial phases, in
+fixed part order: every part's cost fetch through the shared what-if
+optimizer (:meth:`~repro.core.wfa.WFA.prepare_statement`), then every
+part's kernel relaxation (:meth:`~repro.core.wfa.WFA.relax`). The
+``wfit.prepare`` / ``wfit.relax`` spans time the two phases separately.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import threading
-import time
-
-# Reporting-only wall-clock seam: every timing read in this module
-# flows through this alias so the R1 exemption is a single audited
-# point rather than scattered call sites.
-_perf_counter = time.perf_counter  # reprolint: disable=R1(feeds wall_time reporting only, never tuning state; bit-identity tests cover outputs)
-from concurrent.futures import ThreadPoolExecutor
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -82,31 +61,7 @@ def _wfit_counters():
         ))
     return _WFIT_COUNTERS
 
-__all__ = ["WFIT", "resolve_workers"]
-
-#: Environment knob for the default per-part worker-pool size. ``workers``
-#: passed to :class:`WFIT` (or :class:`~repro.service.engine.TuningEngine`)
-#: wins over the environment; unset/empty means serial (1).
-_WORKERS_ENV = "REPRO_WORKERS"
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The effective worker count: explicit value, else ``REPRO_WORKERS``,
-    else 1 (the bit-identical serial mode)."""
-    if workers is None:
-        raw = os.environ.get(_WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{_WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
+__all__ = ["WFIT"]
 
 
 class WFIT:
@@ -134,12 +89,6 @@ class WFIT:
         and interaction statistics are ignored (``doi ≡ 0``).
     seed:
         Seed for the randomized partitioning.
-    workers:
-        Size of the per-part worker pool for the statement-update fan-out
-        (None: ``REPRO_WORKERS``, else 1). Any value yields bit-identical
-        results; 1 runs the serial oracle path with zero pool overhead.
-        A runtime execution knob, not algorithm state — checkpoints do
-        not serialize it.
     """
 
     def __init__(
@@ -157,7 +106,6 @@ class WFIT:
         max_ibg_nodes: int = 4096,
         create_penalty_factor: Optional[float] = None,
         partition_refresh_period: int = 10,
-        workers: Optional[int] = None,
     ) -> None:
         self._optimizer = optimizer
         self._transitions = transitions
@@ -174,19 +122,6 @@ class WFIT:
         self._rng = random.Random(seed)
         self._max_ibg_nodes = max_ibg_nodes
         self._cost_fn = optimizer.cost
-        # Partition-parallel fan-out state: the pool is created lazily on
-        # the first parallel section (workers == 1 never builds one).
-        self._workers = resolve_workers(workers)
-        # _pool_lock covers the pool handle and the cumulative fan-out
-        # accounting: close() may race the single writer's _relax_all
-        # (engine.close() vs a draining pump), and parallel_stats() is a
-        # public read path — without the lock it can observe a torn
-        # wall/busy pair mid-update.
-        self._pool_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
-        self._parallel_sections = 0  # guarded-by: _pool_lock
-        self._parallel_wall_seconds = 0.0  # guarded-by: _pool_lock
-        self._parallel_busy_seconds = 0.0  # guarded-by: _pool_lock
 
         self._n = 0  # statements analyzed so far
         # DBA-interaction recency: how many feedback calls have been
@@ -271,48 +206,6 @@ class WFIT:
         from .wfa_kernel import combined_backend
 
         return combined_backend(self._instances)
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool size for the per-part statement-update fan-out."""
-        return self._workers
-
-    def parallel_stats(self) -> Dict[str, float]:
-        """Cumulative fan-out accounting since construction.
-
-        ``parallel_efficiency`` is busy-time over ``wall × workers`` across
-        all parallel sections — 1.0 means every worker was saturated for
-        the whole section, 1/workers means the fan-out bought nothing over
-        serial (e.g. the pure-Python kernel backend, which holds the GIL).
-        All zero until the first parallel section (``workers == 1`` never
-        has one).
-        """
-        with self._pool_lock:
-            wall = self._parallel_wall_seconds
-            busy = self._parallel_busy_seconds
-            sections = self._parallel_sections
-        efficiency = busy / (wall * self._workers) if wall > 0.0 else 0.0
-        return {
-            "workers": self._workers,
-            "parallel_sections": sections,
-            "parallel_wall_seconds": wall,
-            "parallel_busy_seconds": busy,
-            "parallel_efficiency": efficiency,
-        }
-
-    def close(self) -> None:
-        """Shut down the fan-out worker pool (idempotent).
-
-        Only releases execution resources; the tuner remains fully usable
-        afterwards — the next parallel section simply rebuilds the pool.
-        """
-        with self._pool_lock:
-            pool = self._pool
-            self._pool = None
-        if pool is not None:
-            # Shut down outside the lock: queued slice tasks can take
-            # arbitrarily long and must not block parallel_stats() readers.
-            pool.shutdown(wait=True)
 
     def recommend(self) -> FrozenSet[Index]:
         """``WFIT.recommend()``: the current recommendation ⋃_k currRec_k."""
@@ -449,13 +342,8 @@ class WFIT:
     def analyze_statement(self, statement: object) -> FrozenSet[Index]:
         """``WFIT.analyzeQuery(q)``: maintain candidates, then run WFA⁺.
 
-        The per-part work-function updates run in two phases: the
-        shared-cache cost fetch serially in fixed part order, then the
-        per-part kernel relaxations — serially with ``workers == 1`` (the
-        deterministic oracle), else fanned out to the worker pool.
-        Recommendations merge in fixed part order either way, and the two
-        paths are bit-identical (per-part state is disjoint under the §4
-        stability condition).
+        Every part's costs are fetched first, then every part is relaxed,
+        both in fixed part order.
         """
         self._n += 1
         with obs.span("wfit.analyze"):
@@ -468,68 +356,11 @@ class WFIT:
                 for instance in self._instances:
                     instance.prepare_statement(statement)
             with obs.span("wfit.relax"):
-                self._relax_all()
+                for instance in self._instances:
+                    instance.relax()
         if obs.state.enabled:
             _wfit_counters()[0].inc()
         return self.recommend()
-
-    def _relax_all(self) -> None:
-        """Run every part's kernel relaxation, fanned out when configured.
-
-        Parts are dealt round-robin across ``workers`` slices (part ``i``
-        to slice ``i mod workers``), one pool task per slice; each task
-        relaxes its parts in ascending part order. The deal is purely an
-        execution schedule — parts are state-disjoint, so any schedule
-        yields the serial path's exact result. Worker exceptions propagate
-        to the caller after all slices finish.
-        """
-        instances = self._instances
-        if self._workers <= 1 or len(instances) <= 1:
-            for instance in instances:
-                instance.relax()
-            return
-        with self._pool_lock:
-            pool = self._pool
-            if pool is None:
-                pool = self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="wfit-part"
-                )
-        slices = [
-            instances[slot :: self._workers] for slot in range(self._workers)
-        ]
-        slices = [chunk for chunk in slices if chunk]
-        busy = [0.0] * len(slices)
-
-        def _run(slot: int, chunk: List[WFA]) -> None:
-            started = _perf_counter()
-            try:
-                # Root span on the worker thread: shows up as its own tid
-                # lane in the Chrome trace, aligned with the ingest
-                # thread's wfit.relax span.
-                with obs.span("wfit.relax_slice"):
-                    for instance in chunk:
-                        instance.relax()
-            finally:
-                busy[slot] = _perf_counter() - started
-
-        wall_start = _perf_counter()
-        futures = [
-            pool.submit(_run, slot, chunk) for slot, chunk in enumerate(slices)
-        ]
-        error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        elapsed_wall = _perf_counter() - wall_start
-        with self._pool_lock:
-            self._parallel_sections += 1
-            self._parallel_wall_seconds += elapsed_wall
-            self._parallel_busy_seconds += sum(busy)
-        if error is not None:
-            raise error
 
     def feedback(
         self, f_plus: AbstractSet[Index], f_minus: AbstractSet[Index]
@@ -569,10 +400,6 @@ class WFIT:
         benefit/interaction statistics, the universe U, the randomized
         partitioner's RNG state, and the construction knobs. Restore with
         :meth:`restore_state` against an equivalent optimizer/δ provider.
-        ``workers`` is deliberately *not* serialized: it is an execution
-        knob with no effect on results, so a snapshot taken at any worker
-        count restores onto any other (the restoring host picks its own
-        pool size).
         """
         rng_version, rng_internal, rng_gauss = self._rng.getstate()
         return {

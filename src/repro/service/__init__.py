@@ -29,10 +29,8 @@ from .snapshot import (
     SnapshotError,
     UnsupportedVersion,
     checkpoint_engine,
-    load_checkpoint,
     resolve_chain,
     restore_engine,
-    save_checkpoint,
 )
 from .wal import (
     CorruptRecord,
@@ -63,9 +61,7 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "checkpoint_engine",
-    "load_checkpoint",
     "read_wal",
     "resolve_chain",
     "restore_engine",
-    "save_checkpoint",
 ]

@@ -1,4 +1,4 @@
-"""``python -m repro.service`` — the trace replay / checkpoint-resume CLI."""
+"""``python -m repro.service`` — the trace replay / durable-recover CLI."""
 
 from .replay import main
 

@@ -22,10 +22,7 @@ way for concurrent traffic:
   drain (what tests and the replay CLI use); :meth:`~TuningEngine.start`
   runs the same loop on a background thread, which additionally runs
   deferred maintenance tasks (:meth:`~TuningEngine.defer`) whenever the
-  statement queues are idle. With ``workers > 1`` the single writer
-  fans each statement's per-part kernel relaxations out to the tuner's
-  worker pool (partition-parallel ingest; bit-identical to
-  ``workers=1`` — see :mod:`repro.core.wfit`).
+  statement queues are idle.
 * **Shared caches** — every session's statements flow through one
   :class:`~repro.optimizer.whatif.WhatIfOptimizer`, so overlapping
   workloads pay for each plan optimization once
@@ -259,7 +256,6 @@ class TuningEngine:
         transitions,
         materialized: AbstractSet[Index] = frozenset(),
         batch_size: int = 32,
-        workers: Optional[int] = None,
         latency_window: int = _LATENCY_WINDOW,
         background_batch_size: int = 1,
         background_pacing: float = 0.008,
@@ -278,7 +274,6 @@ class TuningEngine:
         self._transitions = transitions
         self._tuner = WFIT(
             optimizer, transitions, initial_config=frozenset(materialized),
-            workers=workers,
             **wfit_options,
         )
         self._materialized: set = set(materialized)  # guarded-by: _pump_lock
@@ -325,9 +320,6 @@ class TuningEngine:
         self._clients: Dict[str, _ClientState] = {}  # guarded-by: _ingest_lock
         self._statements_processed = 0  # guarded-by: _pump_lock
         self._batches_processed = 0  # guarded-by: _pump_lock
-        # Parallel-efficiency of the most recent micro-batch that actually
-        # ran fan-out sections (None until one has).
-        self._last_batch_parallel_efficiency: Optional[float] = None  # guarded-by: _pump_lock
         # totWork accounting (§3.1), twice over. The *recommended* series
         # assumes immediate adoption: the configuration the accounting
         # charges costs under, and the cumulative metric.
@@ -416,19 +408,12 @@ class TuningEngine:
         with self._pump_lock:
             return frozenset(self._materialized)
 
-    @property
-    def workers(self) -> int:
-        """Per-part fan-out pool size of the shared tuner (1 = serial)."""
-        return self._tuner.workers
-
     def close(self) -> None:
-        """Release execution resources: stop the drain thread (draining
-        pending *foreground* work first — see :meth:`stop`) and shut down
-        the tuner's worker pool. Statements still queued in the
-        background class are dropped from memory; when a WAL is attached
-        they remain durable and re-enter the queue on recovery."""
+        """Stop the drain thread, draining pending *foreground* work first
+        (see :meth:`stop`). Statements still queued in the background
+        class are dropped from memory; when a WAL is attached they remain
+        durable and re-enter the queue on recovery."""
         self.stop(drain=True)
-        self._tuner.close()
 
     @property
     def statements_processed(self) -> int:
@@ -733,22 +718,8 @@ class TuningEngine:
 
     def _process_entries(self, entries: List[QueueEntry]) -> None:  # holds: _pump_lock
         """Analyze one formed micro-batch through the shared core."""
-        before = self._tuner.parallel_stats()
         for entry in entries:
             self._analyze(entry.client_id, entry.statement)
-        after = self._tuner.parallel_stats()
-        wall = (
-            after["parallel_wall_seconds"]
-            - before["parallel_wall_seconds"]
-        )
-        if wall > 0.0:
-            busy = (
-                after["parallel_busy_seconds"]
-                - before["parallel_busy_seconds"]
-            )
-            self._last_batch_parallel_efficiency = busy / (
-                wall * self._tuner.workers
-            )
         self._batches_processed += 1
         if obs.state.enabled:
             instruments = _engine_instruments()
@@ -828,29 +799,6 @@ class TuningEngine:
                 if count == 0:
                     break
                 processed += count
-        return processed
-
-    def _pump_fifo(self, limit: int) -> int:
-        """Recovery catch-up drain: pure arrival order, no lane rules.
-
-        WAL records written before any non-default priority existed
-        carry no batch boundaries; at that point every queued entry was
-        ``normal`` and drained FIFO. Replay must reproduce those pops by
-        arrival order even though later (already re-enqueued)
-        submissions with higher classes are now sitting in the queues —
-        priority-order popping would steal their place. Only
-        :meth:`repro.service.wal.Durability` calls this.
-        """
-        processed = 0
-        with self._pump_lock:
-            while processed < limit:
-                budget = min(self.batch_size, limit - processed)
-                with self._ingest_lock:
-                    entries = self._scheduler.take_fifo(budget)
-                if not entries:
-                    break
-                self._process_entries(entries)
-                processed += len(entries)
         return processed
 
     def _replay_drain(self, count: int, classes: Sequence[str]) -> int:
@@ -1159,14 +1107,9 @@ class TuningEngine:
         reports its ``priority`` class and its finalized query-cost
         shares of the two totWork series (``recommended_work`` /
         ``realized_work``; shared transition costs appear only in the
-        engine totals). ``workers`` is the per-part fan-out pool size;
-        ``parallel`` reports the cumulative fan-out accounting of
-        :meth:`~repro.core.wfit.WFIT.parallel_stats` plus
-        ``last_batch_efficiency``, the busy/(wall × workers) ratio of
-        the most recent micro-batch that ran a parallel section (None
-        until one has; serial engines never do). ``uptime_s`` is seconds
-        since construction (monotonic clock). ``queue_depth`` is the
-        total submitted-but-unanalyzed backlog, ``queue_depths`` its
+        engine totals). ``uptime_s`` is seconds since construction
+        (monotonic clock). ``queue_depth`` is the total
+        submitted-but-unanalyzed backlog, ``queue_depths`` its
         per-priority-class split, and ``backpressure_rejections`` the
         cumulative admission-control rejections (``_by_class`` for the
         split). ``total_work`` / ``realized_total_work`` are the
@@ -1198,10 +1141,6 @@ class TuningEngine:
                     }
                 queue_depths = self._scheduler.depths()
                 rejections = self._scheduler.rejections()
-            parallel = dict(self._tuner.parallel_stats())
-            parallel["last_batch_efficiency"] = (
-                self._last_batch_parallel_efficiency
-            )
             lag: Optional[int] = None
             if self._last_adoption_position is not None:
                 lag = self._statements_processed - self._last_adoption_position
@@ -1213,8 +1152,6 @@ class TuningEngine:
                 "queue_depths": queue_depths,
                 "backpressure_rejections": sum(rejections.values()),
                 "backpressure_rejections_by_class": rejections,
-                "workers": self._tuner.workers,
-                "parallel": parallel,
                 "total_work": self._total_work,
                 "realized_total_work": self.realized_total_work,
                 "adoption": {

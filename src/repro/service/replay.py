@@ -1,13 +1,11 @@
 """Replay CLI: drive the tuning service over a generated multi-client trace.
 
-Three subcommands::
+Two subcommands::
 
     python -m repro.service replay  [trace options] \
         [--priority-map client-0=interactive,...] [--adopt-every T] \
-        [--checkpoint-at K --checkpoint PATH] \
         [--durable-dir DIR [--checkpoint-every K] [--wal-fsync-ms MS]] \
         [--metrics-out PATH]
-    python -m repro.service resume  --checkpoint PATH [--verify]
     python -m repro.service recover --dir DIR [--verify]
 
 ``replay`` deterministically generates the paper's phase-shifting workload,
@@ -18,17 +16,16 @@ priority-aware; the map is stashed with the trace parameters so verify
 references reproduce it), and ``--adopt-every T`` simulates the Figure 11
 lagged DBA — every report carries a ``"lag"`` block with the recommended
 vs. realized totWork series and adoption-lag counters. With
-``--checkpoint-at K`` it serializes the engine after K statements; the
-trace parameters are stashed inside the checkpoint document, so ``resume``
-needs only the checkpoint file. With ``--durable-dir`` the run is durable:
-every submission is write-ahead logged before it enters the queue, and
-``--checkpoint-every K`` publishes a crash-atomic (delta-chained) snapshot
-every K statements — kill the process at any instant and ``recover``
-rebuilds the engine from the directory. ``resume --verify`` /
-``recover --verify`` additionally run the uninterrupted engine over the
-same trace and assert the restored engine's per-statement recommendation
-sequence and final totWork match — the step-identical guarantee — exiting
-1 on divergence; unreadable or chain-broken durable state exits 2.
+``--durable-dir`` the run is durable: an initial full snapshot stashes the
+trace parameters in the directory, every submission is write-ahead logged
+before it enters the queue, and ``--checkpoint-every K`` publishes a
+crash-atomic (delta-chained) snapshot every K statements — kill the
+process at any instant and ``recover`` rebuilds the engine from the
+directory. ``recover --verify`` additionally runs the uninterrupted engine
+over the same trace and asserts the recovered engine's per-statement
+recommendation sequence and final totWork match — the step-identical
+guarantee — exiting 1 on divergence; unreadable or chain-broken durable
+state, or a snapshot without trace parameters, exits 2.
 
 All subcommands emit a JSON metrics report (stdout or ``--metrics-out``);
 the report embeds a full :mod:`repro.obs` registry snapshot under ``"obs"``
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -50,15 +46,16 @@ from .. import obs
 from ..db import StatsTransitionCosts, build_catalog
 from ..ioutil import atomic_write_json
 from ..optimizer.whatif import WhatIfOptimizer
+from ..query.parser import to_sql
 from ..workload import MultiClientTrace, generate_workload, scaled_phases
 from .engine import TuningEngine
 from .scheduler import normalize_priority
-from .snapshot import SnapshotError, load_checkpoint, save_checkpoint
+from .snapshot import SnapshotError
 from .wal import Durability, WalError, latest_snapshot_document
 
 __all__ = ["main"]
 
-#: totWork comparison tolerance for ``resume --verify``.
+#: totWork comparison tolerance for ``recover --verify``.
 _VERIFY_TOL = 1e-6
 
 
@@ -72,7 +69,7 @@ def _trace_params(args: argparse.Namespace) -> Dict[str, object]:
         "limit": args.limit,
         # Session priority classes ride along with the trace parameters:
         # drain order (and so the recommendation sequence) depends on
-        # them, so resume/recover verification must rebuild its reference
+        # them, so recover verification must rebuild its reference
         # engine with the same classes.
         "priority_map": _parse_priority_map(args.priority_map),
     }
@@ -125,6 +122,11 @@ def _build_trace(params: Dict[str, object]) -> Tuple[object, MultiClientTrace]:
     limit = params.get("limit")
     if limit is not None:
         statements = statements[: int(limit)]
+    # Clients send SQL text, as they would to the middleware. The WAL logs
+    # the rendered SQL of each submission, and rendering a generated AST
+    # rounds its literals, so AST submissions would recover as slightly
+    # different statements; text renders back to itself.
+    statements = [to_sql(statement) for statement in statements]
     clients = [f"client-{i}" for i in range(int(params["clients"]))]
     trace = MultiClientTrace.split(
         statements, clients, mode=str(params["split"])
@@ -180,30 +182,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     stats, trace = _build_trace(params)
     engine_options = {"idx_cnt": args.idx_cnt, "state_cnt": args.state_cnt}
-    # workers is a runtime execution knob (bit-identical at any value), so
-    # it is passed to *this* engine but kept out of engine_options — the
-    # checkpointed options must not pin a pool size on the restoring host.
-    engine = _build_engine(
-        stats, args.batch_size, {**engine_options, "workers": args.workers}
-    )
+    engine = _build_engine(stats, args.batch_size, engine_options)
     _apply_priority_map(engine, params["priority_map"])
 
-    checkpoint_at = args.checkpoint_at
-    if checkpoint_at is not None and not args.checkpoint:
-        print("--checkpoint-at requires --checkpoint PATH", file=sys.stderr)
-        return 2
-    if args.checkpoint and checkpoint_at is None:
-        print("--checkpoint requires --checkpoint-at K", file=sys.stderr)
-        return 2
     if args.checkpoint_every is not None and not args.durable_dir:
         print("--checkpoint-every requires --durable-dir DIR", file=sys.stderr)
         return 2
-    if args.adopt_every is not None and (
-        checkpoint_at is not None or args.checkpoint_every is not None
-    ):
+    if args.adopt_every is not None and args.checkpoint_every is not None:
         print(
-            "--adopt-every cannot be combined with --checkpoint-at or "
-            "--checkpoint-every (each imposes its own chunking)",
+            "--adopt-every cannot be combined with --checkpoint-every "
+            "(each imposes its own chunking)",
             file=sys.stderr,
         )
         return 2
@@ -223,19 +211,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         durability.checkpoint(full=True, extra=durable_extra)
 
     started = time.perf_counter()
-    if checkpoint_at is not None:
-        checkpoint_at = max(0, min(checkpoint_at, len(trace)))
-        engine.submit_many(trace.prefix(checkpoint_at))
-        engine.pump()
-        document = engine.checkpoint(extra={
-            "trace": params,
-            "position": checkpoint_at,
-            "engine_options": engine_options,
-        })
-        save_checkpoint(args.checkpoint, document)
-        engine.submit_many(trace.suffix(checkpoint_at))
-        engine.pump()
-    elif durability is not None and args.checkpoint_every:
+    if durability is not None and args.checkpoint_every:
         every = max(1, args.checkpoint_every)
         for start in range(0, len(trace), every):
             engine.submit_many(trace[start : start + every])
@@ -261,11 +237,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "command": "replay",
         "trace": params,
         "statements": len(trace),
-        "workers": engine.workers,
         "elapsed_seconds": elapsed,
         "statements_per_sec": len(trace) / elapsed if elapsed else 0.0,
-        "checkpoint": str(args.checkpoint) if checkpoint_at is not None else None,
-        "checkpoint_at": checkpoint_at,
         "adopt_every": args.adopt_every,
         "lag": _lag_report(metrics),
         "metrics": metrics,
@@ -282,83 +255,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     _attach_obs(report, args.trace_out)
     _emit(report, args.metrics_out)
     return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    try:
-        document = load_checkpoint(args.checkpoint)
-    except SnapshotError as exc:
-        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-        return 2
-    extra = document.get("extra") or {}
-    if "trace" not in extra:
-        print(
-            "checkpoint lacks trace parameters (was it written by "
-            "`repro.service replay`?)",
-            file=sys.stderr,
-        )
-        return 2
-    params = dict(extra["trace"])
-    position = int(extra["position"])
-    engine_options = dict(extra.get("engine_options") or {})
-    stats, trace = _build_trace(params)
-
-    try:
-        restored = TuningEngine.restore(
-            document, WhatIfOptimizer(stats), StatsTransitionCosts(stats)
-        )
-    except SnapshotError as exc:
-        print(f"cannot restore checkpoint: {exc}", file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    restored_recs = _step_recommendations(restored, trace.suffix(position))
-    elapsed = time.perf_counter() - started
-
-    metrics = restored.metrics()
-    report: Dict[str, object] = {
-        "command": "resume",
-        "trace": params,
-        "resumed_at": position,
-        "statements_replayed": len(trace) - position,
-        "elapsed_seconds": elapsed,
-        "lag": _lag_report(metrics),
-        "metrics": metrics,
-    }
-
-    exit_code = 0
-    if args.verify:
-        reference = _build_engine(
-            stats, int(document["batch_size"]), engine_options
-        )
-        _apply_priority_map(reference, dict(params.get("priority_map") or {}))
-        reference.submit_many(trace.prefix(position))
-        reference.pump()
-        reference_recs = _step_recommendations(
-            reference, trace.suffix(position)
-        )
-        mismatches = [
-            {"step": position + i, "restored": list(a), "reference": list(b)}
-            for i, (a, b) in enumerate(zip(restored_recs, reference_recs))
-            if a != b
-        ]
-        work_delta = abs(restored.total_work - reference.total_work)
-        verified = not mismatches and work_delta <= _VERIFY_TOL * max(
-            1.0, abs(reference.total_work)
-        )
-        report["verify"] = {
-            "verified": verified,
-            "recommendation_mismatches": mismatches,
-            "total_work_restored": restored.total_work,
-            "total_work_reference": reference.total_work,
-            "total_work_delta": work_delta,
-        }
-        if not verified:
-            exit_code = 1
-    _attach_obs(report, args.trace_out)
-    _emit(report, args.metrics_out)
-    if exit_code:
-        print("VERIFY FAILED: restored run diverged", file=sys.stderr)
-    return exit_code
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -481,11 +377,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="truncate the trace to this many statements")
     replay.add_argument("--batch-size", type=int, default=8,
                         help="ingest micro-batch size (default 8)")
-    replay.add_argument("--workers", type=int, default=1,
-                        help="per-part fan-out pool size (default 1, the "
-                        "serial determinism oracle; any value is "
-                        "bit-identical). resume --verify always replays "
-                        "serially.")
     replay.add_argument("--idx-cnt", type=int, default=16,
                         help="WFIT monitored-index bound (default 16)")
     replay.add_argument("--state-cnt", type=int, default=128,
@@ -499,10 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "recommendation every T statements (1 = full "
                         "autonomy); the report's \"lag\" block prices the "
                         "lag (realized vs recommended totWork)")
-    replay.add_argument("--checkpoint-at", type=int, default=None,
-                        help="serialize the engine after this many statements")
-    replay.add_argument("--checkpoint", type=str, default=None,
-                        help="checkpoint output path (JSON)")
     replay.add_argument("--durable-dir", type=str, default=None,
                         help="run durably: write-ahead log every submission "
                         "into DIR and publish crash-atomic snapshots there "
@@ -523,22 +410,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write recent pipeline spans as Chrome "
                         "trace_event JSON (chrome://tracing / Perfetto)")
     replay.set_defaults(func=_cmd_replay)
-
-    resume = sub.add_parser(
-        "resume", help="restore an engine from a checkpoint and replay the "
-        "rest of its trace",
-    )
-    resume.add_argument("--checkpoint", type=str, required=True,
-                        help="checkpoint path written by `replay`")
-    resume.add_argument("--verify", action="store_true",
-                        help="also run the uninterrupted engine and assert "
-                        "step-identical recommendations and totWork")
-    resume.add_argument("--metrics-out", type=str, default=None,
-                        help="write the JSON report here instead of stdout")
-    resume.add_argument("--trace-out", type=str, default=None,
-                        help="write recent pipeline spans as Chrome "
-                        "trace_event JSON (chrome://tracing / Perfetto)")
-    resume.set_defaults(func=_cmd_resume)
 
     recover = sub.add_parser(
         "recover", help="rebuild an engine from a durable directory "

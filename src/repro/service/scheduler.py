@@ -273,27 +273,6 @@ class IngestScheduler:
                     break
         return out
 
-    def take_fifo(self, limit: int) -> List[QueueEntry]:
-        """Pop up to ``limit`` entries in pure arrival (``seq``) order.
-
-        Recovery's catch-up mode: WAL records written *before* the first
-        non-default-priority submission carry no batch boundaries —
-        legitimately, because a queue that has only ever held the
-        default class drains FIFO. Replaying that prefix must therefore
-        pop by arrival order even if higher-priority entries (submitted
-        later in the log, already re-enqueued) are now present.
-        """
-        if limit < 1:
-            return []
-        out: List[QueueEntry] = []
-        with self._lock:
-            queues = [q for q in self._queues.values() if q]
-            while queues and len(out) < limit:
-                head = min(queues, key=lambda q: q[0].seq)
-                out.append(head.popleft())
-                queues = [q for q in queues if q]
-        return out
-
     def _normalize_classes(
         self, classes: Optional[Sequence[str]]
     ) -> Tuple[str, ...]:

@@ -42,13 +42,10 @@ unknown versions up front with a typed :class:`SnapshotError` (still a
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..core.wfit import WFIT
 from ..db.index import Index
-from ..ioutil import REAL_IO, FileIO, atomic_write_json
 from ..optimizer.whatif import WhatIfOptimizer
 
 __all__ = [
@@ -58,10 +55,8 @@ __all__ = [
     "SnapshotError",
     "UnsupportedVersion",
     "checkpoint_engine",
-    "load_checkpoint",
     "resolve_chain",
     "restore_engine",
-    "save_checkpoint",
 ]
 
 #: Format version of engine checkpoint documents. Version 2 added the
@@ -432,33 +427,3 @@ def restore_engine(
             priority=str(item.get("priority", "normal")),
         )
     return engine
-
-
-def save_checkpoint(
-    path: Union[str, pathlib.Path],
-    document: Dict[str, object],
-    *,
-    io: FileIO = REAL_IO,
-) -> pathlib.Path:
-    """Crash-atomically write a checkpoint document as JSON; returns the
-    path (temp file + fsync + rename + parent-dir fsync — a reader sees
-    either the previous document or the complete new one, never a tear)."""
-    return atomic_write_json(path, document, io=io)
-
-
-def load_checkpoint(
-    path: Union[str, pathlib.Path], *, io: FileIO = REAL_IO
-) -> Dict[str, object]:
-    """Read a checkpoint document written by :func:`save_checkpoint`.
-
-    Raises :class:`CorruptSnapshot` when the file is not a JSON object
-    (torn legacy writes, bit rot); missing files propagate ``OSError``.
-    """
-    raw = io.read_bytes(path)
-    try:
-        document = json.loads(raw)
-    except ValueError as exc:
-        raise CorruptSnapshot(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise CorruptSnapshot(f"{path}: snapshot document must be a JSON object")
-    return document

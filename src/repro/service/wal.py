@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..ioutil import REAL_IO, FileIO, atomic_write_json
+from .scheduler import DEFAULT_PRIORITY
 
 __all__ = [
     "CorruptRecord",
@@ -455,6 +456,8 @@ def _parse_snapshot_id(name: str) -> Optional[int]:
 
 
 def _load_document(path, io: FileIO) -> Dict[str, object]:
+    """Read one snapshot document; :class:`CorruptSnapshot` when the file
+    is not a JSON object (torn writes, bit rot)."""
     from .snapshot import CorruptSnapshot
 
     raw = io.read_bytes(path)
@@ -953,13 +956,13 @@ class Durability:
                 f"({engine.statements_processed})"
             )
         if deficit:
-            # Catch up in pure arrival (FIFO) order, not priority order:
-            # this deficit covers pre-scheduler history or an all-default
-            # prefix with no drain records, where every entry was
-            # "normal" and drained FIFO. Priority-order popping here
-            # could steal later re-enqueued higher-class submissions
-            # that did not exist at the original drain time.
-            pumped = engine._pump_fifo(deficit)
+            # The deficit covers drains the log holds no records for. The
+            # engine writes drain records from the first non-default
+            # submission on, so every undocumented drain happened while
+            # every entry ever queued was "normal", and popped those FIFO.
+            # Catch up from the default class only: later re-enqueued
+            # higher-class submissions did not exist at those drains.
+            pumped = engine.pump(deficit, classes=(DEFAULT_PRIORITY,))
             if pumped < deficit:
                 raise WalError(
                     f"WAL record seq {record.seq} expects statement position "

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import wfa_kernel
 from repro.core.wfa import WFA, TransitionCosts
 from repro.db import Index
 
@@ -223,3 +224,40 @@ class TestWorkFunctionInvariants:
             }
             for subset, value in naive.items():
                 assert wfa.work_value(subset) == pytest.approx(value, abs=1e-9)
+
+
+def test_prepare_relax_composes_to_analyze():
+    """WFIT's two-phase update is exactly analyze_statement."""
+    rng = random.Random(3)
+    workload, transitions = make_synthetic_instance(rng, [3], 6)
+    part = sorted(workload.partition[0])
+    whole = WFA(part, frozenset(), workload.cost, transitions)
+    split = WFA(part, frozenset(), workload.cost, transitions)
+    for statement in workload.statements:
+        rec_whole = whole.analyze_statement(statement)
+        split.prepare_statement(statement)
+        rec_split = split.relax()
+        assert rec_whole == rec_split
+        assert whole._kernel.export_w() == split._kernel.export_w()
+        assert whole.statements_analyzed == split.statements_analyzed
+
+
+@pytest.mark.parametrize("backend", wfa_kernel.available_backends())
+def test_kernel_buffers_are_per_instance(backend):
+    """The buffer-ownership contract of wfa_kernel: no instance aliases
+    another's buffers or scratch."""
+    indices = make_indices(4)
+    transitions = TransitionCosts()
+    with wfa_kernel.force_backend(backend):
+        a = WFA(indices, frozenset(), lambda q, X: 1.0, transitions)
+        b = WFA(indices, frozenset(), lambda q, X: 1.0, transitions)
+    ka, kb = a._kernel, b._kernel
+    assert ka is not kb
+    assert ka.costs is not kb.costs
+    if backend == "numpy":
+        import numpy as np
+
+        for name in ("_w", "costs", "_base", "_i1", "_i2", "_f1", "_f2", "_f3"):
+            assert not np.shares_memory(getattr(ka, name), getattr(kb, name)), name
+    else:
+        assert ka._w is not kb._w

@@ -60,7 +60,6 @@ def _run(stats, statements, *, churn: bool):
             obs.validate_snapshot(registry.snapshot())
             obs.default_tracer().export_chrome()
     state = tuner.export_state()
-    tuner.close()
     return recommendations, json.dumps(state, sort_keys=True, default=str)
 
 
@@ -106,7 +105,6 @@ def test_enabled_run_populates_every_layer(toy_stats):
     for statement in statements:
         tuner.analyze_statement(statement)
     after = obs.default_registry().snapshot()
-    tuner.close()
     delta = obs.diff_snapshots(before, after)
     metrics = delta["metrics"]
 

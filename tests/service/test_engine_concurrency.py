@@ -6,9 +6,6 @@ against the background drain; afterwards every submission is processed
 exactly once, each client's audit log lists its statements in its own
 submission order (the queue is FIFO per client by construction), and a
 checkpoint of the concurrently-driven engine restores step-identically.
-``REPRO_WORKERS``/``workers`` must not change any of this — the CI
-threaded-stress job re-runs this module with ``workers=4`` under both
-kernel backends.
 """
 
 from __future__ import annotations
@@ -276,60 +273,3 @@ class TestLatencyWindow:
         with pytest.raises(ValueError, match="latency_window"):
             make_engine(toy_stats, latency_window=0)
 
-
-class TestParallelEngine:
-    def test_parallel_engine_matches_serial(self, toy_stats):
-        statements = [narrow_sql(toy_stats, offset=0.03 * i) for i in range(12)]
-        outcomes = {}
-        for workers in (1, 3):
-            engine = make_engine(toy_stats, workers=workers)
-            for i, sql in enumerate(statements):
-                engine.submit(f"client-{i % 3}", sql)
-            engine.pump()
-            outcomes[workers] = (
-                engine.tuner.recommend(),
-                engine.total_work,
-            )
-            assert engine.workers == workers
-            engine.close()
-        assert outcomes[1] == outcomes[3]
-
-    def test_metrics_report_workers_and_parallel(self, toy_stats):
-        engine = make_engine(toy_stats, workers=2)
-        engine.session("a").execute_many(
-            [narrow_sql(toy_stats, offset=0.02 * i) for i in range(4)]
-        )
-        metrics = engine.metrics()
-        assert metrics["workers"] == 2
-        parallel = metrics["parallel"]
-        assert parallel["workers"] == 2
-        assert "last_batch_efficiency" in parallel
-        if parallel["parallel_sections"]:
-            assert parallel["parallel_efficiency"] > 0.0
-        engine.close()
-
-    def test_concurrent_submitters_with_worker_pool(self, toy_stats):
-        """The full stack at once: N submitter threads, background drain,
-        and the per-part fan-out pool — counts still exact."""
-        engine = make_engine(toy_stats, workers=2)
-        release = threading.Event()
-
-        def submitter(client_id):
-            release.wait(5.0)
-            for i in range(8):
-                engine.submit(client_id, narrow_sql(toy_stats, offset=0.02 * i))
-
-        threads = [
-            threading.Thread(target=submitter, args=(f"c{i}",)) for i in range(3)
-        ]
-        engine.start(poll_interval=0.005)
-        try:
-            for thread in threads:
-                thread.start()
-            release.set()
-            for thread in threads:
-                thread.join()
-        finally:
-            engine.stop(drain=True)
-        assert engine.statements_processed == 24
-        engine.close()

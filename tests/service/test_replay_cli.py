@@ -25,42 +25,46 @@ class TestReplay:
         assert report["metrics"]["statements_processed"] == 10
         assert set(report["metrics"]["sessions"]) == {"client-0", "client-1"}
 
-    def test_checkpoint_at_requires_path(self, capsys):
-        code = main(["replay", *TRACE_FLAGS, "--checkpoint-at", "4"])
+    def test_checkpoint_every_requires_durable_dir(self, capsys):
+        code = main(["replay", *TRACE_FLAGS, "--checkpoint-every", "4"])
         assert code == 2
 
-    def test_checkpoint_path_requires_position(self, tmp_path):
+    def test_adopt_every_rejects_checkpoint_every(self, tmp_path):
         code = main([
-            "replay", *TRACE_FLAGS,
-            "--checkpoint", str(tmp_path / "ckpt.json"),
+            "replay", *TRACE_FLAGS, "--adopt-every", "2",
+            "--durable-dir", str(tmp_path / "durable"),
+            "--checkpoint-every", "4",
         ])
         assert code == 2
 
     def test_checkpoint_resume_verify(self, tmp_path):
-        checkpoint = tmp_path / "ckpt.json"
+        """A durable replay with no periodic checkpoints leaves only the
+        initial snapshot: ``recover`` resumes from it by replaying all 10
+        statements from the WAL, and ``--verify`` proves the resumed run
+        step-identical to the uninterrupted one."""
+        durable = tmp_path / "durable"
         replay_out = tmp_path / "replay.json"
         code = main([
             "replay", *TRACE_FLAGS,
-            "--checkpoint-at", "5", "--checkpoint", str(checkpoint),
+            "--durable-dir", str(durable),
             "--metrics-out", str(replay_out),
         ])
         assert code == 0
-        assert checkpoint.exists()
 
-        resume_out = tmp_path / "resume.json"
+        recover_out = tmp_path / "recover.json"
         code = main([
-            "resume", "--checkpoint", str(checkpoint), "--verify",
-            "--metrics-out", str(resume_out),
+            "recover", "--dir", str(durable), "--verify",
+            "--metrics-out", str(recover_out),
         ])
         assert code == 0
-        report = json.loads(resume_out.read_text())
-        assert report["resumed_at"] == 5
-        assert report["statements_replayed"] == 5
+        report = json.loads(recover_out.read_text())
+        assert report["recovered_at"] == 0
+        assert report["statements_replayed"] == 10
         assert report["verify"]["verified"] is True
         assert report["verify"]["recommendation_mismatches"] == []
-        # Uninterrupted and restored runs finish with the same metric.
+        # Uninterrupted and recovered runs finish with the same metric.
         replay_report = json.loads(replay_out.read_text())
-        assert report["verify"]["total_work_restored"] == pytest.approx(
+        assert report["verify"]["total_work_recovered"] == pytest.approx(
             replay_report["metrics"]["total_work"], rel=1e-9
         )
 
@@ -99,14 +103,18 @@ class TestReplay:
             assert event["dur"] >= 0
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path, toy_stats):
+        """``recover`` refuses (exit 2) a durable directory whose snapshot
+        carries no trace parameters to rebuild the workload from."""
         from repro.db import StatsTransitionCosts
         from repro.optimizer import WhatIfOptimizer
-        from repro.service import TuningEngine, save_checkpoint
+        from repro.service import Durability, TuningEngine
 
         engine = TuningEngine(
             WhatIfOptimizer(toy_stats), StatsTransitionCosts(toy_stats),
             idx_cnt=6, state_cnt=32,
         )
-        path = tmp_path / "bare.json"
-        save_checkpoint(path, engine.checkpoint())  # no trace parameters
-        assert main(["resume", "--checkpoint", str(path)]) == 2
+        durability = Durability(tmp_path / "bare")
+        durability.attach(engine)
+        durability.checkpoint(full=True)  # no trace parameters
+        durability.close()
+        assert main(["recover", "--dir", str(tmp_path / "bare")]) == 2

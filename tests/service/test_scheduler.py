@@ -1,14 +1,13 @@
 """Priority scheduler contracts (ISSUE 10): lanes, admission, drain rules.
 
 Unit level: :class:`repro.service.scheduler.IngestScheduler` drain order
-is a pure function of (priority rank, arrival seq), admission control is
-all-or-nothing with typed rejections, and ``take_fifo`` reproduces pure
-arrival order. Engine level: uniform-priority ingest is bit-identical to
-the pre-scheduler FIFO on both kernel backends (the refactor's
-no-behavior-change proof), foreground always preempts a queued background
-flood, ``stop``/``checkpoint`` drain exactly the classes they document,
-and the deferred-task lane runs only in idle windows with exceptions
-contained.
+is a pure function of (priority rank, arrival seq), and admission control
+is all-or-nothing with typed rejections. Engine level: uniform-priority
+ingest is bit-identical to one-statement-at-a-time FIFO ingest on both
+kernel backends (the refactor's no-behavior-change proof), foreground
+always preempts a queued background flood, ``stop``/``checkpoint`` drain
+exactly the classes they document, and the deferred-task lane runs only
+in idle windows with exceptions contained.
 """
 
 from __future__ import annotations
@@ -94,13 +93,6 @@ class TestSchedulerUnit:
         assert sched.depths() == {
             "interactive": 0, "normal": 3, "background": 1,
         }
-
-    def test_take_fifo_is_pure_arrival_order(self):
-        sched = IngestScheduler()
-        sched.push("background", "c", "s0")
-        sched.push("interactive", "b", "s1")
-        sched.push("normal", "a", "s2")
-        assert [e.statement for e in sched.take_fifo(3)] == ["s0", "s1", "s2"]
 
     def test_entries_snapshot_in_arrival_order(self):
         sched = IngestScheduler()
@@ -205,9 +197,10 @@ class TestUniformPriorityBitIdentity:
         self, toy_stats, backend, data, priority, batch_size
     ):
         """With every submission in ONE class, the priority scheduler's
-        pump must reproduce the old FIFO ingest exactly: same analysis
-        order, same recommendations, bit-identical totWork — on both
-        kernel backends."""
+        batched pump must reproduce FIFO ingest exactly — the oracle
+        analyzes each statement as it is submitted (submit, then
+        ``pump(1)``): same analysis order, same recommendations,
+        bit-identical totWork — on both kernel backends."""
         n = data.draw(st.integers(2, 8), label="n_statements")
         offsets = [
             data.draw(st.integers(0, 9), label=f"offset{i}")
@@ -227,9 +220,9 @@ class TestUniformPriorityBitIdentity:
                         narrow_sql(toy_stats, offset=offset * 0.05),
                         priority=priority,
                     )
-                if fifo:
-                    assert engine._pump_fifo(n) == n
-                else:
+                    if fifo:
+                        assert engine.pump(1) == 1
+                if not fifo:
                     assert engine.pump() == n
                 runs.append((
                     tuple(sorted(ix.name for ix in engine.tuner.recommend())),

@@ -166,3 +166,43 @@ class TestForwardFormatCompat:
             recovered.session("flood").statements_processed
             == engine.session("flood").statements_processed
         )
+
+
+class TestCatchUpDrain:
+    def test_undocumented_drains_catch_up_in_the_default_class(
+        self, toy_stats, tmp_path
+    ):
+        """Drains that ran before the first non-default submission leave no
+        drain records. A vote logged after an interactive submission makes
+        recovery catch up to the vote's position; the catch-up must pop
+        the ``normal`` statements those drains analyzed, not the
+        interactive one that class rank would put first."""
+        engine = fresh_engine(toy_stats)
+        durability = Durability(tmp_path, fsync_interval_ms=0)
+        durability.attach(engine)
+        for offset in (0.0, 0.1, 0.2, 0.3, 0.4):
+            engine.submit("a", narrow_sql(toy_stats, offset=offset))
+        engine.pump()  # every entry so far is normal: no drain records
+        engine.submit(
+            "fg", narrow_sql(toy_stats, column="sale_date", offset=0.5),
+            priority="interactive",
+        )
+        voted = sorted(engine.tuner.candidates)[:1]
+        assert voted
+        engine.vote("dba", frozenset(voted), frozenset())  # position 5
+        engine.submit("a", narrow_sql(toy_stats, offset=0.6))
+        engine.pump()
+        durability.close()
+        kinds = [record.kind for record in read_wal(tmp_path / "wal.log").records]
+        assert kinds.index("vote") < kinds.index("drain")
+
+        recovered, _ = recover(toy_stats, tmp_path)
+        recovered.pump()
+        assert recovered.tuner.export_state() == engine.tuner.export_state()
+        assert recovered.total_work == engine.total_work
+        assert recovered.realized_total_work == engine.realized_total_work
+        for client in ("a", "fg"):
+            assert (
+                recovered.session(client).statements_processed
+                == engine.session(client).statements_processed
+            )
