@@ -10,6 +10,13 @@ with the least loss.
 
 Feasibility is the paper's ``Σ_m 2^|P_m| ≤ stateCnt`` bound plus a hard
 per-part size cap that keeps any single WFA instance tractable.
+
+The search runs on *positions* in ``sorted(candidates)``: an index is an
+int, a part is a mask of positions, and the interaction data is the list
+of positive ``(i, j, doi)`` pairs, read from the ``doi`` callable once per
+search. :func:`partition_loss` / :func:`pairwise_loss` remain the
+set-level definition of the loss; the positional search reproduces their
+float additions (and every ``rng.choices`` draw) exactly.
 """
 
 from __future__ import annotations
@@ -18,11 +25,14 @@ import random
 from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.index import Index
-from .bitset import IndexUniverse
 
 __all__ = ["partition_loss", "pairwise_loss", "choose_partition", "state_count"]
 
 DoiFunction = Callable[[Index, Index], float]
+
+#: ``(i, j, doi)`` with positions ``i < j`` and ``doi > 0``, in ``(i, j)``
+#: order.
+PositivePairs = List[Tuple[int, int, float]]
 
 #: No part may exceed this many indices regardless of stateCnt (2^20 states
 #: would be intractable for a single WFA instance).
@@ -54,114 +64,146 @@ def partition_loss(parts: Sequence[AbstractSet[Index]], doi: DoiFunction) -> flo
     return total
 
 
-def _feasible(parts: Sequence[AbstractSet[Index]], state_cnt: int) -> bool:
-    if any(len(part) > MAX_PART_SIZE for part in parts):
+def _positions(mask: int) -> List[int]:
+    """The set bits of ``mask`` as positions, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _feasible(parts: Sequence[int], state_cnt: int) -> bool:
+    sizes = [mask.bit_count() for mask in parts]
+    if any(size > MAX_PART_SIZE for size in sizes):
         return False
-    return state_count(parts) <= state_cnt
+    return sum(1 << size for size in sizes) <= state_cnt
 
 
-def _merge_feasible(
-    parts: Sequence[AbstractSet[Index]], i: int, j: int, state_cnt: int
-) -> bool:
-    merged_size = len(parts[i]) + len(parts[j])
-    if merged_size > MAX_PART_SIZE:
-        return False
-    states = (
-        state_count(parts)
-        - (1 << len(parts[i]))
-        - (1 << len(parts[j]))
-        + (1 << merged_size)
-    )
-    return states <= state_cnt
+def _loss(parts: Sequence[int], positive: PositivePairs, size: int) -> float:
+    """:func:`partition_loss` of disjoint position-mask ``parts``.
+
+    ``partition_loss`` adds, for each part pair ``p < q`` in order, a
+    subtotal started at 0.0 and summed over ``sorted(P_p) × sorted(P_q)``.
+    Every doi is ≥ 0, so its ``+ 0.0`` terms are exact no-ops: summing the
+    cross-part positive pairs in (p, q, member of P_p, member of P_q) order,
+    one subtotal per part pair, gives the same float.
+    """
+    part_of = [0] * size
+    for number, mask in enumerate(parts):
+        while mask:
+            low = mask & -mask
+            part_of[low.bit_length() - 1] = number
+            mask ^= low
+    cross = []
+    for i, j, value in positive:
+        p = part_of[i]
+        q = part_of[j]
+        if p < q:
+            cross.append((p, q, i, j, value))
+        elif q < p:
+            cross.append((q, p, j, i, value))
+    cross.sort()
+    total = 0.0
+    subtotal = 0.0
+    group = (-1, -1)
+    for p, q, _, _, value in cross:
+        if (p, q) != group:
+            total += subtotal
+            subtotal = 0.0
+            group = (p, q)
+        subtotal += value
+    return total + subtotal
 
 
-def _randomized_merge(
-    indices: Sequence[Index],
+def _merge_pass(
+    size: int,
+    initial_loss: Dict[int, Tuple[int, int, float]],
     state_cnt: int,
-    doi: DoiFunction,
     rng: random.Random,
-) -> List[FrozenSet[Index]]:
+) -> List[int]:
     """One randomized bottom-up merge pass (Figure 7, lines 9–18).
 
-    Pair losses are maintained incrementally: merging parts i and j gives
+    Starts from ``size`` singleton parts (part ``k`` holds position ``k``)
+    and returns the surviving parts' masks in part-id order. Pair losses
+    are maintained incrementally: merging parts i and j gives
     ``loss(i∪j, k) = loss(i, k) + loss(j, k)``, so only pairs that started
-    with positive doi ever need tracking.
-
-    Parts are int-encoded configurations over a local
-    :class:`~repro.core.bitset.IndexUniverse`: a merge is one ``|``, a part
-    size one popcount, and the feasibility bookkeeping never touches a set.
+    with positive doi ever need tracking. ``pair_loss`` maps
+    ``x * 2·size + y`` to ``(x, y, loss)`` for part ids ``x < y``; its
+    insertion order is the order the pool, the weights and
+    ``rng.choices`` depend on.
     """
-    universe = IndexUniverse(indices)
-    parts: Dict[int, int] = {
-        k: 1 << universe.ensure(ix) for k, ix in enumerate(indices)
-    }
-    next_id = len(indices)
-    ordered = list(indices)
-    pair_loss: Dict[Tuple[int, int], float] = {}
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            value = doi(ordered[i], ordered[j])
-            if value > 0.0:
-                pair_loss[(i, j)] = value
-
-    def total_states() -> int:
-        return sum(1 << mask.bit_count() for mask in parts.values())
-
+    masks = [1 << k for k in range(size)]  # by part id; 0 once merged away
+    sizes = [1] * size
+    states = 2 * size  # Σ 2^|P| over live parts
+    stride = 2 * size  # > every part id
+    pair_loss = dict(initial_loss)
+    # Pairs of two singletons, in pair_loss order. Merging two singletons
+    # adds no states, so while any remain they are the whole pool.
+    singles = list(pair_loss.values())
+    choices = rng.choices
     while pair_loss:
-        states = total_states()
-        mergeable: List[Tuple[int, int, float]] = []
-        for (i, j), loss in pair_loss.items():
-            size_i = parts[i].bit_count()
-            size_j = parts[j].bit_count()
-            if size_i + size_j > MAX_PART_SIZE:
-                continue
-            new_states = states - (1 << size_i) - (1 << size_j) + (
-                1 << (size_i + size_j)
-            )
-            if new_states <= state_cnt:
-                mergeable.append((i, j, loss))
-        if not mergeable:
-            break
-        singleton_pairs = [
-            (i, j, loss)
-            for i, j, loss in mergeable
-            if parts[i].bit_count() == 1 and parts[j].bit_count() == 1
-        ]
-        if singleton_pairs:
-            pool = singleton_pairs
+        if singles:
+            pool = singles
             weights = [loss for _, _, loss in pool]
         else:
-            pool = mergeable
+            pool = []
+            for entry in pair_loss.values():
+                i, j, _ = entry
+                size_i = sizes[i]
+                size_j = sizes[j]
+                merged_size = size_i + size_j
+                if merged_size > MAX_PART_SIZE:
+                    continue
+                if states - (1 << size_i) - (1 << size_j) + (1 << merged_size) <= state_cnt:
+                    pool.append(entry)
+            if not pool:
+                break
             # Weight by loss per additional tracked state: favors merging
             # small, strongly interacting parts (Figure 7, line 17).
             weights = [
                 loss
                 / (
-                    (1 << (parts[i].bit_count() + parts[j].bit_count()))
-                    - (1 << parts[i].bit_count())
-                    - (1 << parts[j].bit_count())
+                    (1 << (sizes[i] + sizes[j]))
+                    - (1 << sizes[i])
+                    - (1 << sizes[j])
                 )
                 for i, j, loss in pool
             ]
-        i, j, _ = rng.choices(pool, weights=weights)[0]
-        merged_id = next_id
-        next_id += 1
-        parts[merged_id] = parts[i] | parts[j]
-        del parts[i], parts[j]
-        updated: Dict[Tuple[int, int], float] = {}
-        for (x, y), loss in pair_loss.items():
-            if x in (i, j) and y in (i, j):
-                continue  # absorbed into the merged part
-            if x in (i, j):
-                key = (min(y, merged_id), max(y, merged_id))
-                updated[key] = updated.get(key, 0.0) + loss
-            elif y in (i, j):
-                key = (min(x, merged_id), max(x, merged_id))
-                updated[key] = updated.get(key, 0.0) + loss
+        i, j, _ = choices(pool, weights=weights)[0]
+        merged_id = len(masks)
+        size_i = sizes[i]
+        size_j = sizes[j]
+        states += (1 << (size_i + size_j)) - (1 << size_i) - (1 << size_j)
+        masks.append(masks[i] | masks[j])
+        sizes.append(size_i + size_j)
+        masks[i] = masks[j] = 0
+        updated: Dict[int, Tuple[int, int, float]] = {}
+        for key, entry in pair_loss.items():
+            x, y, loss = entry
+            if x == i or x == j:
+                if y == i or y == j:
+                    continue  # absorbed into the merged part
+                other = y
+            elif y == i or y == j:
+                other = x
             else:
-                updated[(x, y)] = updated.get((x, y), 0.0) + loss
+                updated[key] = entry
+                continue
+            merged_key = other * stride + merged_id
+            previous = updated.get(merged_key)
+            # The first contribution is 0.0 + loss, which is loss.
+            total = loss if previous is None else previous[2] + loss
+            updated[merged_key] = (other, merged_id, total)
         pair_loss = updated
-    return [universe.decode(mask) for mask in parts.values()]
+        if singles:
+            singles = [
+                entry for entry in singles
+                if entry[0] != i and entry[0] != j
+                and entry[1] != i and entry[1] != j
+            ]
+    return [mask for mask in masks if mask]
 
 
 def choose_partition(
@@ -175,55 +217,68 @@ def choose_partition(
     """``choosePartition(D, stateCnt)`` (Figure 7).
 
     Returns a feasible partition of ``candidates`` minimizing loss across
-    the baseline and ``rand_cnt`` randomized merge passes.
+    the baseline and ``rand_cnt`` randomized merge passes, its parts
+    ordered by their least index.
+
+    ``doi`` is called once per candidate pair ``(a, b)`` with ``a < b``,
+    in sorted order; only positive values are kept. The baseline is
+    ``current_partition`` (disjoint parts; indices outside ``candidates``
+    are ignored) restricted to the candidates, plus a singleton for every
+    candidate it does not cover. The passes then run on positions in
+    ``sorted(candidates)`` without calling ``doi`` or comparing indices,
+    and the losses are summed in :func:`partition_loss`'s order, so the
+    result and the draws taken from ``rng`` are those of the set-level
+    definition.
     """
     wanted = frozenset(candidates)
     if not wanted:
         return []
-    if state_count([{ix} for ix in wanted]) > state_cnt:
+    size = len(wanted)
+    if 2 * size > state_cnt:
         raise ValueError(
             f"stateCnt={state_cnt} cannot accommodate even singleton parts "
-            f"for {len(wanted)} candidates"
+            f"for {size} candidates"
         )
 
-    # Evaluate doi once per pair; the randomized passes then only do dict
-    # lookups (current-doi evaluation scans a history and is not free).
-    ordered_all = sorted(wanted)
-    matrix: dict = {}
-    for i, a in enumerate(ordered_all):
-        for b in ordered_all[i + 1:]:
-            value = doi(a, b)
+    # Evaluate doi once per pair (current-doi evaluation scans a history
+    # and is not free); the passes only see the positive pairs.
+    ordered = sorted(wanted)
+    positive: PositivePairs = []
+    for i in range(size):
+        a = ordered[i]
+        for j in range(i + 1, size):
+            value = doi(a, ordered[j])
             if value > 0.0:
-                matrix[(a, b)] = value
+                positive.append((i, j, value))
+    initial_loss = {i * 2 * size + j: (i, j, value) for i, j, value in positive}
 
-    def cached_doi(a: Index, b: Index) -> float:
-        key = (a, b) if a <= b else (b, a)
-        return matrix.get(key, 0.0)
-
-    doi = cached_doi
-
-    best: Optional[List[FrozenSet[Index]]] = None
+    best: Optional[List[int]] = None
     best_loss = float("inf")
 
     # Baseline: the current partition restricted to the new candidates, with
     # singleton parts for indices not previously monitored (lines 2–7).
-    baseline: List[FrozenSet[Index]] = []
-    covered: set = set()
+    position = {index: k for k, index in enumerate(ordered)}
+    baseline: List[int] = []
+    covered = 0
     for part in current_partition:
-        kept = frozenset(part) & wanted
+        kept = 0
+        for index in part:
+            k = position.get(index)
+            if k is not None:
+                kept |= 1 << k
         if kept:
             baseline.append(kept)
-            covered.update(kept)
-    for index in sorted(wanted - covered):
-        baseline.append(frozenset({index}))
+            covered |= kept
+    for k in range(size):
+        if not covered >> k & 1:
+            baseline.append(1 << k)
     if _feasible(baseline, state_cnt):
         best = baseline
-        best_loss = partition_loss(baseline, doi)
+        best_loss = _loss(baseline, positive, size)
 
-    ordered = sorted(wanted)
     for _ in range(rand_cnt):
-        parts = _randomized_merge(ordered, state_cnt, doi, rng)
-        loss = partition_loss(parts, doi)
+        parts = _merge_pass(size, initial_loss, state_cnt, rng)
+        loss = _loss(parts, positive, size)
         if loss < best_loss or best is None:
             best = parts
             best_loss = loss
@@ -231,4 +286,8 @@ def choose_partition(
             break
     if best is None:
         raise RuntimeError("partition search produced no candidate")
-    return sorted(best, key=lambda p: sorted(p))
+    # Disjoint parts: ordering by least index is ordering by sorted members.
+    return [
+        frozenset(ordered[k] for k in _positions(mask))
+        for mask in sorted(best, key=lambda mask: mask & -mask)
+    ]

@@ -99,7 +99,7 @@ class WFA:
         initial_config: AbstractSet[Index],
         cost_fn: CostFunction,
         transitions,
-        work_values: Optional[Dict[FrozenSet[Index], float]] = None,
+        work_values: Optional[Sequence[float]] = None,
         recommendation: Optional[AbstractSet[Index]] = None,
     ) -> None:
         """Create an instance tracking ``indices``.
@@ -116,12 +116,13 @@ class WFA:
             δ provider with ``create_cost`` / ``drop_cost``.
         work_values / recommendation:
             Optional warm-start state (used by WFIT's ``repartition``); when
-            given, they replace the default ``w0(S) = δ(S0, S)``. The
-            snapshot must assign a value to *every* configuration of the
-            part, exactly once — an incomplete or ambiguous snapshot raises
-            :class:`ValueError` (a silently defaulted ``w[S] = 0`` would
-            declare S reachable for free and corrupt every recommendation
-            after a repartition).
+            given, they replace the default ``w0(S) = δ(S0, S)``.
+            ``work_values`` is ``w`` by local mask, the layout of
+            ``export_state()["w"]``: one value for *every* configuration of
+            the part. A vector of any other length raises
+            :class:`ValueError` (a defaulted ``w[S] = 0`` would declare S
+            reachable for free and corrupt every recommendation after a
+            repartition).
         """
         self._indices: Tuple[Index, ...] = tuple(sorted(set(indices)))
         if len(self._indices) > 20:
@@ -165,7 +166,7 @@ class WFA:
 
         initial_mask = self._mask_of(initial_config)
         if work_values is not None:
-            self._kernel.load_w(self._decode_work_values(work_values))
+            self._kernel.load_w(self._checked_w(work_values))
         else:
             self._kernel.reset_from_delta(initial_mask)
         if recommendation is not None:
@@ -236,33 +237,15 @@ class WFA:
     def _delta_masks(self, old: int, new: int) -> float:
         return self._delta_table.delta(old, new)
 
-    def _decode_work_values(
-        self, work_values: Dict[FrozenSet[Index], float]
-    ) -> List[float]:
-        """Map a ``{configuration: w}`` snapshot onto the local mask order.
-
-        Every one of the part's ``2^k`` configurations must be assigned
-        exactly once. Keys are projected onto the part (foreign indices are
-        ignored, as ever), so a snapshot whose keys alias after projection
-        is rejected as ambiguous rather than silently overlaid.
-        """
-        values: List[Optional[float]] = [None] * self._size
-        for subset, value in work_values.items():
-            mask = self._mask_of(subset)
-            if values[mask] is not None:
-                raise ValueError(
-                    "ambiguous work-function snapshot: two entries project "
-                    f"onto configuration {sorted(ix.name for ix in self._set_of(mask))!r}"
-                )
-            values[mask] = float(value)
-        missing = sum(1 for v in values if v is None)
-        if missing:
+    def _checked_w(self, values: Sequence[float]) -> List[float]:
+        """``values`` as floats, if there is exactly one per local mask."""
+        w = [float(v) for v in values]
+        if len(w) != self._size:
             raise ValueError(
-                f"incomplete work-function snapshot: {missing} of "
-                f"{self._size} configurations have no value (a defaulted "
-                "w[S] = 0 would mark S reachable for free)"
+                f"work-function snapshot has {len(w)} values; this part "
+                f"tracks {self._size} configurations"
             )
-        return values  # type: ignore[return-value]
+        return w
 
     # -- public properties -----------------------------------------------------
 
@@ -320,12 +303,7 @@ class WFA:
     def load_state(self, state: Dict[str, object]) -> None:
         """Adopt state exported by :meth:`export_state` from a peer with the
         same index set."""
-        w = [float(v) for v in state["w"]]
-        if len(w) != self._size:
-            raise ValueError(
-                f"work-function snapshot has {len(w)} values; this part "
-                f"tracks {self._size} configurations"
-            )
+        w = self._checked_w(state["w"])
         rec = int(state["recommendation_mask"])
         if not 0 <= rec < self._size:
             raise ValueError(f"recommendation mask {rec} outside the part")

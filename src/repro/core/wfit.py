@@ -37,9 +37,8 @@ from ..ibg.analysis import degree_of_interaction, max_benefit
 from ..ibg.graph import IndexBenefitGraph
 from ..optimizer.extract import extract_indices
 from ..optimizer.whatif import WhatIfOptimizer
-from .bitset import delta_cost
 from .candidates import IndexStatistics, top_indices
-from .partitioning import choose_partition, state_count
+from .partitioning import choose_partition
 from .wfa import WFA
 from .wfa_plus import validate_partition
 
@@ -64,6 +63,17 @@ def _wfit_counters():
 __all__ = ["WFIT"]
 
 
+def _remap_table(bits: Sequence[int]) -> List[int]:
+    """Local mask → mask of ``bits`` for every local mask of a part, where
+    ``bits[k]`` is the image of local position ``k`` (0: not mapped). The
+    lowest-bit recurrence of :class:`~repro.core.bitset.MaskDeltaTable`."""
+    table = [0] * (1 << len(bits))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
+    return table
+
+
 class WFIT:
     """The semi-automatic index advisor.
 
@@ -78,6 +88,9 @@ class WFIT:
     idx_cnt / state_cnt / hist_size:
         The knobs of Figure 6 — bounds on monitored indices, tracked
         configurations ``Σ 2^|Ck|``, and per-statistic history length.
+        In auto mode ``state_cnt`` must hold every monitored index as a
+        singleton part, ``2 · max(idx_cnt, |S0|) ≤ state_cnt``, or the
+        constructor raises :class:`ValueError`.
     rand_cnt:
         Randomized iterations inside ``choosePartition`` (Figure 7).
     fixed_partition:
@@ -119,6 +132,16 @@ class WFIT:
         if partition_refresh_period < 1:
             raise ValueError("partition_refresh_period must be >= 1")
         self.partition_refresh_period = partition_refresh_period
+        if fixed_partition is None and not assume_independence:
+            # Auto mode monitors up to max(idxCnt, |S0|) indices, and the
+            # partition search needs room for all of them as singletons.
+            monitored = max(idx_cnt, len(self._initial_config))
+            if 2 * monitored > state_cnt:
+                raise ValueError(
+                    f"stateCnt={state_cnt} cannot hold {monitored} monitored "
+                    f"indices as singleton parts (needs {2 * monitored}); "
+                    "raise state_cnt or lower idx_cnt"
+                )
         self._rng = random.Random(seed)
         self._max_ibg_nodes = max_ibg_nodes
         self._cost_fn = optimizer.cost
@@ -284,7 +307,17 @@ class WFIT:
     # -- repartition (Figure 5) ------------------------------------------------------
 
     def _repartition(self, new_parts: Sequence[FrozenSet[Index]]) -> None:
-        """Adopt a new stable partition, preserving work-function evidence."""
+        """Adopt a new stable partition, preserving work-function evidence.
+
+        Each new part P starts from (Figure 5, lines 6–7)
+
+            w(S) = Σ_old w_old(S ∩ P_old) + δ(S0 ∩ P − C_old, S − C_old)
+
+        by local mask: the sum runs over the old parts that overlap P, in
+        old-part order, reading each old part's exported ``w`` through a
+        new-to-old local-mask table; the δ term for indices never
+        monitored before is summed on its own, then added.
+        """
         materialized = self.recommend()
         new_candidates = (
             frozenset().union(*new_parts) if new_parts else frozenset()
@@ -296,46 +329,77 @@ class WFIT:
                 f"{sorted(ix.name for ix in uncovered)}"
             )
         old_candidates = self.candidates
-        old_values: List[Dict[FrozenSet[Index], float]] = [
-            instance.work_function() for instance in self._instances
-        ]
-        old_parts = list(self._parts)
-        current_rec = materialized
+        old_w = [instance.export_state()["w"] for instance in self._instances]
+        # index -> (old part number, its bit in that part's local mask)
+        old_position: Dict[Index, Tuple[int, int]] = {}
+        for number, part in enumerate(self._parts):
+            for k, index in enumerate(sorted(part)):
+                old_position[index] = (number, 1 << k)
 
         new_instances: List[WFA] = []
         for part in new_parts:
             ordered = sorted(part)
-            values: Dict[FrozenSet[Index], float] = {}
-            size = 1 << len(ordered)
-            for mask in range(size):
-                subset = frozenset(
-                    ix for i, ix in enumerate(ordered) if mask & (1 << i)
-                )
-                total = 0.0
-                for old_part, old_value in zip(old_parts, old_values):
-                    if old_part & part:
-                        total += old_value[subset & old_part]
-                # Line 7 of Figure 5: account for creating indices that were
-                # never monitored before (relative to the original S0).
-                total += delta_cost(
-                    self._transitions,
-                    (self._initial_config & part) - old_candidates,
-                    subset - old_candidates,
-                )
-                values[subset] = total
+            # Per overlapping old part: the image of each new position.
+            bits: Dict[int, List[int]] = {}
+            for k, index in enumerate(ordered):
+                found = old_position.get(index)
+                if found is not None:
+                    number, bit = found
+                    bits.setdefault(number, [0] * len(ordered))[k] = bit
+            values = [0.0] * (1 << len(ordered))
+            for number in sorted(bits):
+                w = old_w[number]
+                values = [
+                    total + w[old_mask]
+                    for total, old_mask in zip(values, _remap_table(bits[number]))
+                ]
+            fresh = self._fresh_delta(ordered, old_candidates)
+            values = [total + delta for total, delta in zip(values, fresh)]
             new_instances.append(WFA(
                 ordered,
                 self._initial_config & part,
                 self._cost_fn,
                 self._transitions,
                 work_values=values,
-                recommendation=part & current_rec,
+                recommendation=part & materialized,
             ))
         self._parts = list(new_parts)
         self._instances = new_instances
         self.repartition_count += 1
         if obs.state.enabled:
             _wfit_counters()[1].inc()
+
+    def _fresh_delta(
+        self, ordered: Sequence[Index], old_candidates: AbstractSet[Index]
+    ) -> List[float]:
+        """Line 7 of Figure 5 by local mask: δ(S0 ∩ P − C_old, S − C_old),
+        the cost of creating indices never monitored before (relative to
+        the original S0). Sums creates in ascending position, then drops,
+        as ``delta_cost`` does."""
+        fresh = [
+            (k, index) for k, index in enumerate(ordered)
+            if index not in old_candidates
+        ]
+        initial = self._initial_config
+        creates = [
+            (k, self._transitions.create_cost(index))
+            for k, index in fresh if index not in initial
+        ]
+        drops = [
+            (k, self._transitions.drop_cost(index))
+            for k, index in fresh if index in initial
+        ]
+        out = []
+        for mask in range(1 << len(ordered)):
+            total = 0.0
+            for k, cost in creates:
+                if mask >> k & 1:
+                    total += cost
+            for k, cost in drops:
+                if not mask >> k & 1:
+                    total += cost
+            out.append(total)
+        return out
 
     # -- the public interface (Figure 4) ------------------------------------------------
 
@@ -350,7 +414,7 @@ class WFIT:
             if self._auto:
                 with obs.span("wfit.choose_candidates"):
                     new_parts = self._choose_candidates(statement)
-                if sorted(map(sorted, new_parts)) != sorted(map(sorted, self._parts)):
+                if set(new_parts) != set(self._parts):
                     self._repartition(new_parts)
             with obs.span("wfit.prepare"):
                 for instance in self._instances:

@@ -16,8 +16,11 @@ removing a used index not in ``X``.
 optimizer's :class:`~repro.core.bitset.IndexUniverse`: nodes are keyed by
 int, the root-walk step is two mask operations, and ``cost_mask`` answers a
 lookup without constructing a single container — which is what makes the
-per-statement benefit/interaction sweeps of WFIT affordable. The frozenset
-API (``cost``, ``used``, ``benefit``) remains as an encode shim.
+per-statement benefit/interaction sweeps of WFIT affordable. The sweeps ask
+for the same configurations once per index pair, so ``cost_mask`` memoizes
+its answer per graph: one covering walk and one maintenance sum per
+distinct configuration, for as long as the graph lives. The frozenset API
+(``cost``, ``used``, ``benefit``) remains as an encode shim.
 
 **Write statements.** For updates/inserts/deletes, *every* index on the
 written table is cost-relevant through maintenance, which would make used
@@ -113,7 +116,8 @@ class IndexBenefitGraph:
         self._maintenance_mask, self._maintenance_by_bit = _maintenance_tables(
             universe, maintenance
         )
-        self._covering_cache: Dict[int, IBGNode] = {}
+        # cost_mask answers by (config & root): core cost plus maintenance.
+        self._cost_memo: Dict[int, float] = {}
         self._all_used_mask: Optional[int] = None
         self._all_used: Optional[FrozenSet[Index]] = None
         self.empty_cost = self.cost_mask(0)
@@ -143,15 +147,11 @@ class IndexBenefitGraph:
     def _find_covering(self, wanted: int) -> IBGNode:
         """Walk from the root to the node whose core cost equals the
         target subset's core cost."""
-        cached = self._covering_cache.get(wanted)
-        if cached is not None:
-            return cached
         nodes = self._nodes
         node = nodes[self._root_mask]
         while True:
             extra = node.used_mask & ~wanted
             if not extra:
-                self._covering_cache[wanted] = node
                 return node
             # Remove any used index not in the target subset; the lowest
             # set bit keeps traversals deterministic and reproducible.
@@ -174,12 +174,16 @@ class IndexBenefitGraph:
     # -- mask-level lookups (the hot path) ------------------------------------
 
     def cost_mask(self, config_mask: int) -> float:
-        """``cost(q, X)`` for an encoded ``X ⊆ U``, answered from the graph."""
+        """``cost(q, X)`` for an encoded ``X ⊆ U``, answered from the graph
+        (memoized per graph)."""
         wanted = config_mask & self._root_mask
-        total = self._find_covering(wanted).cost
-        charged = wanted & self._maintenance_mask
-        if charged:
-            total += self._maintenance_sum(charged)
+        total = self._cost_memo.get(wanted)
+        if total is None:
+            total = self._find_covering(wanted).cost
+            charged = wanted & self._maintenance_mask
+            if charged:
+                total += self._maintenance_sum(charged)
+            self._cost_memo[wanted] = total
         return total
 
     def used_mask(self, config_mask: int) -> int:

@@ -182,7 +182,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     stats, trace = _build_trace(params)
     engine_options = {"idx_cnt": args.idx_cnt, "state_cnt": args.state_cnt}
-    engine = _build_engine(stats, args.batch_size, engine_options)
+    try:
+        engine = _build_engine(stats, args.batch_size, engine_options)
+    except ValueError as exc:
+        print(f"invalid engine options: {exc}", file=sys.stderr)
+        return 2
     _apply_priority_map(engine, params["priority_map"])
 
     if args.checkpoint_every is not None and not args.durable_dir:

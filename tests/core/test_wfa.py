@@ -95,57 +95,44 @@ class TestWFABasics:
             TransitionCosts(default_create=3.0, default_drop=1.0),
         )
         wfa.analyze_statement("q")
-        snapshot = wfa.work_function()
         clone = WFA(
             indices,
             frozenset(),
             lambda q, X: 9.0 - 4.0 * len(X),
             TransitionCosts(default_create=3.0, default_drop=1.0),
-            work_values=snapshot,
+            work_values=wfa.export_state()["w"],
             recommendation=wfa.recommend(),
         )
         assert clone.recommend() == wfa.recommend()
-        for subset, value in snapshot.items():
+        for subset, value in wfa.work_function().items():
             assert clone.work_value(subset) == value
 
-    def test_incomplete_warm_start_snapshot_rejected(self):
+    def test_short_warm_start_vector_rejected(self):
         """Regression: a warm start missing configurations used to default
         them to w = 0.0 — an impossible "free" state that corrupts every
-        recommendation after a repartition. It must raise instead."""
+        recommendation after a repartition. A vector with fewer values than
+        the part has configurations must raise instead."""
         indices = make_indices(2)
-        partial = {
-            frozenset(): 3.0,
-            frozenset({indices[0]}): 5.0,
-            # {indices[1]} and {indices[0], indices[1]} missing
-        }
-        with pytest.raises(ValueError, match="incomplete work-function"):
+        with pytest.raises(ValueError, match="has 3 values; this part tracks 4"):
             WFA(
                 indices,
                 frozenset(),
                 lambda q, X: 1.0,
                 TransitionCosts(),
-                work_values=partial,
+                work_values=[3.0, 5.0, 6.0],
             )
 
-    def test_ambiguous_warm_start_snapshot_rejected(self):
-        """Keys that alias after projection onto the part (foreign indices
-        are ignored) must not silently overlay each other."""
+    def test_long_warm_start_vector_rejected(self):
+        """A vector laid out for a larger part (one more index) must not be
+        silently truncated onto this one."""
         indices = make_indices(2)
-        foreign = Index("other.t", ("x",))
-        snapshot = {
-            frozenset(): 3.0,
-            frozenset({foreign}): 4.0,  # projects onto {} too
-            frozenset({indices[0]}): 5.0,
-            frozenset({indices[1]}): 6.0,
-            frozenset(indices): 7.0,
-        }
-        with pytest.raises(ValueError, match="ambiguous work-function"):
+        with pytest.raises(ValueError, match="has 8 values; this part tracks 4"):
             WFA(
                 indices,
                 frozenset(),
                 lambda q, X: 1.0,
                 TransitionCosts(),
-                work_values=snapshot,
+                work_values=[3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
             )
 
     def test_strong_benefit_triggers_creation(self):

@@ -216,6 +216,38 @@ class TestAutoMode:
         with pytest.raises(ValueError):
             WFIT(optimizer, transitions, partition_refresh_period=0)
 
+    def test_infeasible_state_cnt_rejected_before_first_statement(self, env):
+        """Regression: idx_cnt=40 with state_cnt=64 used to construct
+        fine and then raise from choosePartition inside analyze_statement,
+        after the statement counter had advanced."""
+        optimizer, transitions, _ = env
+        with pytest.raises(ValueError, match="stateCnt=64 cannot hold 40"):
+            WFIT(optimizer, transitions, idx_cnt=40, state_cnt=64)
+        # |S0| counts when it exceeds idx_cnt: all of S0 stays monitored.
+        initial = {Index(SALES, (column,)) for column in
+                   ("amount", "sale_date", "product_id", "customer_id", "sale_id")}
+        with pytest.raises(ValueError, match="stateCnt=8 cannot hold 5"):
+            WFIT(optimizer, transitions, initial_config=initial,
+                 idx_cnt=2, state_cnt=8)
+        WFIT(optimizer, transitions, initial_config=initial,
+             idx_cnt=2, state_cnt=10)
+
+    @pytest.mark.parametrize("idx_cnt,state_cnt", [(40, 500), (12, 40), (40, 80)])
+    def test_feasible_state_cnt_accepted(self, env, idx_cnt, state_cnt):
+        optimizer, transitions, stats = env
+        tuner = WFIT(optimizer, transitions, idx_cnt=idx_cnt, state_cnt=state_cnt)
+        lo, hi = narrow(stats, SALES, "amount")
+        tuner.analyze_statement(select(SALES).where_between("amount", lo, hi).build())
+        assert tuner.statements_analyzed == 1
+
+    def test_state_cnt_check_is_auto_mode_only(self, env):
+        """Fixed partitions and WFIT-IND run no partition search."""
+        optimizer, transitions, _ = env
+        WFIT(optimizer, transitions, idx_cnt=40, state_cnt=64,
+             assume_independence=True)
+        WFIT(optimizer, transitions, idx_cnt=40, state_cnt=2,
+             fixed_partition=[{Index(SALES, ("amount",))}])
+
 
 class TestWfitFeedback:
     def test_consistency_and_recovery(self, env):

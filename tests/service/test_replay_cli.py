@@ -29,6 +29,16 @@ class TestReplay:
         code = main(["replay", *TRACE_FLAGS, "--checkpoint-every", "4"])
         assert code == 2
 
+    def test_infeasible_state_cnt_is_a_one_line_error(self, capsys):
+        """Used to die mid-replay with a traceback from choosePartition."""
+        code = main([
+            "replay", *TRACE_FLAGS, "--idx-cnt", "40", "--state-cnt", "32",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("invalid engine options: stateCnt=32")
+        assert "\n" not in err
+
     def test_adopt_every_rejects_checkpoint_every(self, tmp_path):
         code = main([
             "replay", *TRACE_FLAGS, "--adopt-every", "2",
