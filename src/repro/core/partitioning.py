@@ -118,10 +118,7 @@ def _loss(parts: Sequence[int], positive: PositivePairs, size: int) -> float:
 
 
 def _merge_pass(
-    size: int,
-    initial_loss: Dict[int, Tuple[int, int, float]],
-    state_cnt: int,
-    rng: random.Random,
+    size: int, positive: PositivePairs, state_cnt: int, rng: random.Random
 ) -> List[int]:
     """One randomized bottom-up merge pass (Figure 7, lines 9–18).
 
@@ -138,10 +135,10 @@ def _merge_pass(
     sizes = [1] * size
     states = 2 * size  # Σ 2^|P| over live parts
     stride = 2 * size  # > every part id
-    pair_loss = dict(initial_loss)
+    pair_loss = {i * stride + j: (i, j, loss) for i, j, loss in positive}
     # Pairs of two singletons, in pair_loss order. Merging two singletons
     # adds no states, so while any remain they are the whole pool.
-    singles = list(pair_loss.values())
+    singles = positive
     choices = rng.choices
     while pair_loss:
         if singles:
@@ -250,7 +247,6 @@ def choose_partition(
             value = doi(a, ordered[j])
             if value > 0.0:
                 positive.append((i, j, value))
-    initial_loss = {i * 2 * size + j: (i, j, value) for i, j, value in positive}
 
     best: Optional[List[int]] = None
     best_loss = float("inf")
@@ -277,7 +273,7 @@ def choose_partition(
         best_loss = _loss(baseline, positive, size)
 
     for _ in range(rand_cnt):
-        parts = _merge_pass(size, initial_loss, state_cnt, rng)
+        parts = _merge_pass(size, positive, state_cnt, rng)
         loss = _loss(parts, positive, size)
         if loss < best_loss or best is None:
             best = parts

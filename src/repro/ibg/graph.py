@@ -116,7 +116,7 @@ class IndexBenefitGraph:
         self._maintenance_mask, self._maintenance_by_bit = _maintenance_tables(
             universe, maintenance
         )
-        # cost_mask answers by (config & root): core cost plus maintenance.
+        # cost_mask results (core cost plus maintenance) by config & root.
         self._cost_memo: Dict[int, float] = {}
         self._all_used_mask: Optional[int] = None
         self._all_used: Optional[FrozenSet[Index]] = None
