@@ -29,9 +29,9 @@ from repro.workload import generate_workload, scaled_phases
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "golden" / "auto_small.json"
 
-#: Stream parameters (the catalog is the session ``bench_catalog``, scale
-#: 0.02). Seed 7 with 6 statements per phase reaches merged parts of up to
-#: 8 indices, about 30 repartitions and 12 votes in a few seconds.
+#: Stream parameters (the catalog is the shared ``bench_catalog`` fixture,
+#: scale 0.02). Seed 7 with 6 statements per phase reaches merged parts of
+#: up to 8 indices, about 30 repartitions and 12 votes in a few seconds.
 PARAMS = dict(scale=0.02, per_phase=6, seed=7, vote_every=4)
 
 
