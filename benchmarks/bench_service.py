@@ -233,7 +233,7 @@ def run_wal_overhead(stats, partition, statements, batch_size,
                 "records": wal.records_appended,
                 "bytes": wal.bytes_appended,
             }
-            durability.checkpoint(full=True)  # untimed: proves the full cycle
+            durability.checkpoint()  # untimed: proves the full cycle
             durability.close()
         engine.close()
         return len(statements) / elapsed, outcome, wal_stats

@@ -174,11 +174,6 @@ class WFA:
         else:
             self._rec = initial_mask
         self._statements_analyzed = 0
-        # Monotone dirty counter over the mutable work-function state: bumped
-        # by every relax/feedback, restored verbatim from checkpoints. Delta
-        # checkpoints (snapshot v3) compare it against the base snapshot to
-        # decide whether this part's w vector must be re-serialized.
-        self._w_version = 0
         # Lazily-bound relax-duration histogram (obs layer); None until the
         # first instrumented relax so disabled runs never touch the registry.
         self._relax_hist = None
@@ -262,11 +257,6 @@ class WFA:
         return self._statements_analyzed
 
     @property
-    def w_version(self) -> int:
-        """Mutation counter of the work-function state (see ``__init__``)."""
-        return self._w_version
-
-    @property
     def kernel_backend(self) -> str:
         """Which work-function kernel runs this part (``numpy``/``python``)."""
         return self._kernel.backend
@@ -297,7 +287,6 @@ class WFA:
             "w": self._kernel.export_w(),
             "recommendation_mask": self._rec,
             "statements_analyzed": self._statements_analyzed,
-            "w_version": self._w_version,
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -310,9 +299,6 @@ class WFA:
         self._kernel.load_w(w)
         self._rec = rec
         self._statements_analyzed = int(state["statements_analyzed"])
-        # Absent in pre-v3 documents: default 0 keeps old checkpoints
-        # loading (their first delta checkpoint then re-serializes fully).
-        self._w_version = int(state.get("w_version", 0))
 
     def work_value(self, subset: AbstractSet[Index]) -> float:
         return self._kernel.work_value(self._mask_of(subset))
@@ -367,7 +353,6 @@ class WFA:
         ``_rec``, and ``_statements_analyzed``.
         """
         self._statements_analyzed += 1
-        self._w_version += 1
         if obs.state.enabled:
             hist = self._relax_hist
             if hist is None:
@@ -422,5 +407,4 @@ class WFA:
         if plus_mask & minus_mask:
             raise ValueError("F+ and F- must be disjoint")
         self._rec = self._kernel.feedback(plus_mask, minus_mask, self._rec)
-        self._w_version += 1
         return self.recommend()

@@ -10,8 +10,8 @@ backpressure, a background task lane, and deterministic batch
 formation), with per-client audit logs and
 vote/materialization routing, versioned JSON checkpoint/restore
 (:mod:`repro.service.snapshot`), durable ingest — a submission
-write-ahead log plus atomic delta-checkpoint chains with crash recovery
-(:mod:`repro.service.wal`) — and a replay CLI
+write-ahead log plus crash-atomic, self-contained snapshots with crash
+recovery (:mod:`repro.service.wal`) — and a replay CLI
 (``python -m repro.service``).
 """
 
@@ -29,7 +29,6 @@ from .snapshot import (
     SnapshotError,
     UnsupportedVersion,
     checkpoint_engine,
-    resolve_chain,
     restore_engine,
 )
 from .wal import (
@@ -62,6 +61,5 @@ __all__ = [
     "WriteAheadLog",
     "checkpoint_engine",
     "read_wal",
-    "resolve_chain",
     "restore_engine",
 ]

@@ -1184,7 +1184,6 @@ class TuningEngine:
         drain: bool = True,
         *,
         snapshot_id: Optional[int] = None,
-        base: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
         """Serialize the full engine state to a versioned JSON document.
 
@@ -1203,19 +1202,15 @@ class TuningEngine:
         per-class admission bounds are what keep that list (and the
         document) bounded. ``extra`` is stored verbatim under the
         ``"extra"`` key (the replay CLI stashes trace parameters there).
-        ``snapshot_id``/``base`` are the durability layer's chaining
-        inputs (see :meth:`repro.service.wal.Durability.checkpoint`):
-        with a ``base`` full document, unchanged parts are elided into a
-        delta.
+        ``snapshot_id`` is the durability layer's file number (see
+        :meth:`repro.service.wal.Durability.checkpoint`).
         """
         from .snapshot import checkpoint_engine
 
         with self._pump_lock:
             if drain:
                 self.pump()
-            return checkpoint_engine(
-                self, extra=extra, snapshot_id=snapshot_id, base=base
-            )
+            return checkpoint_engine(self, extra=extra, snapshot_id=snapshot_id)
 
     @classmethod
     def restore(
@@ -1244,11 +1239,12 @@ class TuningEngine:
         io=None,
         engine_options: Optional[Dict[str, object]] = None,
     ) -> Tuple["TuningEngine", Dict[str, object]]:
-        """Rebuild an engine from a durability directory (snapshot chain +
-        WAL tail); returns ``(engine, report)``.
+        """Rebuild an engine from a durability directory (newest usable
+        snapshot + WAL tail); returns ``(engine, report)``.
 
-        The newest snapshot whose chain resolves is restored, then the
-        WAL tail is replayed — submissions re-enter the queues (priority
+        The newest usable snapshot is restored (with none, a fresh
+        engine built with ``engine_options`` replays the whole log), then
+        the WAL tail is replayed — submissions re-enter the queues (priority
         classes included), drained micro-batches re-form at their logged
         boundaries, votes and materializations re-apply at the statement
         positions they originally ran at; a torn final record is

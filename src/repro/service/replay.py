@@ -16,16 +16,18 @@ priority-aware; the map is stashed with the trace parameters so verify
 references reproduce it), and ``--adopt-every T`` simulates the Figure 11
 lagged DBA — every report carries a ``"lag"`` block with the recommended
 vs. realized totWork series and adoption-lag counters. With
-``--durable-dir`` the run is durable: an initial full snapshot stashes the
+``--durable-dir`` the run is durable: an initial snapshot stashes the
 trace parameters in the directory, every submission is write-ahead logged
 before it enters the queue, and ``--checkpoint-every K`` publishes a
-crash-atomic (delta-chained) snapshot every K statements — kill the
+crash-atomic, self-contained snapshot every K statements — kill the
 process at any instant and ``recover`` rebuilds the engine from the
 directory. ``recover --verify`` additionally runs the uninterrupted engine
 over the same trace and asserts the recovered engine's per-statement
 recommendation sequence and final totWork match — the step-identical
-guarantee — exiting 1 on divergence; unreadable or chain-broken durable
-state, or a snapshot without trace parameters, exits 2.
+guarantee — exiting 1 on divergence. Exit 2 means unusable input:
+out-of-range arguments, unusable durable state (unreadable or
+unsupported snapshots, a WAL gap), or a snapshot without trace
+parameters.
 
 All subcommands emit a JSON metrics report (stdout or ``--metrics-out``);
 the report embeds a full :mod:`repro.obs` registry snapshot under ``"obs"``
@@ -175,6 +177,14 @@ def _step_recommendations(
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    for flag, value in (
+        ("--clients", args.clients),
+        ("--checkpoint-every", args.checkpoint_every),
+        ("--adopt-every", args.adopt_every),
+    ):
+        if value is not None and value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     try:
         params = _trace_params(args)
     except ValueError as exc:
@@ -204,19 +214,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     durable_extra = {"trace": params, "engine_options": engine_options}
     if args.durable_dir:
         durability = Durability(
-            args.durable_dir,
-            fsync_interval_ms=args.wal_fsync_ms,
-            full_every=args.full_every,
+            args.durable_dir, fsync_interval_ms=args.wal_fsync_ms
         )
         durability.attach(engine)
-        # An initial full snapshot pins the trace parameters in the
-        # directory: `recover` can rebuild the workload even if the
-        # process dies before the first periodic checkpoint.
-        durability.checkpoint(full=True, extra=durable_extra)
+        # An initial snapshot pins the trace parameters in the directory:
+        # `recover` can rebuild the workload even if the process dies
+        # before the first periodic checkpoint.
+        durability.checkpoint(extra=durable_extra)
 
     started = time.perf_counter()
-    if durability is not None and args.checkpoint_every:
-        every = max(1, args.checkpoint_every)
+    if durability is not None and args.checkpoint_every is not None:
+        every = args.checkpoint_every
         for start in range(0, len(trace), every):
             engine.submit_many(trace[start : start + every])
             engine.pump()
@@ -226,7 +234,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # statements (T=1 grants full autonomy and casts no lease votes,
         # mirroring run_online). The report's "lag" block then shows the
         # realized-vs-recommended gap this lag cost.
-        every = max(1, args.adopt_every)
+        every = args.adopt_every
         for start in range(0, len(trace), every):
             engine.submit_many(trace[start : start + every])
             engine.pump()
@@ -281,7 +289,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         engine, recovery = TuningEngine.recover(
-            args.dir, WhatIfOptimizer(stats), StatsTransitionCosts(stats)
+            args.dir,
+            WhatIfOptimizer(stats),
+            StatsTransitionCosts(stats),
+            engine_options=engine_options,
         )
     except (SnapshotError, WalError) as exc:
         print(f"recover failed: {exc}", file=sys.stderr)
@@ -399,11 +410,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "into DIR and publish crash-atomic snapshots there "
                         "(recover with `recover --dir DIR`)")
     replay.add_argument("--checkpoint-every", type=int, default=None,
-                        help="with --durable-dir: publish a (delta-chained) "
-                        "snapshot every K statements")
-    replay.add_argument("--full-every", type=int, default=4,
-                        help="with --durable-dir: every Nth snapshot is full "
-                        "rather than a delta (default 4)")
+                        help="with --durable-dir: publish a snapshot every "
+                        "K statements")
     replay.add_argument("--wal-fsync-ms", type=float, default=None,
                         help="WAL group-commit interval in ms (default: the "
                         "REPRO_WAL_FSYNC_MS env var, else 0 = fsync every "
@@ -417,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     recover = sub.add_parser(
         "recover", help="rebuild an engine from a durable directory "
-        "(snapshot chain + WAL tail) and finish its backlog",
+        "(newest usable snapshot + WAL tail) and finish its backlog",
     )
     recover.add_argument("--dir", type=str, required=True,
                          help="durable directory written by "

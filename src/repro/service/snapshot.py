@@ -12,22 +12,19 @@ step-identically:
 * the what-if optimizer's universe bit-assignment order
   (:meth:`repro.core.bitset.IndexUniverse.export_order`), so restored
   masks and cache layouts reproduce the original run exactly;
-* the engine's materialized set, totWork accounting, and per-session
-  audit logs;
+* the engine's materialized set, totWork accounting (recommended and
+  realized), and per-session audit logs;
 * the *pending queue* — statements submitted but not yet pumped at the
-  snapshot point (version 2). They are serialized as SQL and re-submitted
-  on restore, so a crash between submit and pump no longer loses work;
-* the WAL high-water mark and delta chaining (version 3): a document
-  records the highest WAL sequence number it covers (``wal_seq``), and a
-  **delta** document re-serializes only the parts whose work-function
-  state changed since a **base** full snapshot, replacing unchanged parts
-  with ``{"indices": ..., "same_as_base": true}`` and naming the base by
-  ``base_id``. :func:`resolve_chain` overlays a delta back onto its base;
-  :func:`restore_engine` only accepts resolved (full-equivalent)
-  documents. Change detection uses the per-part ``w_version`` mutation
-  counter (see :class:`repro.core.wfa.WFA`) plus the tuner's
-  ``repartition_count`` as an epoch guard — a repartition rebuilds every
-  instance, so counters from different epochs are never compared.
+  snapshot point. They are serialized as SQL and re-submitted on
+  restore, so a crash between submit and pump loses no work;
+* the durability metadata: ``snapshot_id`` and the highest WAL sequence
+  number the document covers (``wal_seq``).
+
+Every document is self-contained: it restores on its own, with no base
+snapshot to resolve. (Eliding parts unchanged since an earlier snapshot
+never paid: every analyzed statement adds its cost to every
+configuration of every part, so consecutive checkpoints almost never
+share a part.)
 
 Costs themselves are *not* serialized: they are deterministic functions of
 ``(statement, configuration)`` under the analytical cost model, so a fresh
@@ -35,9 +32,9 @@ optimizer over equivalent statistics re-derives them on demand — restore
 needs statistics, not gigabytes of memoized plans.
 
 Documents are plain JSON (floats round-trip exactly through Python's
-``json``) with a top-level ``version``; :func:`restore_engine` rejects
-unknown versions up front with a typed :class:`SnapshotError` (still a
-``ValueError``, so pre-existing callers keep working).
+``json``) with a top-level ``version``; :func:`restore_engine` accepts
+exactly :data:`SNAPSHOT_VERSION` and rejects every other version up front
+with a typed :class:`UnsupportedVersion` (still a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -55,18 +52,13 @@ __all__ = [
     "SnapshotError",
     "UnsupportedVersion",
     "checkpoint_engine",
-    "resolve_chain",
     "restore_engine",
 ]
 
-#: Format version of engine checkpoint documents. Version 2 added the
-#: ``"pending"`` list (submitted-but-unpumped statements); version 3 added
-#: durability metadata (``kind``/``snapshot_id``/``base_id``/``wal_seq``)
-#: and delta documents. Older documents still restore.
-SNAPSHOT_VERSION = 3
-
-#: Versions :func:`restore_engine` accepts.
-_SUPPORTED_VERSIONS = (1, 2, 3)
+#: Format version of engine checkpoint documents, and the only version
+#: :func:`restore_engine` accepts. Version 4 dropped delta documents: every
+#: checkpoint is one self-contained snapshot.
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(ValueError):
@@ -86,7 +78,13 @@ class CorruptSnapshot(SnapshotError):
 
 
 class BrokenChain(SnapshotError):
-    """A delta document cannot be resolved against its base snapshot."""
+    """Recovery would skip acknowledged history.
+
+    Raised when the newest snapshot that restores is older than what the
+    write-ahead log was rotated against (or the log itself has a hole),
+    so replaying the surviving records would silently drop mutations that
+    were acknowledged before the crash.
+    """
 
 
 def checkpoint_engine(
@@ -94,7 +92,6 @@ def checkpoint_engine(
     extra: Optional[Dict[str, object]] = None,
     *,
     snapshot_id: Optional[int] = None,
-    base: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Serialize ``engine`` between micro-batches.
 
@@ -107,11 +104,6 @@ def checkpoint_engine(
     the statements the original would have. Each session's serialized
     ``submitted`` counter equals its ``processed`` count; replaying the
     pending list restores the original submission counts.
-
-    With ``base`` (a version-3 *full* document), the result is converted
-    to a delta when at least one part's work-function state is unchanged
-    since the base; otherwise (including whenever the partition changed)
-    the full document is returned as-is.
     """
     from ..query.parser import to_sql
 
@@ -144,9 +136,7 @@ def checkpoint_engine(
             wal_seq = wal.checkpoint_mark() if wal is not None else 0
         document: Dict[str, object] = {
             "version": SNAPSHOT_VERSION,
-            "kind": "full",
             "snapshot_id": snapshot_id,
-            "base_id": None,
             "wal_seq": wal_seq,
             "batch_size": engine.batch_size,
             "background_batch_size": engine.background_batch_size,
@@ -203,123 +193,9 @@ def checkpoint_engine(
             ],
             "pending": pending,
         }
-    if base is not None:
-        delta = _delta_against(document, base)
-        if delta is not None:
-            document = delta
     if extra is not None:
         document["extra"] = extra
     return document
-
-
-def _state_unchanged(
-    base_state: Dict[str, object], state: Dict[str, object]
-) -> bool:
-    """Whether a part's work-function state is identical to the base's.
-
-    Equal ``w_version`` counters prove no kernel mutation happened since
-    the base (same partition epoch, same instance — the caller checked
-    ``repartition_count``), so the expensive comparison is skipped. A
-    differing counter is only *suspicion*: a feedback whose votes did not
-    move this part bumps the counter without changing any value, so the
-    exact per-field comparison (w vector, recommendation mask, statement
-    count) decides.
-    """
-    if base_state.get("w_version") == state.get("w_version"):
-        return True
-    keys = (set(base_state) | set(state)) - {"w_version"}
-    return all(base_state.get(key) == state.get(key) for key in keys)
-
-
-def _delta_against(
-    document: Dict[str, object], base: Dict[str, object]
-) -> Optional[Dict[str, object]]:
-    """``document`` as a delta chained to ``base``, or None when a delta
-    is impossible (pre-v3 base, repartition since the base, no shared
-    parts) — the caller then publishes the full document."""
-    if base.get("version") != SNAPSHOT_VERSION or base.get("kind") != "full":
-        return None
-    if base.get("snapshot_id") is None:
-        return None
-    base_tuner = base["tuner"]
-    tuner = document["tuner"]
-    # A repartition rebuilds every WFA instance, resetting its w_version
-    # counter: counters are only comparable within one partition epoch.
-    if base_tuner.get("repartition_count") != tuner.get("repartition_count"):
-        return None
-    base_parts = base_tuner["parts"]
-    parts = tuner["parts"]
-    if len(base_parts) != len(parts):
-        return None
-    shared = 0
-    delta_parts = []
-    for base_part, part in zip(base_parts, parts):
-        if base_part["indices"] == part["indices"] and _state_unchanged(
-            base_part["state"], part["state"]
-        ):
-            delta_parts.append({"indices": part["indices"], "same_as_base": True})
-            shared += 1
-        else:
-            delta_parts.append(part)
-    if shared == 0:
-        return None
-    delta = dict(document)
-    delta["kind"] = "delta"
-    delta["base_id"] = base["snapshot_id"]
-    delta_tuner = dict(tuner)
-    delta_tuner["parts"] = delta_parts
-    delta["tuner"] = delta_tuner
-    return delta
-
-
-def resolve_chain(
-    document: Dict[str, object], base: Dict[str, object]
-) -> Dict[str, object]:
-    """Overlay a delta ``document`` onto its ``base`` full snapshot.
-
-    Full documents pass through untouched. Raises :class:`BrokenChain`
-    when the chain does not validate: wrong base id, a base that is not a
-    full snapshot, or per-part index sets that diverge from what the
-    delta recorded.
-    """
-    if document.get("kind") != "delta":
-        return document
-    if base.get("kind") != "full":
-        raise BrokenChain(
-            f"delta snapshot {document.get('snapshot_id')!r} chained to "
-            f"snapshot {base.get('snapshot_id')!r}, which is not a full snapshot"
-        )
-    if base.get("snapshot_id") is None or document.get("base_id") != base.get("snapshot_id"):
-        raise BrokenChain(
-            f"delta snapshot {document.get('snapshot_id')!r} names base "
-            f"{document.get('base_id')!r} but was resolved against "
-            f"{base.get('snapshot_id')!r}"
-        )
-    base_parts = base["tuner"]["parts"]
-    parts = document["tuner"]["parts"]
-    if len(parts) != len(base_parts):
-        raise BrokenChain(
-            f"delta snapshot {document.get('snapshot_id')!r} has "
-            f"{len(parts)} parts; its base has {len(base_parts)}"
-        )
-    resolved_parts = []
-    for position, part in enumerate(parts):
-        if part.get("same_as_base"):
-            base_part = base_parts[position]
-            if base_part["indices"] != part["indices"]:
-                raise BrokenChain(
-                    f"delta snapshot {document.get('snapshot_id')!r} part "
-                    f"{position} indices diverge from its base"
-                )
-            resolved_parts.append(base_part)
-        else:
-            resolved_parts.append(part)
-    resolved = dict(document)
-    resolved_tuner = dict(document["tuner"])
-    resolved_tuner["parts"] = resolved_parts
-    resolved["tuner"] = resolved_tuner
-    resolved["kind"] = "full"
-    return resolved
 
 
 def restore_engine(
@@ -331,22 +207,15 @@ def restore_engine(
 
     ``optimizer`` must be freshly built over statistics equivalent to the
     original's; its mask universe is seeded with the checkpointed bit
-    order before any statement flows through it. Delta documents must be
-    resolved first (:func:`resolve_chain`); passing one raises
-    :class:`BrokenChain`.
+    order before any statement flows through it.
     """
     from .engine import SessionEvent, TuningEngine
 
     version = document.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise UnsupportedVersion(
             f"unsupported engine checkpoint version {version!r} "
-            f"(supported: {_SUPPORTED_VERSIONS})"
-        )
-    if document.get("kind") == "delta":
-        raise BrokenChain(
-            "delta checkpoint cannot restore on its own; overlay it onto "
-            "its base snapshot with resolve_chain() first"
+            f"(supported: {SNAPSHOT_VERSION})"
         )
     optimizer.mask_universe.extend_order(
         Index.from_payload(payload) for payload in document["universe_order"]
@@ -360,8 +229,8 @@ def restore_engine(
         optimizer,
         transitions,
         batch_size=int(document["batch_size"]),
-        background_batch_size=int(document.get("background_batch_size", 1)),
-        background_pacing=float(document.get("background_pacing", 0.008)),
+        background_batch_size=int(document["background_batch_size"]),
+        background_pacing=float(document["background_pacing"]),
     )
     engine._tuner = WFIT.restore_state(
         optimizer, transitions, document["tuner"]
@@ -376,17 +245,11 @@ def restore_engine(
     )
     engine._statements_processed = int(accounting["statements_processed"])
     engine._batches_processed = int(accounting["batches_processed"])
-    # Realized (actual-adoption) totWork. Documents written before the
-    # series existed assumed immediate adoption throughout, under which
-    # the realized and recommended series coincide — seed from the
-    # recommended total.
-    engine._realized_work = float(
-        accounting.get("realized_work", accounting["total_work"])
-    )
+    engine._realized_work = float(accounting["realized_work"])
     engine._pending_transition = float(
-        accounting.get("pending_realized_transition", 0.0)
+        accounting["pending_realized_transition"]
     )
-    pending_realized = accounting.get("pending_realized")
+    pending_realized = accounting["pending_realized"]
     if pending_realized is not None:
         from ..query.parser import parse_statement
 
@@ -394,33 +257,31 @@ def restore_engine(
             str(pending_realized["client_id"]),
             parse_statement(str(pending_realized["sql"])),
         )
-    engine._adoptions = int(accounting.get("adoption_changes", 0))
-    last_adoption = accounting.get("last_adoption_position")
+    engine._adoptions = int(accounting["adoption_changes"])
+    last_adoption = accounting["last_adoption_position"]
     engine._last_adoption_position = (
         None if last_adoption is None else int(last_adoption)
     )
     for item in document["sessions"]:
         state = engine._client(str(item["client_id"]))
-        if item.get("priority") is not None:
-            state.priority = str(item["priority"])
+        state.priority = str(item["priority"])
         state.submitted = int(item["submitted"])
         state.processed = int(item["processed"])
         state.events = [
             SessionEvent(str(kind), str(detail), int(position))
             for kind, detail, position in item["events"]
         ]
-        state.recommended_work = float(item.get("recommended_work", 0.0))
-        state.realized_work = float(item.get("realized_work", 0.0))
-    # Replay the pending queue (version ≥ 2; absent in version-1
-    # documents) in submission order: the statements re-enter the queue
-    # un-analyzed — priority classes included — exactly as they stood at
-    # the snapshot point, and the next pump processes them. submit()
-    # re-increments the per-session submitted counters past the
+        state.recommended_work = float(item["recommended_work"])
+        state.realized_work = float(item["realized_work"])
+    # Replay the pending queue in submission order: the statements re-enter
+    # the queue un-analyzed — priority classes included — exactly as they
+    # stood at the snapshot point, and the next pump processes them.
+    # submit() re-increments the per-session submitted counters past the
     # serialized processed counts. Priorities are passed explicitly (an
     # absent key means the entry was queued as "normal"), never left to
     # the session default, which the lines above may have restored to a
     # different class than the entry was admitted under.
-    for item in document.get("pending", ()):
+    for item in document["pending"]:
         engine.submit(
             str(item["client_id"]),
             str(item["sql"]),

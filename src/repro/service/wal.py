@@ -1,5 +1,5 @@
 # reprolint: zone=deterministic
-"""Write-ahead logging + durable snapshot chains for the tuning engine.
+"""Write-ahead logging + durable snapshots for the tuning engine.
 
 The gap this closes (ROADMAP "Durable ingest"): checkpoints alone lose
 every statement submitted between the last checkpoint and a crash, which
@@ -41,12 +41,12 @@ about. The classic fix is the classic database one:
   record lets recovery detect (and refuse) a log whose covered prefix
   was rotated away when the covering snapshot is itself unusable.
 
-Recovery (:meth:`Durability.recover`) loads the newest snapshot whose
-chain resolves (delta snapshots are overlaid onto their base — see
-:mod:`repro.service.snapshot`), replays the WAL tail, and hands back an
-engine that is *step-identical* to the uninterrupted run — the property
-the crash/fault-injection suite (``tests/service/test_crash_recovery.py``)
-asserts at every kill point.
+Every checkpoint is one self-contained snapshot document (see
+:mod:`repro.service.snapshot`). Recovery (:meth:`Durability.recover`)
+restores the newest usable snapshot, replays the WAL tail, and hands
+back an engine that is *step-identical* to the uninterrupted run — the
+property the crash/fault-injection suite
+(``tests/service/test_crash_recovery.py``) asserts at every kill point.
 
 All filesystem access goes through a :class:`repro.ioutil.FileIO`
 backend so the fault harness can substitute an in-memory
@@ -470,21 +470,27 @@ def _load_document(path, io: FileIO) -> Dict[str, object]:
     return document
 
 
-def latest_snapshot_document(directory, *, io: FileIO = REAL_IO):
-    """The newest *loadable* snapshot document in ``directory`` (still
-    unresolved — a delta comes back as a delta), or None when no snapshot
-    loads. Used by tooling that needs snapshot metadata (the replay CLI
-    reads the stashed trace parameters) without paying for a restore."""
-    from .snapshot import SnapshotError
-
+def _snapshot_ids(directory, io: FileIO) -> List[int]:
+    """Ids of the snapshot files in ``directory``, oldest first."""
     if not io.exists(directory):
-        return None
+        return []
     ids = []
     for name in io.listdir(directory):
         snapshot_id = _parse_snapshot_id(name)
         if snapshot_id is not None:
             ids.append(snapshot_id)
-    for snapshot_id in sorted(ids, reverse=True):
+    return sorted(ids)
+
+
+def latest_snapshot_document(directory, *, io: FileIO = REAL_IO):
+    """The newest *loadable* snapshot document in ``directory``, or None
+    when no snapshot loads. Parsing is all it checks — the document may
+    still be one :func:`repro.service.snapshot.restore_engine` refuses.
+    Used for snapshot metadata without paying for a restore: the WAL's
+    sequence floor, and the trace parameters the replay CLI stashes."""
+    from .snapshot import SnapshotError
+
+    for snapshot_id in reversed(_snapshot_ids(directory, io)):
         path = os.path.join(os.fspath(directory), _snapshot_filename(snapshot_id))
         try:
             return _load_document(path, io)
@@ -494,14 +500,13 @@ def latest_snapshot_document(directory, *, io: FileIO = REAL_IO):
 
 
 class Durability:
-    """One directory of durable engine state: ``wal.log`` + snapshot chain.
+    """One directory of durable engine state: ``wal.log`` + snapshots.
 
     Layout::
 
-        <dir>/wal.log             append-only record log (rotated at checkpoint)
-        <dir>/snapshot-000001.json  full snapshot (crash-atomically published)
-        <dir>/snapshot-000002.json  delta, chained to 000001 by base_id
-        ...
+        <dir>/wal.log               append-only record log (rotated at checkpoint)
+        <dir>/snapshot-000001.json  self-contained snapshot (crash-atomically published)
+        <dir>/snapshot-000002.json  ...
 
     Not thread-safe itself: :meth:`checkpoint` is an administrative
     operation driven by one coordinator (the replay CLI, a maintenance
@@ -514,21 +519,15 @@ class Durability:
         directory,
         *,
         fsync_interval_ms: Optional[float] = None,
-        full_every: int = 4,
         io: FileIO = REAL_IO,
     ) -> None:
-        if full_every < 1:
-            raise ValueError("full_every must be >= 1")
         self._io = io
         self._dir = os.fspath(directory)
         self._fsync_interval_ms = fsync_interval_ms
-        self._full_every = full_every
         self._io.makedirs(self._dir)
         self._engine = None
         self._wal: Optional[WriteAheadLog] = None
-        self._base_document: Optional[Dict[str, object]] = None
-        self._deltas_since_full = 0
-        ids = self._snapshot_ids()
+        ids = _snapshot_ids(self._dir, self._io)
         self._next_snapshot_id = (ids[-1] + 1) if ids else 1
 
     @property
@@ -538,16 +537,6 @@ class Durability:
     @property
     def wal(self) -> Optional[WriteAheadLog]:
         return self._wal
-
-    def _snapshot_ids(self) -> List[int]:
-        if not self._io.exists(self._dir):
-            return []
-        ids = []
-        for name in self._io.listdir(self._dir):
-            snapshot_id = _parse_snapshot_id(name)
-            if snapshot_id is not None:
-                ids.append(snapshot_id)
-        return sorted(ids)
 
     def _wal_file(self) -> str:
         return os.path.join(self._dir, _WAL_FILENAME)
@@ -562,8 +551,6 @@ class Durability:
         after its last record, and a torn tail from a previous crash is
         cut back to the clean prefix before new appends land.
         """
-        from .snapshot import SnapshotError
-
         if self._wal is not None:
             raise WalError("a WAL is already attached to this directory")
         path = self._wal_file()
@@ -585,13 +572,9 @@ class Durability:
         # floor: after a checkpoint truncates the log, a freshly scanned
         # (empty) WAL would otherwise restart at 1 — below the floor, and
         # recovery would wrongly skip the new records as already covered.
-        for snapshot_id in reversed(self._snapshot_ids()):
-            try:
-                doc = _load_document(self.snapshot_path(snapshot_id), self._io)
-            except SnapshotError:
-                continue
-            next_seq = max(next_seq, int(doc.get("wal_seq", 0)) + 1)
-            break
+        newest = latest_snapshot_document(self._dir, io=self._io)
+        if newest is not None:
+            next_seq = max(next_seq, int(newest.get("wal_seq", 0)) + 1)
         self._wal = WriteAheadLog(
             path,
             fsync_interval_ms=self._fsync_interval_ms,
@@ -602,70 +585,34 @@ class Durability:
         # Make the log's directory entry itself durable: a file whose
         # name was never fsynced can vanish wholesale in a crash.
         self._io.fsync_dir(self._dir)
-        self._load_base_document()
         self._engine = engine
         engine.attach_wal(self._wal)
         return self._wal
 
-    def _load_base_document(self) -> None:
-        """Seed delta chaining from the newest existing full snapshot."""
-        from .snapshot import SNAPSHOT_VERSION, SnapshotError
-
-        for snapshot_id in reversed(self._snapshot_ids()):
-            try:
-                document = _load_document(self.snapshot_path(snapshot_id), self._io)
-            except SnapshotError:
-                continue
-            if (
-                document.get("version") == SNAPSHOT_VERSION
-                and document.get("kind") == "full"
-            ):
-                self._base_document = document
-                self._deltas_since_full = len(
-                    [i for i in self._snapshot_ids() if i > snapshot_id]
-                )
-                return
-
     def checkpoint(
         self,
         *,
-        full: bool = False,
         extra: Optional[Dict[str, object]] = None,
         drain: bool = True,
     ) -> str:
-        """Publish a crash-atomic snapshot, then rotate the WAL.
+        """Publish a crash-atomic snapshot, then rotate the WAL; returns
+        the snapshot's path.
 
-        Every ``full_every``-th checkpoint (and the first, and any with
-        ``full=True``) is a full snapshot; the rest are deltas chained to
-        the latest full one — they re-serialize only the parts whose work
-        functions changed since the base. The WAL is rotated only *after*
-        the snapshot rename is durable, and only up to the mark the
-        snapshot captured — records appended concurrently with the
-        publish survive the rotation. A crash between publish and
-        rotation replays records the snapshot already covers, which
-        sequence numbers make a no-op.
+        The WAL is rotated only *after* the snapshot rename is durable,
+        and only up to the mark the snapshot captured — records appended
+        concurrently with the publish survive the rotation. A crash
+        between publish and rotation replays records the snapshot already
+        covers, which sequence numbers make a no-op.
         """
         if self._engine is None or self._wal is None:
             raise WalError("no engine attached; call attach() first")
         snapshot_id = self._next_snapshot_id
-        base = None
-        if (
-            not full
-            and self._base_document is not None
-            and self._deltas_since_full < self._full_every - 1
-        ):
-            base = self._base_document
         document = self._engine.checkpoint(
-            extra=extra, drain=drain, snapshot_id=snapshot_id, base=base
+            extra=extra, drain=drain, snapshot_id=snapshot_id
         )
         path = self.snapshot_path(snapshot_id)
         atomic_write_json(path, document, io=self._io)
         self._next_snapshot_id = snapshot_id + 1
-        if document.get("kind") == "full":
-            self._base_document = document
-            self._deltas_since_full = 0
-        else:
-            self._deltas_since_full += 1
         self._wal.reset(note={"snapshot_id": snapshot_id})
         return path
 
@@ -688,9 +635,10 @@ class Durability:
     ):
         """Rebuild an engine from ``directory``; returns ``(engine, report)``.
 
-        Walks snapshots newest-first until one loads and its chain
-        resolves (corrupt or chain-broken snapshots are skipped and
-        reported), then replays the WAL tail: records covered by the
+        Walks snapshots newest-first until one restores (corrupt or
+        unrestorable snapshots are skipped and reported; with none left,
+        a fresh engine built with ``engine_options`` replays the whole
+        log), then replays the WAL tail: records covered by the
         snapshot (``seq <= wal_seq``) are skipped, submissions re-enter
         the queue, and votes/materializations are applied at exactly the
         statement position they originally happened at. A torn final
@@ -715,40 +663,30 @@ class Durability:
         with obs.span("wal.recover"):
             document: Optional[Dict[str, object]] = None
             skipped_snapshots: List[Dict[str, object]] = []
-            ids = []
-            if io.exists(directory):
-                for name in io.listdir(directory):
-                    snapshot_id = _parse_snapshot_id(name)
-                    if snapshot_id is not None:
-                        ids.append(snapshot_id)
-            stored_kind = None
             # Highest wal_seq declared by a skipped-but-parseable newer
             # snapshot: evidence of how far the acknowledged history
             # reached even when that snapshot cannot be restored.
             skipped_wal_floor = 0
-            for snapshot_id in sorted(ids, reverse=True):
+            for snapshot_id in reversed(_snapshot_ids(directory, io)):
                 path = os.path.join(directory, _snapshot_filename(snapshot_id))
                 try:
-                    raw = _load_document(path, io)
+                    candidate = _load_document(path, io)
                 except SnapshotError as exc:
                     skipped_snapshots.append(
                         {"snapshot_id": snapshot_id, "error": str(exc)}
                     )
                     continue
                 try:
-                    kind = raw.get("kind", "full")
-                    candidate = Durability._resolve_document(raw, directory, io)
                     engine = restore_engine(candidate, optimizer, transitions)
                 except SnapshotError as exc:
                     skipped_snapshots.append(
                         {"snapshot_id": snapshot_id, "error": str(exc)}
                     )
-                    raw_seq = raw.get("wal_seq", 0)
+                    raw_seq = candidate.get("wal_seq", 0)
                     if isinstance(raw_seq, int):
                         skipped_wal_floor = max(skipped_wal_floor, raw_seq)
                     continue
                 document = candidate
-                stored_kind = kind
                 break
             else:
                 engine = TuningEngine(
@@ -773,7 +711,6 @@ class Durability:
                 replayed += 1
             report = {
                 "snapshot_id": document.get("snapshot_id") if document else None,
-                "snapshot_kind": stored_kind,
                 "skipped_snapshots": skipped_snapshots,
                 "wal_seq_floor": wal_floor,
                 "wal_records": len(records),
@@ -839,29 +776,8 @@ class Durability:
         if problems:
             raise BrokenChain(
                 "refusing recovery — acknowledged mutations are missing "
-                "from the snapshot chain and WAL: " + "; ".join(problems)
+                "from the snapshots and WAL: " + "; ".join(problems)
             )
-
-    @staticmethod
-    def _resolve_document(document: Dict[str, object], directory: str, io: FileIO):
-        """Overlay a delta snapshot onto its base; full docs pass through."""
-        from .snapshot import BrokenChain, resolve_chain
-
-        if document.get("kind") != "delta":
-            return document
-        base_id = document.get("base_id")
-        if not isinstance(base_id, int):
-            raise BrokenChain(
-                f"delta snapshot {document.get('snapshot_id')!r} has no base_id"
-            )
-        base_path = os.path.join(directory, _snapshot_filename(base_id))
-        if not io.exists(base_path):
-            raise BrokenChain(
-                f"delta snapshot {document.get('snapshot_id')!r} references "
-                f"missing base snapshot {base_id}"
-            )
-        base = _load_document(base_path, io)
-        return resolve_chain(document, base)
 
     @staticmethod
     def _apply_record(engine, record: WalRecord) -> None:
@@ -878,11 +794,10 @@ class Durability:
 
         data = record.payload
         if record.kind == "submit":
-            # Records written before the priority scheduler carry no
-            # "priority" key; so do new records whose resolved class was
-            # the default. Either way the entry was enqueued as "normal"
-            # — the session's *current* default must not apply, because
-            # by replay time it may have changed.
+            # A record without a "priority" key was enqueued as "normal"
+            # (the default class is not logged). The session's *current*
+            # default must not apply, because by replay time it may have
+            # changed.
             engine.submit(
                 str(data["client_id"]),
                 str(data["sql"]),

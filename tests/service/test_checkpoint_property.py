@@ -17,7 +17,7 @@ import pytest
 from repro.core.wfit import WFIT
 from repro.db import Index, StatsTransitionCosts, build_catalog
 from repro.optimizer import WhatIfOptimizer
-from repro.service import TuningEngine
+from repro.service import TuningEngine, UnsupportedVersion
 from repro.workload import generate_workload, scaled_phases
 
 SALES = "shop.sales"
@@ -161,16 +161,21 @@ class TestPrefixCheckpointProperty:
         assert restored.total_work == engine.total_work
         assert restored.materialized == engine.materialized
 
-    def test_version_guard(self, toy_stats):
-        engine = _fresh_engine(toy_stats, **self.OPTIONS)
-        document = engine.checkpoint()
-        document["version"] = 999
-        with pytest.raises(ValueError, match="version"):
+    @pytest.mark.parametrize("version", [1, 2, 3, 999])
+    def test_version_guard(self, toy_stats, version):
+        """Only the current format restores: retired versions (including
+        the delta-chained version 3) are refused up front."""
+        document = _fresh_engine(toy_stats, **self.OPTIONS).checkpoint()
+        document["version"] = version
+        with pytest.raises(UnsupportedVersion, match="version"):
             TuningEngine.restore(
                 document,
                 WhatIfOptimizer(toy_stats),
                 StatsTransitionCosts(toy_stats),
             )
+
+    def test_wfit_state_version_guard(self, toy_stats):
+        engine = _fresh_engine(toy_stats, **self.OPTIONS)
         wfit_state = engine.tuner.export_state()
         wfit_state["version"] = 999
         with pytest.raises(ValueError, match="version"):

@@ -17,6 +17,8 @@ loss could leave behind.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from repro.db import Index, StatsTransitionCosts
 from repro.ioutil import atomic_write_json
 from repro.optimizer import WhatIfOptimizer
 from repro.service import TuningEngine
-from repro.service.snapshot import SNAPSHOT_VERSION, BrokenChain
+from repro.service.snapshot import BrokenChain
 from repro.service.wal import Durability, read_wal
 
 OPTIONS = dict(idx_cnt=6, state_cnt=32, hist_size=10)
@@ -113,15 +115,13 @@ def reference(toy_stats):
     return {"events": events, "signatures": signatures}
 
 
-def _durable_run(stats, events, io, *, checkpoint_every=3, full_every=2):
+def _durable_run(stats, events, io, *, checkpoint_every=3):
     """Drive ``events`` against a WAL-attached engine, checkpointing every
     ``checkpoint_every`` statements. Returns the number of events that
     were *acknowledged* (their engine call returned) before the scheduled
     crash fired — or ``len(events)`` when no fault triggered."""
     engine = _fresh_engine(stats)
-    durability = Durability(
-        DIR, io=io, fsync_interval_ms=0, full_every=full_every
-    )
+    durability = Durability(DIR, io=io, fsync_interval_ms=0)
     acked = 0
     try:
         durability.attach(engine)
@@ -402,21 +402,57 @@ class TestRotationAndChainSafety:
             _apply_event(engine, event)
         durability.checkpoint()
         durability.close()
-        # A later checkpoint whose base is gone: parseable, unrestorable.
+        # A later checkpoint in a retired format: parseable, unrestorable.
         atomic_write_json(
             f"{DIR}/snapshot-000002.json",
-            {
-                "version": SNAPSHOT_VERSION,
-                "kind": "delta",
-                "snapshot_id": 2,
-                "base_id": 999,
-                "wal_seq": 50,
-            },
+            {"version": 3, "snapshot_id": 2, "wal_seq": 50},
             io=io,
         )
         io.remove(f"{DIR}/wal.log")
         with pytest.raises(BrokenChain, match="skipped"):
             _recover(toy_stats, io)
+
+
+# ---------------------------------------------------------------------------
+# Self-contained snapshots
+# ---------------------------------------------------------------------------
+
+class TestSelfContainedSnapshots:
+    def test_every_checkpoint_restores_on_its_own(self, toy_stats, reference):
+        """Checkpoint, vote, checkpoint: the vote-only interval leaves
+        most parts' work functions untouched, yet each published file is
+        a whole snapshot that restores with no other file's help, and
+        recovery lands on the live engine's state."""
+        io = FaultyIO()
+        events = reference["events"]
+        assert events[3][0] == "vote"
+        engine = _fresh_engine(toy_stats)
+        durability = Durability(DIR, io=io, fsync_interval_ms=0)
+        durability.attach(engine)
+        for event in events[:3]:
+            _apply_event(engine, event)
+        paths = [durability.checkpoint()]
+        _apply_event(engine, events[3])
+        paths.append(durability.checkpoint())
+        durability.close()
+        io.crash()
+        for prefix, path in zip((3, 4), paths):
+            restored = TuningEngine.restore(
+                json.loads(io.read_bytes(path)),
+                WhatIfOptimizer(toy_stats),
+                StatsTransitionCosts(toy_stats),
+            )
+            _assert_signatures_equal(
+                _signature(restored),
+                reference["signatures"][prefix],
+                f"{path} did not restore on its own",
+            )
+        recovered, report = _recover(toy_stats, io)
+        assert report["snapshot_id"] == 2
+        assert report["wal_replayed"] == 0
+        _assert_signatures_equal(
+            _signature(recovered), _signature(engine), "recovered != live"
+        )
 
 
 # ---------------------------------------------------------------------------

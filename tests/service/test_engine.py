@@ -273,17 +273,3 @@ class TestCheckpointWithPendingSubmissions:
         assert restored.total_work == pytest.approx(shadow.total_work)
         state = restored._client("a")
         assert state.submitted == state.processed == 5
-
-    def test_version_1_documents_still_restore(self, engine, toy_stats):
-        engine.session("a").execute(narrow_sql(toy_stats))
-        document = engine.checkpoint()
-        # A pre-pending-queue document: no "pending" key, version 1.
-        document.pop("pending")
-        document["version"] = 1
-        restored = TuningEngine.restore(
-            document,
-            WhatIfOptimizer(toy_stats),
-            StatsTransitionCosts(toy_stats),
-        )
-        assert restored.statements_processed == 1
-        assert restored.queue_depth == 0

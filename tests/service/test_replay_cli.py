@@ -39,6 +39,28 @@ class TestReplay:
         assert err.startswith("invalid engine options: stateCnt=32")
         assert "\n" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--clients", "0"),
+            ("--checkpoint-every", "-3"),
+            ("--checkpoint-every", "0"),
+            ("--adopt-every", "0"),
+        ],
+    )
+    def test_out_of_range_counts_are_one_line_errors(
+        self, tmp_path, capsys, flag, value
+    ):
+        """Used to die with a traceback (``--clients 0``) or run silently
+        with a different count (clamped or ignored)."""
+        durable = tmp_path / "durable"
+        code = main([
+            "replay", *TRACE_FLAGS, flag, value, "--durable-dir", str(durable),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"{flag} must be at least 1, got {value}\n"
+        assert not durable.exists()
+
     def test_adopt_every_rejects_checkpoint_every(self, tmp_path):
         code = main([
             "replay", *TRACE_FLAGS, "--adopt-every", "2",
@@ -77,6 +99,35 @@ class TestReplay:
         assert report["verify"]["total_work_recovered"] == pytest.approx(
             replay_report["metrics"]["total_work"], rel=1e-9
         )
+
+    def test_wal_only_recovery_uses_the_run_engine_options(self, tmp_path):
+        """With no restorable snapshot, ``recover`` replays the whole WAL
+        into a fresh engine, which must run with the WFIT options of the
+        original run (stashed in the snapshot), not the defaults."""
+        durable = tmp_path / "durable"
+        code = main([
+            "replay", "--scale", "0.02", "--per-phase", "2", "--seed", "7",
+            "--clients", "2", "--limit", "16", "--idx-cnt", "6",
+            "--state-cnt", "16", "--durable-dir", str(durable),
+            "--metrics-out", str(tmp_path / "replay.json"),
+        ])
+        assert code == 0
+        # Still parseable (the trace parameters load), but unrestorable.
+        snapshot = durable / "snapshot-000001.json"
+        document = json.loads(snapshot.read_text())
+        document["version"] = 999
+        snapshot.write_text(json.dumps(document))
+
+        out = tmp_path / "recover.json"
+        code = main([
+            "recover", "--dir", str(durable), "--verify",
+            "--metrics-out", str(out),
+        ])
+        report = json.loads(out.read_text())
+        assert report["recovery"]["snapshot_id"] is None
+        assert report["statements_replayed"] == 16
+        assert report["verify"]["recommendation_mismatches"] == []
+        assert code == 0
 
     def test_report_carries_obs_snapshot(self, tmp_path):
         from repro.obs.registry import text_from_snapshot, validate_snapshot
@@ -125,6 +176,6 @@ class TestReplay:
         )
         durability = Durability(tmp_path / "bare")
         durability.attach(engine)
-        durability.checkpoint(full=True)  # no trace parameters
+        durability.checkpoint()  # no trace parameters
         durability.close()
         assert main(["recover", "--dir", str(tmp_path / "bare")]) == 2

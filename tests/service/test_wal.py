@@ -19,6 +19,7 @@ import pytest
 
 from faults import FaultyIO, SimulatedCrash
 from repro.ioutil import atomic_write_json
+from repro.service.snapshot import SNAPSHOT_VERSION
 from repro.service.wal import (
     CorruptRecord,
     Durability,
@@ -372,7 +373,7 @@ class TestSequenceFloor:
         # seq <= 3, then rotate — without needing a real engine.
         atomic_write_json(
             durability.snapshot_path(1),
-            {"version": 3, "kind": "full", "snapshot_id": 1, "wal_seq": 3},
+            {"version": SNAPSHOT_VERSION, "snapshot_id": 1, "wal_seq": 3},
             io=io,
         )
         wal.reset()
