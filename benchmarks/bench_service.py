@@ -8,10 +8,11 @@ workloads served two ways:
   core, one what-if optimizer) multiplexing all N sessions through the
   micro-batched ingest queue. Overlap means each client's statements hit
   the shared statement/IBG caches warmed by the other clients.
-* **independent** — N legacy-shaped :class:`~repro.advisor.AdvisorSession`
-  objects, each with its own optimizer and tuner (each now a thin client
-  of its own private engine, so per-statement bookkeeping is identical to
-  the shared mode and the ratio isolates cache sharing).
+* **independent** — N single-client engines, each with its own
+  optimizer and tuner, driven through one ``"dba"``
+  :class:`~repro.service.engine.ClientSession` apiece (per-statement
+  bookkeeping is identical to the shared mode, so the ratio isolates
+  cache sharing).
 
 Both modes analyze the same 4×|W| statement stream under the same fixed
 stable partition. The shared engine wins because each plan derivation
@@ -19,18 +20,19 @@ stable partition. The shared engine wins because each plan derivation
 is structurally smaller since ISSUE 4's batched plan templates: both modes
 pay identical per-statement WFA work, and the optimizer work that sharing
 amortizes collapsed from full re-planning to a menu argmin — the shared
-engine now wins ~1.6x rather than the pre-template ~3.5x, because the
-*absolute* per-statement cost dropped ~5x for everyone. The full run
-enforces a recalibrated 1.25x floor.
+engine now wins 1.76x (pinned in ``benchmarks/results/bench_service.json``)
+rather than the pre-template ~3.5x, because the *absolute* per-statement
+cost dropped ~5x for everyone. The full run enforces a recalibrated 1.25x
+floor.
 
 A second section measures the **priority flood** QoS contract:
 an interactive session trickles statements into a live engine while a
 large background flood sits queued. Paired rounds pin the interactive
 p95 submit→analyzed latency with and without the flood; the scheduler's
-foreground-first drain and one-statement background lane must keep the
-ratio ≤1.25× (enforced on full runs; the machine-independent invariant —
-the interactive stream finishes while flood backlog remains — gates every
-run, quick included).
+foreground-first drain and one-statement, paced background slices must
+keep the ratio ≤1.25× (enforced on full runs; the machine-independent
+invariant — the interactive stream finishes while flood backlog remains —
+gates every run, quick included).
 
 Usage::
 
@@ -52,7 +54,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from bench_kernel import candidate_pool, chunk_partition
 
 from repro import obs
-from repro.advisor import AdvisorSession
 from repro.db import StatsTransitionCosts, build_catalog
 from repro.ioutil import atomic_write_json
 from repro.optimizer import WhatIfOptimizer
@@ -72,9 +73,9 @@ SPEEDUP_FLOOR = 1.25
 #: queued, an interactive session's p95 submit→analyzed wall latency must
 #: stay within this factor of its no-flood baseline. The scheduler's
 #: contract makes this achievable: foreground batches always form before
-#: background ones, and background drains one statement per cycle
-#: (``background_batch_size=1``), so head-of-line blocking is bounded by a
-#: single (cache-warm, cheap) flood statement.
+#: background ones, and background drains one statement per cycle, so
+#: head-of-line blocking is bounded by a single (cache-warm, cheap) flood
+#: statement.
 PRIORITY_FLOOD_FACTOR = 1.25
 
 
@@ -110,7 +111,6 @@ def run_priority_flood(stats, partition, statements, args, *, rounds=3):
             WhatIfOptimizer(stats),
             StatsTransitionCosts(stats),
             batch_size=args.batch_size,
-            background_batch_size=1,
             fixed_partition=partition,
         )
         # Warm the flood statement's caches so queued copies are cheap —
@@ -290,11 +290,11 @@ def run_independent(stats, partition, clients, statements):
     for client in clients:
         optimizer = WhatIfOptimizer(stats)
         optimizers[client] = optimizer
-        sessions[client] = AdvisorSession(
+        sessions[client] = TuningEngine(
             optimizer,
             StatsTransitionCosts(stats),
             fixed_partition=partition,
-        )
+        ).session("dba")
     started = time.perf_counter()
     for client in clients:
         sessions[client].execute_many(statements)
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     # counters restart so any later section reports only its own work.
     shared_stats = shared_opt.cache_stats(reset=True)
     indep_optimizations = sum(o.optimizations for o in indep_opts.values())
-    recs = {c: sessions[c].tuner.recommend() for c in clients}
+    recs = {c: sessions[c].engine.tuner.recommend() for c in clients}
     independents_agree = len(set(map(frozenset, recs.values()))) == 1
 
     def _session_latencies(metrics):

@@ -17,7 +17,6 @@ Quickstart
 >>> # tuner.recommend(), and cast votes with tuner.feedback(...)
 """
 
-from .advisor import AdvisorSession, AdvisorEvent, Recommendation
 from .core import (
     BC,
     FeedbackEvent,
@@ -43,7 +42,7 @@ from .db import (
 from .ibg import IndexBenefitGraph, build_ibg, degree_of_interaction, max_benefit
 from .optimizer import CostModelConfig, WhatIfOptimizer, extract_indices
 from .query import parse_statement, select, to_sql, update
-from .service import ClientSession, SessionEvent, TuningEngine
+from .service import ClientSession, Recommendation, SessionEvent, TuningEngine
 from .workload import (
     DEFAULT_PHASES,
     MultiClientTrace,
@@ -55,8 +54,6 @@ from .workload import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdvisorEvent",
-    "AdvisorSession",
     "BC",
     "Catalog",
     "ClientSession",

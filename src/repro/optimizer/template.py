@@ -388,16 +388,15 @@ def build_plan_template(
     universe: IndexUniverse,
     statement: Statement,
     covered_mask: int,
-) -> Optional[PlanTemplate]:
+) -> PlanTemplate:
     """Compile ``statement`` into a :class:`PlanTemplate` over the candidate
     bits of ``covered_mask`` (all registered indices on its tables).
 
-    Returns None for statement types the template engine does not model —
-    the caller then falls back to the scalar per-configuration path, which
-    stays authoritative.
+    Every statement type has a template; anything else raises
+    ``TypeError``.
     """
     if isinstance(statement, SelectQuery):
         return _select_template(model, universe, statement, covered_mask)
     if isinstance(statement, (UpdateStatement, DeleteStatement, InsertStatement)):
         return _write_template(model, universe, statement, covered_mask)
-    return None
+    raise TypeError(f"not a statement: {statement!r}")

@@ -33,10 +33,10 @@ Memo *misses* are priced by a cached per-statement
 join order, and every candidate access path are computed once per statement,
 after which any configuration mask is a pure table-local menu argmin plus
 precomputed join/sort/maintenance terms, bit-identical to the scalar
-:class:`CostModel` path (retained as the equivalence oracle). The
-``optimizations`` counter therefore counts *template builds* plus any scalar
-fallbacks: the number of times genuine plan derivation ran, which is the
-machine-independent overhead quantity of §6.2.
+:class:`CostModel` path (retained as the equivalence oracle and for
+:meth:`WhatIfOptimizer.explain`). The ``optimizations`` counter therefore
+counts *template builds*: the number of times genuine plan derivation ran,
+which is the machine-independent overhead quantity of §6.2.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class WhatIfOptimizer:
             ("repro_whatif_calls_total",
              "cost_mask requests (memo hits included).", self.whatif_calls),
             ("repro_whatif_optimizations_total",
-             "Genuine plan derivations (template builds + scalar plans).",
+             "Genuine plan derivations (template builds).",
              self.optimizations),
             ("repro_whatif_statement_hits_total",
              "Statement-memo hits.", self._stmt_hits),
@@ -333,14 +333,12 @@ class WhatIfOptimizer:
                 self._stmt_evictions += 1
         return cache
 
-    def _statement_template(self, statement: Statement) -> Optional[PlanTemplate]:
+    def _statement_template(self, statement: Statement) -> PlanTemplate:
         """The statement's compiled :class:`PlanTemplate` (built on demand).
 
         A cached template is reused while it covers every candidate index
         registered on the statement's tables; new relevant candidates
         trigger a rebuild (old memo entries stay valid — menus only grow).
-        Returns None for statement types the template engine cannot model;
-        the scalar path then remains authoritative.
         """
         tables_mask = self._statement_tables_mask(statement)
         template = self._template_cache.get(statement)
@@ -351,8 +349,6 @@ class WhatIfOptimizer:
         template = build_plan_template(
             self._model, self._universe, statement, tables_mask
         )
-        if template is None:
-            return None
         # A build performs the statement's one-off plan derivation work
         # (selectivities, join order, path enumeration): the honest unit
         # of "actual plan optimizations" once batching is on.
@@ -371,21 +367,10 @@ class WhatIfOptimizer:
         relevant_mask: int,
         cache: Dict[int, _Entry],
     ) -> _Entry:
-        """Cache miss: price the mask via the plan template (scalar fallback)."""
+        """Cache miss: price the mask via the plan template."""
         self._stmt_misses += 1
-        template = self._statement_template(statement)
-        if template is not None:
-            entry = template.entry(relevant_mask)
-            self._template_mask_costs += 1
-        else:
-            self.optimizations += 1
-            universe = self._universe
-            plan = self._model.explain(statement, universe.decode(relevant_mask))
-            entry = (
-                plan.total_cost,
-                universe.encode(self._used_indices(plan)),
-                universe.encode(self._plan_indices(plan)),
-            )
+        entry = self._statement_template(statement).entry(relevant_mask)
+        self._template_mask_costs += 1
         cache[relevant_mask] = entry
         return entry
 
@@ -401,33 +386,20 @@ class WhatIfOptimizer:
 
         The batched twin of :meth:`_optimize_relevant`: the statement's
         plan template is fetched *once* for the whole batch and the masks
-        are priced through :meth:`PlanTemplate.costs_into`; statements the
-        template engine cannot model fall back to the scalar oracle per
-        mask. Entries land in the shared memo and their costs in
-        ``values`` at the given ``positions``.
+        are priced through :meth:`PlanTemplate.costs_into`. Entries land
+        in the shared memo and their costs in ``values`` at the given
+        ``positions``.
         """
         self._stmt_misses += len(relevant_masks)
-        template = self._statement_template(statement)
-        if template is not None:
-            costs = [0.0] * len(relevant_masks)
-            entries = template.costs_into(relevant_masks, costs)
-            self._template_mask_costs += len(relevant_masks)
-            for rel, entry in zip(relevant_masks, entries):
-                cache[rel] = entry
-            for pos, cost in zip(positions, costs):
-                values[pos] = cost
-            return
-        universe = self._universe
-        for pos, rel in zip(positions, relevant_masks):
-            self.optimizations += 1
-            plan = self._model.explain(statement, universe.decode(rel))
-            entry = (
-                plan.total_cost,
-                universe.encode(self._used_indices(plan)),
-                universe.encode(self._plan_indices(plan)),
-            )
+        costs = [0.0] * len(relevant_masks)
+        entries = self._statement_template(statement).costs_into(
+            relevant_masks, costs
+        )
+        self._template_mask_costs += len(relevant_masks)
+        for rel, entry in zip(relevant_masks, entries):
             cache[rel] = entry
-            values[pos] = entry[0]
+        for pos, cost in zip(positions, costs):
+            values[pos] = cost
 
     def _lookup_mask(self, statement: Statement, config_mask: int) -> _Entry:
         self.whatif_calls += 1
@@ -620,11 +592,11 @@ class WhatIfOptimizer:
         costing request answered without pricing work); ``template_*``
         accounts the compiled plan-template cache — ``template_builds``
         counts genuine plan derivations, ``template_mask_costs`` the memo
-        misses priced by a template menu walk instead of a scalar
-        optimization. ``ibg_*`` accounts the per-statement Index Benefit
-        Graph cache (WFIT's candidate analysis). Hit rates are derived;
-        they are 0.0 while no requests have been observed. Counters are
-        cumulative since construction or the last reset; with
+        misses priced by a template menu walk. ``ibg_*`` accounts the
+        per-statement Index Benefit Graph cache (WFIT's candidate
+        analysis). Hit rates are derived; they are 0.0 while no requests
+        have been observed. Counters are cumulative since construction or
+        the last reset; with
         ``reset=True`` the returned values cover the window since the
         previous reset and the counters restart at zero (the caches
         themselves are untouched), which is how the bench harnesses report

@@ -6,9 +6,10 @@ client sessions over one shared WFIT core and one shared what-if optimizer
 (micro-batched single-writer ingest over the priority-classed
 :class:`~repro.service.scheduler.IngestScheduler`: admission-controlled
 queues with typed :class:`~repro.service.scheduler.QueueFull`
-backpressure, a background task lane, and deterministic batch
-formation), with per-client audit logs and
-vote/materialization routing, versioned JSON checkpoint/restore
+backpressure and deterministic batch formation), with per-client audit
+logs and vote/materialization routing through one
+:class:`~repro.service.engine.ClientSession` handle per client
+(``engine.session(client_id)``), versioned JSON checkpoint/restore
 (:mod:`repro.service.snapshot`), durable ingest — a submission
 write-ahead log plus crash-atomic, self-contained snapshots with crash
 recovery (:mod:`repro.service.wal`) — and a replay CLI

@@ -16,13 +16,12 @@ way for concurrent traffic:
   typed backpressure (:class:`~repro.service.scheduler.QueueFull`)
   instead of unbounded growth, and foreground (``interactive`` /
   ``normal``) batches always form before ``background`` ones, which
-  drain ``background_batch_size`` (default 1) at a time so a flood
-  never occupies the writer for a full batch while interactive work
-  waits. :meth:`~TuningEngine.pump` is the deterministic synchronous
-  drain (what tests and the replay CLI use); :meth:`~TuningEngine.start`
-  runs the same loop on a background thread, which additionally runs
-  deferred maintenance tasks (:meth:`~TuningEngine.defer`) whenever the
-  statement queues are idle.
+  drain one statement at a time so a flood never occupies the writer
+  for a full batch while interactive work waits.
+  :meth:`~TuningEngine.pump` is the deterministic synchronous drain
+  (what tests and the replay CLI use); :meth:`~TuningEngine.start` runs
+  the same loop on a background thread, which paces its background
+  slices.
 * **Shared caches** — every session's statements flow through one
   :class:`~repro.optimizer.whatif.WhatIfOptimizer`, so overlapping
   workloads pay for each plan optimization once
@@ -64,7 +63,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
-    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -141,13 +139,26 @@ class Recommendation:
         return self.recommended == self.materialized
 
 
-#: Default per-client analyze-latency window retained for percentile
-#: reporting (override per engine with the ``latency_window`` constructor
-#: knob). A bounded window keeps the engine's footprint flat over unbounded
+#: Per-client analyze-latency window retained for percentile reporting.
+#: A bounded window keeps the engine's footprint flat over unbounded
 #: statement streams — an unbounded per-statement append is a memory leak
 #: in any long-lived session; p50/p95 then describe recent behavior, which
 #: is what an operator watching a live engine wants anyway.
 _LATENCY_WINDOW = 4096
+
+#: Statements per *background* micro-batch. The single writer is
+#: non-preemptive, so this bounds how long a queued background flood can
+#: occupy it before the next foreground arrival gets a turn.
+_BACKGROUND_SLICE = 1
+
+#: Seconds the drain thread idles after a background-only drain cycle.
+#: Pacing caps the background lane's duty cycle on the non-preemptive
+#: writer: with a flood queued, the writer is busy only
+#: ``cost/(cost+pacing)`` of the time, so an interactive arrival almost
+#: always finds it parked in the wakeup wait and is picked up immediately.
+#: Only the threaded drain loop paces — synchronous :meth:`TuningEngine.pump`
+#: never sleeps, so replay and tests are unaffected.
+_BACKGROUND_PACING = 0.008
 
 
 class _ClientState:
@@ -164,17 +175,17 @@ class _ClientState:
         "realized_work",
     )
 
-    def __init__(self, client_id: str, latency_window: int) -> None:
+    def __init__(self, client_id: str) -> None:
         self.client_id = client_id
         self.priority = DEFAULT_PRIORITY
         self.submitted = 0
         self.processed = 0
         self.events: List[SessionEvent] = []
-        # Wall-clock seconds each of the client's last ``latency_window``
+        # Wall-clock seconds each of the client's last _LATENCY_WINDOW
         # statements spent inside the shared core (analysis + totWork
         # accounting). Ephemeral observability: not part of checkpoint
         # documents.
-        self.latencies: Deque[float] = deque(maxlen=latency_window)
+        self.latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Per-session query-cost shares of the two totWork series
         # (transition costs are a property of the shared configuration,
         # not of any one session, so they live only in the engine-level
@@ -226,10 +237,6 @@ def _engine_instruments() -> Dict[str, object]:
             help="Statements per drained micro-batch.",
             buckets=obs.POW2_BUCKETS,
         )
-        _ENGINE_INSTRUMENTS["background_tasks"] = registry.counter(
-            "repro_engine_background_tasks_total",
-            help="Deferred maintenance tasks run in idle queue windows.",
-        )
         _ENGINE_INSTRUMENTS["latency"] = {}
     return _ENGINE_INSTRUMENTS
 
@@ -256,20 +263,11 @@ class TuningEngine:
         transitions,
         materialized: AbstractSet[Index] = frozenset(),
         batch_size: int = 32,
-        latency_window: int = _LATENCY_WINDOW,
-        background_batch_size: int = 1,
-        background_pacing: float = 0.008,
         queue_limits: Optional[Mapping[str, Optional[int]]] = None,
         **wfit_options,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
-        if background_batch_size < 1:
-            raise ValueError("background_batch_size must be >= 1")
-        if background_pacing < 0:
-            raise ValueError("background_pacing must be >= 0")
         self._optimizer = optimizer
         self._transitions = transitions
         self._tuner = WFIT(
@@ -278,21 +276,6 @@ class TuningEngine:
         )
         self._materialized: set = set(materialized)  # guarded-by: _pump_lock
         self.batch_size = batch_size
-        self.latency_window = latency_window
-        #: Statements per *background* micro-batch. Deliberately tiny by
-        #: default: the single writer is non-preemptive, so this bounds
-        #: how long a queued background flood can occupy it before the
-        #: next foreground arrival gets a turn.
-        self.background_batch_size = background_batch_size
-        #: Seconds the drain thread idles after a background-only drain
-        #: cycle (0 disables). Pacing caps the background lane's duty
-        #: cycle on the non-preemptive writer: with a flood queued, the
-        #: writer is busy only ``cost/(cost+pacing)`` of the time, so an
-        #: interactive arrival almost always finds it parked in the
-        #: wakeup wait and is picked up immediately. Only the threaded
-        #: drain loop paces — synchronous :meth:`pump` never sleeps, so
-        #: replay and tests are unaffected.
-        self.background_pacing = float(background_pacing)
 
         # Ingest: the priority-classed queues live in the scheduler
         # (internally locked); _ingest_lock orders admission → WAL append
@@ -341,11 +324,6 @@ class TuningEngine:
         # materialized set last changed, and how often it has.
         self._last_adoption_position: Optional[int] = None  # guarded-by: _pump_lock
         self._adoptions = 0  # guarded-by: _pump_lock
-        # Background-task lane accounting (tasks themselves queue in the
-        # scheduler).
-        self._background_tasks_run = 0  # guarded-by: _pump_lock
-        self._background_task_errors = 0  # guarded-by: _pump_lock
-        self._last_background_error: Optional[str] = None  # guarded-by: _pump_lock
         # Observability: construction instant for metrics()["uptime_s"]
         # (monotonic — wall-clock steps must not produce negative uptime),
         # and a weak registry collector for the live queue-depth gauges
@@ -491,9 +469,7 @@ class TuningEngine:
         with self._ingest_lock:
             state = self._clients.get(client_id)
             if state is None:
-                state = self._clients[client_id] = _ClientState(
-                    client_id, self.latency_window
-                )
+                state = self._clients[client_id] = _ClientState(client_id)
         return state
 
     def session(
@@ -645,21 +621,6 @@ class TuningEngine:
             self._wakeup.notify()
         return len(batch)
 
-    def defer(self, name: str, fn: Callable[[], object]) -> int:
-        """Queue a maintenance callable on the background task lane.
-
-        The task runs — FIFO among deferred tasks — only when every
-        statement queue is idle: by the background drain thread between
-        polls, or synchronously via :meth:`run_background_tasks`.
-        Exceptions are contained and counted
-        (``metrics()["background_tasks"]``), never propagated. Returns
-        the task's lane sequence number.
-        """
-        seq = self._scheduler.defer(name, fn)
-        with self._wakeup:
-            self._wakeup.notify()
-        return seq
-
     def _analyze(self, client_id: str, statement: Statement) -> None:  # holds: _pump_lock
         """Run one statement through the shared core (writer lock held)."""
         started = time.perf_counter()
@@ -768,8 +729,8 @@ class TuningEngine:
         The single-writer micro-batching loop: forms batches of up to
         ``batch_size`` statements from the *foreground* classes
         (``interactive`` before ``normal``, FIFO within each), and only
-        when no foreground work is queued forms batches of up to
-        ``background_batch_size`` from the ``background`` class.
+        when no foreground work is queued drains the ``background`` class
+        one statement per batch.
         ``classes`` restricts which priority classes are eligible at all
         (None = every class). With no ``limit`` it drains the whole
         (eligible) queue. Deterministic: batch formation is a pure
@@ -794,7 +755,7 @@ class TuningEngine:
                     count = self._drain_batch(budget, foreground)
                 if count == 0 and background:
                     count = self._drain_batch(
-                        min(budget, self.background_batch_size), background
+                        min(budget, _BACKGROUND_SLICE), background
                     )
                 if count == 0:
                     break
@@ -824,15 +785,13 @@ class TuningEngine:
         """Start the background single-writer drain thread.
 
         The thread drains foreground micro-batches with :meth:`pump`;
-        with no foreground queued it drains one *paced* background batch
-        (see ``background_pacing``: after each background-only cycle it
-        parks in the wakeup wait, so a foreground submit interrupts the
-        pacing idle instantly — the lost-wakeup race is closed by
-        re-checking the foreground depth under the wakeup condition's
-        lock, the same lock every submit notifies under). When every
-        statement queue is idle it runs at most one deferred background
-        task (:meth:`defer`) per poll before sleeping, so maintenance
-        work only ever uses idle windows. Lifecycle transitions are
+        with no foreground queued it drains one background statement,
+        then parks for the 8 ms pacing interval; with nothing queued at
+        all it parks for ``poll_interval``. Either wait ends as soon as a
+        submit notifies, and both re-check the queues (and the stop flag)
+        under the wakeup condition's lock — the lock every submit
+        notifies under — so a submit that lands after the pumps found
+        nothing is never slept through. Lifecycle transitions are
         serialized by an internal lock: two threads racing into
         ``start()`` cannot both pass the already-running check (one
         starts the drain thread, the other raises), and a ``stop()``
@@ -848,24 +807,19 @@ class TuningEngine:
                 while not self._stop_flag.is_set():
                     if self.pump(self.batch_size, classes=FOREGROUND_CLASSES):
                         continue
-                    if self.pump(
-                        self.background_batch_size,
-                        classes=BACKGROUND_CLASSES,
-                    ):
-                        if self.background_pacing > 0.0:
-                            with self._wakeup:
-                                if (
-                                    self._scheduler.depth(FOREGROUND_CLASSES)
-                                    == 0
-                                    and not self._stop_flag.is_set()
-                                ):
-                                    self._wakeup.wait(
-                                        timeout=self.background_pacing
-                                    )
-                        continue
-                    if self.run_background_tasks(limit=1) == 0:
-                        with self._wakeup:
-                            self._wakeup.wait(timeout=poll_interval)
+                    paced = self.pump(
+                        _BACKGROUND_SLICE, classes=BACKGROUND_CLASSES
+                    )
+                    with self._wakeup:
+                        # Only foreground work cuts the pacing short.
+                        if paced:
+                            queued = self._scheduler.depth(FOREGROUND_CLASSES)
+                            timeout = _BACKGROUND_PACING
+                        else:
+                            queued = self._scheduler.depth()
+                            timeout = poll_interval
+                        if queued == 0 and not self._stop_flag.is_set():
+                            self._wakeup.wait(timeout=timeout)
 
             thread = threading.Thread(
                 target=_loop, name="tuning-engine-drain", daemon=True
@@ -899,37 +853,6 @@ class TuningEngine:
                 self._thread = None
         if drain:
             self.pump(classes=FOREGROUND_CLASSES)
-
-    def run_background_tasks(self, limit: Optional[int] = None) -> int:
-        """Run deferred tasks while every statement queue is idle.
-
-        Stops early — returning how many tasks ran — as soon as a
-        statement is queued (statement analysis always outranks
-        maintenance), the lane is empty, or ``limit`` is reached. Task
-        exceptions are contained: counted in
-        ``metrics()["background_tasks"]["errors"]`` with the latest
-        message retained, so one bad task cannot kill the drain thread.
-        """
-        run = 0
-        with self._pump_lock:
-            while limit is None or run < limit:
-                if self._scheduler.depth() > 0:
-                    break
-                task = self._scheduler.take_task()
-                if task is None:
-                    break
-                _, name, fn = task
-                with obs.span("engine.background_task"):
-                    try:
-                        fn()
-                    except Exception as exc:  # noqa: BLE001 — contained by design
-                        self._background_task_errors += 1
-                        self._last_background_error = f"{name}: {exc!r}"
-                self._background_tasks_run += 1
-                if obs.state.enabled:
-                    _engine_instruments()["background_tasks"].inc()  # type: ignore[union-attr]
-                run += 1
-        return run
 
     @property
     def running(self) -> bool:
@@ -1100,8 +1023,7 @@ class TuningEngine:
         """Aggregate engine metrics plus per-session counters.
 
         Per-session ``latency_p50_ms`` / ``latency_p95_ms`` are
-        *window-relative*: they summarize the client's last
-        ``latency_window`` (constructor knob, default 4096) in-core
+        *window-relative*: they summarize the client's last 4096 in-core
         statement latencies — analysis plus totWork accounting — not the
         full session history; 0.0 before any statement. Each session also
         reports its ``priority`` class and its finalized query-cost
@@ -1117,9 +1039,9 @@ class TuningEngine:
         §3.1 series; ``adoption`` summarizes DBA responsiveness —
         ``lag_statements`` is how many statements have been analyzed
         since the materialized set last changed (None before any
-        change). ``background_tasks`` accounts the deferred-task lane.
-        The numeric counters are also exported on the process-wide
-        :mod:`repro.obs` registry as ``repro_engine_*`` series.
+        change). The numeric counters are also exported on the
+        process-wide :mod:`repro.obs` registry as ``repro_engine_*``
+        series.
         """
         # The writer lock first: latency deques are appended to by the
         # single writer under _pump_lock, so snapshotting them requires it
@@ -1160,13 +1082,6 @@ class TuningEngine:
                     "lag_statements": lag,
                     "feedback_count": self._tuner.feedback_count,
                     "feedback_lag_statements": self._tuner.feedback_lag,
-                },
-                "background_tasks": {
-                    "deferred": self._scheduler.tasks_deferred,
-                    "queued": self._scheduler.task_depth(),
-                    "run": self._background_tasks_run,
-                    "errors": self._background_task_errors,
-                    "last_error": self._last_background_error,
                 },
                 "materialized": [ix.name for ix in sorted(self._materialized)],
                 "recommendation": [
@@ -1310,9 +1225,9 @@ class ClientSession:
         """Intercept one statement synchronously; returns the AST.
 
         Equivalent to ``submit`` followed by a full drain — which is what a
-        single-client deployment (the legacy ``AdvisorSession`` shape)
-        wants. When the engine's background thread is running, this still
-        guarantees the statement has been analyzed on return.
+        single-client deployment wants. When the engine's background
+        thread is running, this still guarantees the statement has been
+        analyzed on return.
         """
         parsed = self._engine.submit(self._client_id, statement)
         self._engine.pump()
@@ -1359,10 +1274,6 @@ class ClientSession:
     @property
     def materialized(self) -> FrozenSet[Index]:
         return self._engine.materialized
-
-    @property
-    def statements_submitted(self) -> int:
-        return self._engine._client(self._client_id).submitted
 
     @property
     def statements_processed(self) -> int:

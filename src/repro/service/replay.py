@@ -12,22 +12,23 @@ Two subcommands::
 deals it across N simulated clients, and streams it through a
 :class:`~repro.service.engine.TuningEngine` (micro-batched ingest).
 ``--priority-map`` assigns per-session priority classes (drain order is
-priority-aware; the map is stashed with the trace parameters so verify
-references reproduce it), and ``--adopt-every T`` simulates the Figure 11
-lagged DBA — every report carries a ``"lag"`` block with the recommended
-vs. realized totWork series and adoption-lag counters. With
-``--durable-dir`` the run is durable: an initial snapshot stashes the
-trace parameters in the directory, every submission is write-ahead logged
-before it enters the queue, and ``--checkpoint-every K`` publishes a
-crash-atomic, self-contained snapshot every K statements — kill the
-process at any instant and ``recover`` rebuilds the engine from the
-directory. ``recover --verify`` additionally runs the uninterrupted engine
-over the same trace and asserts the recovered engine's per-statement
-recommendation sequence and final totWork match — the step-identical
-guarantee — exiting 1 on divergence. Exit 2 means unusable input:
-out-of-range arguments, unusable durable state (unreadable or
-unsupported snapshots, a WAL gap), or a snapshot without trace
-parameters.
+priority-aware), and ``--adopt-every T`` simulates the Figure 11 lagged
+DBA — every report carries a ``"lag"`` block with the recommended vs.
+realized totWork series and adoption-lag counters. With ``--durable-dir``
+the run is durable: an initial snapshot stashes the trace parameters,
+the priority map and the run's chunking in the directory, every
+submission is write-ahead logged before it enters the queue, and
+``--checkpoint-every K`` publishes a crash-atomic, self-contained
+snapshot every K statements — kill the process at any instant and
+``recover`` rebuilds the engine from the directory. ``recover --verify``
+additionally runs the uninterrupted engine over the same trace, through
+the same chunked loop as ``replay`` (under mixed priority classes the
+chunk boundaries decide the analysis order), and asserts the recovered
+engine's per-statement recommendation sequence and final totWork match —
+the step-identical guarantee — exiting 1 on divergence. Exit 2 means
+unusable input: out-of-range arguments, unusable durable state
+(unreadable or unsupported snapshots, a WAL gap), or a snapshot without
+trace parameters.
 
 All subcommands emit a JSON metrics report (stdout or ``--metrics-out``);
 the report embeds a full :mod:`repro.obs` registry snapshot under ``"obs"``
@@ -42,7 +43,8 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..db import StatsTransitionCosts, build_catalog
@@ -164,15 +166,47 @@ def _attach_obs(report: Dict[str, object], trace_out: Optional[str]) -> None:
         print(f"trace written to {trace_out}")
 
 
-def _step_recommendations(
-    engine: TuningEngine, trace: MultiClientTrace
+def _recommendation_names(engine: TuningEngine) -> Tuple[str, ...]:
+    return tuple(ix.name for ix in sorted(engine.tuner.recommend()))
+
+
+def _drive(
+    engine: TuningEngine,
+    trace: MultiClientTrace,
+    chunk: Optional[int],
+    adopt: bool,
+    *,
+    after_chunk: Optional[Callable[[], object]] = None,
+    step_until: Optional[int] = None,
 ) -> List[Tuple[str, ...]]:
-    """Pump one statement at a time, recording each recommendation."""
+    """Stream ``trace`` through ``engine`` the way ``replay`` runs it.
+
+    Each chunk of ``chunk`` statements (the whole trace when None) is
+    submitted in one call and drained before the next; then, when
+    ``adopt``, the DBA adopts the recommendation (``chunk`` 1 grants full
+    autonomy and casts no lease votes, mirroring run_online), and
+    ``after_chunk`` runs. Under mixed priority classes the chunk
+    boundaries decide the analysis order, so ``recover --verify`` drives
+    its reference through this same loop. With ``step_until`` the drain
+    steps one statement at a time — the same order a full drain takes —
+    stops once that many statements are analyzed, and returns the
+    recommendation after every step.
+    """
+    size = chunk or max(1, len(trace))
     recs: List[Tuple[str, ...]] = []
-    for client, statement in trace:
-        engine.submit(client, statement)
-        engine.pump(1)
-        recs.append(tuple(ix.name for ix in sorted(engine.tuner.recommend())))
+    for start in range(0, len(trace), size):
+        engine.submit_many(trace[start : start + size])
+        if step_until is None:
+            engine.pump()
+        else:
+            while engine.statements_processed < step_until and engine.pump(1):
+                recs.append(_recommendation_names(engine))
+            if engine.statements_processed >= step_until:
+                break
+        if adopt:
+            engine.adopt("dba", lease=size > 1)
+        if after_chunk is not None:
+            after_chunk()
     return recs
 
 
@@ -210,8 +244,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
         return 2
 
+    chunk = args.checkpoint_every or args.adopt_every
+    adopt = args.adopt_every is not None
     durability = None
-    durable_extra = {"trace": params, "engine_options": engine_options}
+    after_chunk = None
+    # The chunking rides along with the trace parameters: recover --verify
+    # replays the run through the same loop.
+    durable_extra = {
+        "trace": params,
+        "engine_options": engine_options,
+        "chunk": chunk,
+        "adopt": adopt,
+    }
     if args.durable_dir:
         durability = Durability(
             args.durable_dir, fsync_interval_ms=args.wal_fsync_ms
@@ -221,27 +265,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         # `recover` can rebuild the workload even if the process dies
         # before the first periodic checkpoint.
         durability.checkpoint(extra=durable_extra)
+        if args.checkpoint_every is not None:
+            after_chunk = partial(durability.checkpoint, extra=durable_extra)
 
+    # --adopt-every is Figure 11's lagged DBA, live: the report's "lag"
+    # block shows the realized-vs-recommended gap the lag cost.
     started = time.perf_counter()
-    if durability is not None and args.checkpoint_every is not None:
-        every = args.checkpoint_every
-        for start in range(0, len(trace), every):
-            engine.submit_many(trace[start : start + every])
-            engine.pump()
-            durability.checkpoint(extra=durable_extra)
-    elif args.adopt_every is not None:
-        # Figure 11's lagged DBA, live: adopt the recommendation every T
-        # statements (T=1 grants full autonomy and casts no lease votes,
-        # mirroring run_online). The report's "lag" block then shows the
-        # realized-vs-recommended gap this lag cost.
-        every = args.adopt_every
-        for start in range(0, len(trace), every):
-            engine.submit_many(trace[start : start + every])
-            engine.pump()
-            engine.adopt("dba", lease=every > 1)
-    else:
-        engine.submit_many(trace)
-        engine.pump()
+    _drive(engine, trace, chunk, adopt, after_chunk=after_chunk)
     elapsed = time.perf_counter() - started
 
     metrics = engine.metrics()
@@ -304,9 +334,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     recovered_recs: List[Tuple[str, ...]] = []
     while engine.queue_depth > 0:
         engine.pump(1)
-        recovered_recs.append(
-            tuple(ix.name for ix in sorted(engine.tuner.recommend()))
-        )
+        recovered_recs.append(_recommendation_names(engine))
     end_position = engine.statements_processed
     elapsed = time.perf_counter() - started
 
@@ -334,11 +362,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             return 2
         reference = _build_engine(stats, engine.batch_size, engine_options)
         _apply_priority_map(reference, dict(params.get("priority_map") or {}))
-        reference.submit_many(trace.prefix(start_position))
-        reference.pump()
-        reference_recs = _step_recommendations(
-            reference, trace[start_position:end_position]
-        )
+        reference_recs = _drive(
+            reference,
+            trace,
+            extra.get("chunk"),
+            bool(extra.get("adopt")),
+            step_until=end_position,
+        )[start_position:]
         mismatches = [
             {"step": start_position + i, "recovered": list(a), "reference": list(b)}
             for i, (a, b) in enumerate(zip(recovered_recs, reference_recs))
@@ -412,10 +442,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay.add_argument("--checkpoint-every", type=int, default=None,
                         help="with --durable-dir: publish a snapshot every "
                         "K statements")
-    replay.add_argument("--wal-fsync-ms", type=float, default=None,
-                        help="WAL group-commit interval in ms (default: the "
-                        "REPRO_WAL_FSYNC_MS env var, else 0 = fsync every "
-                        "record)")
+    replay.add_argument("--wal-fsync-ms", type=float, default=0.0,
+                        help="WAL group-commit interval in ms (default 0 = "
+                        "fsync every record)")
     replay.add_argument("--metrics-out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     replay.add_argument("--trace-out", type=str, default=None,

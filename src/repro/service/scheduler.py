@@ -25,10 +25,6 @@ any misbehaving client. This module factors scheduling out of
   backpressure: :meth:`IngestScheduler.admit` raises :class:`QueueFull`
   *before* anything durable happens, so a rejected submission leaves no
   WAL record and no queue growth — the client retries or sheds load.
-* **Background task lane** — deferred maintenance callables
-  (:meth:`IngestScheduler.defer`) that the engine runs only when the
-  statement queues are idle, so repartitioning or candidate regeneration
-  never competes with statement analysis.
 
 The scheduler owns no threads and reads no clocks; all mutable state is
 guarded by one internal lock, and the engine composes it under its own
@@ -42,17 +38,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKGROUND_CLASSES",
@@ -139,7 +125,7 @@ class QueueEntry:
 
 
 class IngestScheduler:
-    """Bounded, priority-classed submission queues + a deferred-task lane.
+    """Bounded, priority-classed submission queues.
 
     Thread-safe; every method is O(class count) outside the entries it
     moves. Not a thread pool: the engine's single writer calls
@@ -174,15 +160,8 @@ class IngestScheduler:
         # order, so its log needs no batch-boundary records and stays
         # byte-identical to the pre-scheduler format.
         self._priorities_seen = False  # guarded-by: _lock
-        self._tasks: Deque[Tuple[int, str, Callable[[], object]]] = deque()  # guarded-by: _lock
-        self._next_task_seq = 0  # guarded-by: _lock
-        self._tasks_deferred = 0  # guarded-by: _lock
 
     # -- admission -----------------------------------------------------------
-
-    def limit(self, priority: str) -> Optional[int]:
-        """The class's depth bound (None = unbounded)."""
-        return self._limits[normalize_priority(priority)]
 
     def admit(self, priority: str, count: int = 1) -> None:
         """Check that ``count`` submissions fit the class bound.
@@ -214,31 +193,6 @@ class IngestScheduler:
         with self._lock:
             self._admit_locked(priority, 1)
             return self._push_locked(priority, client_id, statement)
-
-    def push_many(
-        self, entries: Sequence[Tuple[str, str, object]]
-    ) -> List[QueueEntry]:
-        """Admit and enqueue ``(priority, client_id, statement)`` triples.
-
-        Admission is all-or-nothing: when any class's bound would be
-        exceeded, :class:`QueueFull` is raised and *no* entry of the
-        batch is enqueued — a half-admitted batch would reorder the
-        client's stream relative to what its WAL record promises.
-        """
-        counts: Dict[str, int] = {}
-        normalized = [
-            (normalize_priority(priority), client_id, statement)
-            for priority, client_id, statement in entries
-        ]
-        for priority, _, _ in normalized:
-            counts[priority] = counts.get(priority, 0) + 1
-        with self._lock:
-            for priority in sorted(counts):
-                self._admit_locked(priority, counts[priority])
-            return [
-                self._push_locked(priority, client_id, statement)
-                for priority, client_id, statement in normalized
-            ]
 
     def _push_locked(  # holds: _lock
         self, priority: str, client_id: str, statement: object
@@ -324,36 +278,3 @@ class IngestScheduler:
             ]
         merged.sort(key=lambda entry: entry.seq)
         return merged
-
-    # -- background task lane ------------------------------------------------
-
-    def defer(self, name: str, fn: Callable[[], object]) -> int:
-        """Queue a maintenance callable for idle-time execution.
-
-        Returns the task's sequence number. The engine runs deferred
-        tasks (FIFO) only when every statement queue is empty — see
-        ``TuningEngine.run_background_tasks``.
-        """
-        with self._lock:
-            seq = self._next_task_seq
-            self._next_task_seq += 1
-            self._tasks.append((seq, str(name), fn))
-            self._tasks_deferred += 1
-            return seq
-
-    def take_task(self) -> Optional[Tuple[int, str, Callable[[], object]]]:
-        """Pop the oldest deferred task, or None when the lane is empty."""
-        with self._lock:
-            if not self._tasks:
-                return None
-            return self._tasks.popleft()
-
-    def task_depth(self) -> int:
-        with self._lock:
-            return len(self._tasks)
-
-    @property
-    def tasks_deferred(self) -> int:
-        """Cumulative count of tasks ever deferred."""
-        with self._lock:
-            return self._tasks_deferred

@@ -139,8 +139,6 @@ def checkpoint_engine(
             "snapshot_id": snapshot_id,
             "wal_seq": wal_seq,
             "batch_size": engine.batch_size,
-            "background_batch_size": engine.background_batch_size,
-            "background_pacing": engine.background_pacing,
             "tuner": engine.tuner.export_state(),
             "universe_order": [
                 ix.to_payload()
@@ -226,11 +224,7 @@ def restore_engine(
     # on the next line, and the materialized set is reinstated from the
     # document below.
     engine = TuningEngine(
-        optimizer,
-        transitions,
-        batch_size=int(document["batch_size"]),
-        background_batch_size=int(document["background_batch_size"]),
-        background_pacing=float(document["background_pacing"]),
+        optimizer, transitions, batch_size=int(document["batch_size"])
     )
     engine._tuner = WFIT.restore_state(
         optimizer, transitions, document["tuner"]

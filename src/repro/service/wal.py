@@ -21,11 +21,11 @@ about. The classic fix is the classic database one:
   artifact of crashing mid-append) is detected and tolerated, while
   mid-file corruption — including a damaged length field — is detected
   and **refused**;
-* fsyncs are group-committed: with ``fsync_interval_ms > 0`` an append
-  only pays for an fsync when the interval has elapsed, batching
-  many records per flush (the durability point is the fsync — records
-  appended after the last fsync may be lost on crash, which is the knob's
-  explicit trade);
+* fsyncs are group-committed: ``fsync_interval_ms`` defaults to 0, an
+  fsync per append; with ``fsync_interval_ms > 0`` an append only pays
+  for an fsync when the interval has elapsed, batching many records per
+  flush (the durability point is the fsync — records appended after the
+  last fsync may be lost on crash, which is the knob's explicit trade);
 * each successful checkpoint — published crash-atomically by
   :func:`repro.ioutil.atomic_write_json` — captures an atomic *mark*
   (highest covered sequence number + the log length holding exactly the
@@ -71,7 +71,6 @@ from .scheduler import DEFAULT_PRIORITY
 __all__ = [
     "CorruptRecord",
     "Durability",
-    "WAL_FSYNC_ENV",
     "WalError",
     "WalRecord",
     "WalScan",
@@ -87,11 +86,6 @@ __all__ = [
 # any fsync schedule (the property tests drive the same engine with and
 # without a WAL attached).
 _monotonic = time.monotonic  # reprolint: disable=R1(group-commit pacing and fsync-latency reporting only; never feeds tuning decisions)
-
-#: Environment knob: default group-commit interval in milliseconds.
-#: ``0`` (the default) fsyncs every append — maximum durability; larger
-#: values batch appends per flush and bound the post-fsync loss window.
-WAL_FSYNC_ENV = "REPRO_WAL_FSYNC_MS"
 
 #: On-disk record framing: little-endian payload length, CRC32 of the
 #: length field's own four bytes, CRC32(payload) — followed by the
@@ -204,17 +198,6 @@ def read_wal(path, *, io: FileIO = REAL_IO) -> WalScan:
     return scan_wal(io.read_bytes(path))
 
 
-def resolve_fsync_interval(fsync_interval_ms: Optional[float]) -> float:
-    """The effective group-commit interval: explicit arg, else the
-    ``REPRO_WAL_FSYNC_MS`` environment knob, else 0 (fsync every append)."""
-    if fsync_interval_ms is not None:
-        return float(fsync_interval_ms)
-    raw = os.environ.get(WAL_FSYNC_ENV, "").strip()
-    if not raw:
-        return 0.0
-    return float(raw)
-
-
 # Process-wide WAL instruments on the default obs registry, built lazily so
 # importing the module registers nothing (same pattern as the engine's).
 _WAL_INSTRUMENTS: Dict[str, object] = {}
@@ -253,7 +236,7 @@ class WriteAheadLog:
         self,
         path,
         *,
-        fsync_interval_ms: Optional[float] = None,
+        fsync_interval_ms: float = 0.0,
         next_seq: int = 1,
         truncate_to: Optional[int] = None,
         io: FileIO = REAL_IO,
@@ -262,7 +245,7 @@ class WriteAheadLog:
             raise ValueError("next_seq must be >= 1")
         self._io = io
         self._path = os.fspath(path)
-        self.fsync_interval_ms = resolve_fsync_interval(fsync_interval_ms)
+        self.fsync_interval_ms = float(fsync_interval_ms)
         self._lock = threading.Lock()
         self._handle = self._io.open_append(self._path)  # guarded-by: _lock
         if truncate_to is not None:
@@ -518,7 +501,7 @@ class Durability:
         self,
         directory,
         *,
-        fsync_interval_ms: Optional[float] = None,
+        fsync_interval_ms: float = 0.0,
         io: FileIO = REAL_IO,
     ) -> None:
         self._io = io

@@ -161,6 +161,29 @@ class TestPrefixCheckpointProperty:
         assert restored.total_work == engine.total_work
         assert restored.materialized == engine.materialized
 
+    def test_documents_with_background_lane_keys_restore(
+        self, toy_stats, setting
+    ):
+        """Version-4 documents written while the background slice and
+        pacing were engine options carry them as two extra keys; restore
+        ignores them and the run continues step-identically."""
+        statements = setting["statements"]
+        k = self.VOTE_AT + 1
+        engine = _fresh_engine(toy_stats, **self.OPTIONS)
+        _drive(engine, statements[:k], self.VOTE_AT, setting["votes"])
+        document = engine.checkpoint()
+        document.update(background_batch_size=1, background_pacing=0.008)
+        restored = TuningEngine.restore(
+            json.loads(json.dumps(document)),
+            WhatIfOptimizer(toy_stats),
+            StatsTransitionCosts(toy_stats),
+        )
+        tail_recs = _drive(
+            restored, statements[k:], -1, setting["votes"], start=k
+        )
+        assert tail_recs == setting["baseline_recs"][k:]
+        assert restored.total_work == setting["baseline"].total_work
+
     @pytest.mark.parametrize("version", [1, 2, 3, 999])
     def test_version_guard(self, toy_stats, version):
         """Only the current format restores: retired versions (including

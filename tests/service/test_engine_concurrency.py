@@ -1,5 +1,6 @@
 """Concurrency tests for the tuning engine: submit-while-draining stress,
-lifecycle races, batched submission, and the bounded latency window.
+lifecycle races, the drain thread's idle wait, batched submission, and the
+bounded latency window.
 
 The engine's concurrency contract: any number of submitter threads may run
 against the background drain; afterwards every submission is processed
@@ -11,12 +12,13 @@ checkpoint of the concurrently-driven engine restores step-identically.
 from __future__ import annotations
 
 import threading
-
-import pytest
+import time
 
 from repro.db import StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
+import repro.service.engine as engine_module
 from repro.service import TuningEngine
+from repro.service.scheduler import BACKGROUND_CLASSES
 
 SALES = "shop.sales"
 
@@ -211,6 +213,36 @@ class TestLifecycleRaces:
         assert engine.statements_processed == 10
         assert not engine.running
 
+    def test_submit_before_idle_wait_is_not_slept_through(self, toy_stats):
+        """A submit landing after both pumps came back empty, but before
+        the drain thread parks, must still wake it: the idle wait
+        re-checks the queues under the wakeup lock. Without the re-check
+        the submit's notify wakes nobody and the statement sits out the
+        whole 10 s poll interval."""
+        engine = make_engine(toy_stats)
+        pump = engine.pump
+        injected = []
+
+        def racing_pump(limit=None, classes=None):
+            count = pump(limit, classes=classes)
+            if classes == BACKGROUND_CLASSES and count == 0 and not injected:
+                injected.append(engine.submit("a", narrow_sql(toy_stats)))
+            return count
+
+        engine.pump = racing_pump
+        engine.start(poll_interval=10.0)
+        try:
+            deadline = time.monotonic() + 2.0
+            while (
+                engine.statements_processed == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        finally:
+            engine.stop(drain=False)
+        assert injected
+        assert engine.statements_processed == 1
+
 
 class TestSubmitMany:
     def test_batch_is_one_lock_acquisition_in_order(self, toy_stats):
@@ -253,8 +285,9 @@ class TestSubmitMany:
 
 
 class TestLatencyWindow:
-    def test_window_is_bounded_and_configurable(self, toy_stats):
-        engine = make_engine(toy_stats, latency_window=4)
+    def test_window_is_bounded(self, toy_stats, monkeypatch):
+        monkeypatch.setattr(engine_module, "_LATENCY_WINDOW", 4)
+        engine = make_engine(toy_stats)
         session = engine.session("a")
         for i in range(10):
             session.execute(narrow_sql(toy_stats, offset=0.02 * i))
@@ -266,10 +299,5 @@ class TestLatencyWindow:
 
     def test_default_window(self, toy_stats):
         engine = make_engine(toy_stats)
-        assert engine.latency_window == 4096
         assert engine._client("a").latencies.maxlen == 4096
-
-    def test_window_validation(self, toy_stats):
-        with pytest.raises(ValueError, match="latency_window"):
-            make_engine(toy_stats, latency_window=0)
 

@@ -100,6 +100,33 @@ class TestReplay:
             replay_report["metrics"]["total_work"], rel=1e-9
         )
 
+    @pytest.mark.parametrize("chunking", ["--checkpoint-every", "--adopt-every"])
+    def test_chunked_priority_run_verifies(self, tmp_path, chunking):
+        """Under mixed priority classes each chunk drains ``interactive``
+        first, so the chunk boundaries decide the analysis order. The
+        verify reference must replay the run's own chunks; submitting the
+        whole prefix at once reported a false divergence."""
+        durable = tmp_path / "durable"
+        replay_out = tmp_path / "replay.json"
+        code = main([
+            "replay", "--scale", "0.02", "--per-phase", "6", "--seed", "7",
+            "--clients", "2", "--limit", "48", chunking, "8",
+            "--priority-map", "client-0=interactive,client-1=background",
+            "--durable-dir", str(durable), "--metrics-out", str(replay_out),
+        ])
+        assert code == 0
+
+        recover_out = tmp_path / "recover.json"
+        code = main([
+            "recover", "--dir", str(durable), "--verify",
+            "--metrics-out", str(recover_out),
+        ])
+        report = json.loads(recover_out.read_text())
+        live = json.loads(replay_out.read_text())["metrics"]["total_work"]
+        assert report["verify"]["total_work_recovered"] == live
+        assert report["verify"]["total_work_reference"] == live
+        assert code == 0
+
     def test_wal_only_recovery_uses_the_run_engine_options(self, tmp_path):
         """With no restorable snapshot, ``recover`` replays the whole WAL
         into a fresh engine, which must run with the WFIT options of the

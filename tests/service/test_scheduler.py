@@ -5,9 +5,9 @@ is a pure function of (priority rank, arrival seq), and admission control
 is all-or-nothing with typed rejections. Engine level: uniform-priority
 ingest is bit-identical to one-statement-at-a-time FIFO ingest on both
 kernel backends (the refactor's no-behavior-change proof), foreground
-always preempts a queued background flood, ``stop``/``checkpoint`` drain
-exactly the classes they document, and the deferred-task lane runs only
-in idle windows with exceptions contained.
+always preempts a queued background flood, one background statement per
+batch, and ``stop``/``checkpoint`` drain exactly the classes they
+document.
 """
 
 from __future__ import annotations
@@ -115,16 +115,6 @@ class TestSchedulerUnit:
         sched.take(1, ("background",))
         sched.push("background", "c", "s2")  # retry succeeds after drain
         assert sched.depth() == 2
-
-    def test_push_many_is_all_or_nothing(self):
-        sched = IngestScheduler(limits={"normal": 3})
-        sched.push("normal", "a", "s0")
-        with pytest.raises(QueueFull) as info:
-            sched.push_many([("normal", "a", s) for s in ("s1", "s2", "s3")])
-        assert info.value.requested == 3
-        assert sched.depth() == 1  # nothing from the batch was enqueued
-        sched.push_many([("normal", "a", s) for s in ("s1", "s2")])
-        assert sched.depth() == 3
 
     def test_priorities_seen_is_sticky(self):
         sched = IngestScheduler()
@@ -270,8 +260,9 @@ class TestEngineAdmission:
     def test_submit_many_all_or_nothing(self, toy_stats):
         engine = make_engine(toy_stats, queue_limits={"background": 2})
         sql = narrow_sql(toy_stats)
-        with pytest.raises(QueueFull):
+        with pytest.raises(QueueFull) as info:
             engine.submit_many([("a", sql, "background")] * 3)
+        assert info.value.requested == 3
         assert engine.queue_depth == 0
         engine.submit_many([("a", sql, "background")] * 2)
         assert engine.queue_depths["background"] == 2
@@ -289,7 +280,7 @@ class TestEngineAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Engine: lane rules (foreground first, paced background, deferred tasks)
+# Engine: lane rules (foreground first, one-statement background batches)
 # ---------------------------------------------------------------------------
 
 class TestLaneRules:
@@ -307,20 +298,18 @@ class TestLaneRules:
         assert engine.queue_depths["background"] == 6
 
     def test_background_batches_are_bounded(self, toy_stats):
-        engine = make_engine(
-            toy_stats, batch_size=4, background_batch_size=2
-        )
+        engine = make_engine(toy_stats, batch_size=4)
         sql = narrow_sql(toy_stats)
         for _ in range(4):
             engine.submit("flood", sql, priority="background")
         before = engine.batches_processed
         engine.pump()
-        # 4 background statements in batches of ≤2 → 2 batches, even
-        # though the foreground batch budget is 4.
-        assert engine.batches_processed - before == 2
+        # One batch per background statement, even though the foreground
+        # batch budget is 4.
+        assert engine.batches_processed - before == 4
 
     def test_interactive_preempts_between_background_batches(self, toy_stats):
-        engine = make_engine(toy_stats, background_batch_size=1)
+        engine = make_engine(toy_stats)
         sql = narrow_sql(toy_stats)
         for _ in range(3):
             engine.submit("flood", sql, priority="background")
@@ -341,35 +330,6 @@ class TestLaneRules:
         assert engine.queue_depths == {
             "interactive": 0, "normal": 1, "background": 0,
         }
-
-    def test_deferred_tasks_run_only_when_queues_idle(self, toy_stats):
-        engine = make_engine(toy_stats)
-        ran = []
-        engine.defer("probe", lambda: ran.append("probe"))
-        engine.submit("a", narrow_sql(toy_stats))
-        assert engine.run_background_tasks() == 0  # statement queued
-        assert ran == []
-        engine.pump()
-        assert engine.run_background_tasks() == 1
-        assert ran == ["probe"]
-        tasks = engine.metrics()["background_tasks"]
-        assert tasks["deferred"] == 1
-        assert tasks["run"] == 1
-        assert tasks["queued"] == 0
-
-    def test_deferred_task_errors_are_contained(self, toy_stats):
-        engine = make_engine(toy_stats)
-
-        def boom() -> None:
-            raise RuntimeError("maintenance failed")
-
-        engine.defer("boom", boom)
-        engine.defer("ok", lambda: None)
-        assert engine.run_background_tasks() == 2
-        tasks = engine.metrics()["background_tasks"]
-        assert tasks["errors"] == 1
-        assert "maintenance failed" in tasks["last_error"]
-        assert tasks["run"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +386,9 @@ class TestDrainSemantics:
     def test_threaded_flood_interactive_finishes_first(self, toy_stats):
         """Live drain thread, queued background flood, concurrent
         interactive submitters: every interactive statement completes
-        while flood backlog remains, and nothing is rejected."""
-        engine = make_engine(toy_stats, background_pacing=0.002)
+        while flood backlog remains (the drain paces background slices at
+        8 ms), and nothing is rejected."""
+        engine = make_engine(toy_stats)
         sql = narrow_sql(toy_stats)
         flood = 400
         engine.submit_many(

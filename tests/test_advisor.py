@@ -1,18 +1,22 @@
-"""Tests for the AdvisorSession middleware layer."""
+"""Tests for the DBA's client session: the advisor surface of the §6
+middleware (intercept statements, pull recommendations, push votes and
+CREATE/DROP actions) on a single-client engine."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.advisor import AdvisorSession, Recommendation
 from repro.db import Index
+from repro.service import Recommendation, TuningEngine
 
 SALES = "shop.sales"
 
 
 @pytest.fixture()
 def session(toy_stats):
-    return AdvisorSession.for_stats(toy_stats, idx_cnt=8, state_cnt=64)
+    return TuningEngine.for_stats(toy_stats, idx_cnt=8, state_cnt=64).session(
+        "dba"
+    )
 
 
 def narrow_sql(stats, column="amount", fraction=0.02):
@@ -26,7 +30,7 @@ class TestInterception:
     def test_execute_sql_text(self, session, toy_stats):
         statement = session.execute(narrow_sql(toy_stats))
         assert statement.tables_referenced() == (SALES,)
-        assert session.statements_seen == 1
+        assert session.statements_processed == 1
 
     def test_execute_ast(self, session, toy_stats):
         from repro.query import select
@@ -37,12 +41,12 @@ class TestInterception:
             .build()
         )
         session.execute(query)
-        assert session.statements_seen == 1
+        assert session.statements_processed == 1
 
     def test_execute_many(self, session, toy_stats):
         count = session.execute_many([narrow_sql(toy_stats)] * 5)
         assert count == 5
-        assert session.statements_seen == 5
+        assert session.statements_processed == 5
 
 
 class TestRecommendations:
@@ -60,13 +64,13 @@ class TestRecommendations:
         created, dropped = session.adopt()
         assert created and not dropped
         assert session.recommendation().is_adopted
-        assert session.materialized == session.tuner.recommend()
+        assert session.materialized == session.engine.tuner.recommend()
 
     def test_drop_ddl_generated(self, session, toy_stats):
         session.execute_many([narrow_sql(toy_stats)] * 50)
         session.adopt()
         extra = Index(SALES, ("product_id",))
-        session.tuner.feedback({extra}, frozenset())  # force into rec space? no-op if unknown
+        session.engine.tuner.feedback({extra}, frozenset())  # force into rec space? no-op if unknown
         rec = Recommendation(
             recommended=frozenset(), materialized=session.materialized
         )
@@ -77,12 +81,13 @@ class TestDbaActions:
     def test_create_and_drop_with_implicit_votes(self, session, toy_stats):
         session.execute(narrow_sql(toy_stats))
         index = Index(SALES, ("amount",))
+        tuner = session.engine.tuner
         session.create_index(index)
         assert index in session.materialized
-        assert index in session.tuner.recommend(), "implicit +vote honored"
+        assert index in tuner.recommend(), "implicit +vote honored"
         session.drop_index(index)
         assert index not in session.materialized
-        assert index not in session.tuner.recommend(), "implicit -vote honored"
+        assert index not in tuner.recommend(), "implicit -vote honored"
 
     def test_double_create_rejected(self, session):
         index = Index(SALES, ("amount",))
@@ -119,9 +124,3 @@ class TestAudit:
         session.create_index(Index(SALES, ("sale_date",)))
         kinds = [event.kind for event in session.history()]
         assert kinds == ["statement", "vote", "create"]
-
-    def test_overhead_accounting(self, session, toy_stats):
-        session.execute_many([narrow_sql(toy_stats)] * 3)
-        overhead = session.overhead()
-        assert overhead["whatif_calls"] > 0
-        assert overhead["per_statement"] > 0
