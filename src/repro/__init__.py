@@ -42,7 +42,7 @@ from .db import (
 from .ibg import IndexBenefitGraph, build_ibg, degree_of_interaction, max_benefit
 from .optimizer import CostModelConfig, WhatIfOptimizer, extract_indices
 from .query import parse_statement, select, to_sql, update
-from .service import ClientSession, Recommendation, SessionEvent, TuningEngine
+from .service import ClientSession, Recommendation, TuningEngine
 from .workload import (
     DEFAULT_PHASES,
     MultiClientTrace,
@@ -66,7 +66,6 @@ __all__ = [
     "MultiClientTrace",
     "OfflineOptimizer",
     "OptimalSchedule",
-    "SessionEvent",
     "StatsRepository",
     "StatsTransitionCosts",
     "TransitionCosts",

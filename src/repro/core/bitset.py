@@ -203,13 +203,6 @@ class IndexUniverse:
             indices[bit.bit_length() - 1] for bit in iter_bits(mask)
         )
 
-    def decode_sorted(self, mask: int) -> Tuple[Index, ...]:
-        """Like :meth:`decode` but a sorted tuple (deterministic output)."""
-        indices = self._indices
-        return tuple(sorted(
-            indices[bit.bit_length() - 1] for bit in iter_bits(mask)
-        ))
-
     def index_at(self, bit: int) -> Index:
         """The index a single-bit mask encodes."""
         return self._indices[bit.bit_length() - 1]
@@ -249,28 +242,11 @@ class IndexUniverse:
         for index in indices:
             self.ensure(index)
 
-    # -- mask predicates (free functions of the encoding) -------------------
-
-    @staticmethod
-    def is_subset(a: int, b: int) -> bool:
-        """``A ⊆ B`` as a mask operation."""
-        return a & ~b == 0
-
-    @staticmethod
-    def is_superset(a: int, b: int) -> bool:
-        """``A ⊇ B`` as a mask operation."""
-        return b & ~a == 0
-
     # -- container protocol --------------------------------------------------
 
     @property
     def indices(self) -> Tuple[Index, ...]:
         return tuple(self._indices)
-
-    @property
-    def full_mask(self) -> int:
-        """Mask with every registered index present."""
-        return (1 << len(self._indices)) - 1
 
     def __len__(self) -> int:
         return len(self._indices)

@@ -28,7 +28,7 @@ import time
 # point rather than scattered call sites.
 _perf_counter = time.perf_counter  # reprolint: disable=R1(feeds wall_time reporting only, never tuning state; bit-identity tests cover outputs)
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence
 
 from ..db.index import Index
 from .opt import FeedbackEvent
@@ -91,28 +91,8 @@ class TuningResult:
         return [point.cumulative_recommended_work for point in self.points]
 
     @property
-    def adoption_lag_cost(self) -> float:
-        """Realized minus recommended totWork: what the DBA's lag cost.
-
-        Meaningful only for runs with ``track_recommended=True``; zero
-        lag (``adopt_period=1``) makes the two series — and so this —
-        exactly 0.0.
-        """
-        return self.total_work - self.recommended_total_work
-
-    @property
     def final_configuration(self) -> FrozenSet[Index]:
         return self.points[-1].configuration if self.points else frozenset()
-
-    def configuration_changes(self) -> int:
-        """How many times the in-effect configuration changed."""
-        changes = 0
-        previous: Optional[FrozenSet[Index]] = None
-        for point in self.points:
-            if previous is not None and point.configuration != previous:
-                changes += 1
-            previous = point.configuration
-        return changes
 
 
 def _group_events(

@@ -20,7 +20,7 @@ what-if optimizer, one statement analyzed across all K parts performs
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, List, Sequence, Tuple
 
 from ..db.index import Index
 from .wfa import WFA, CostFunction
@@ -141,7 +141,3 @@ class WFAPlus:
     def min_work(self) -> float:
         """Σ_k min_S w^{(k)}(S) — used for OPT-style lower-bound accounting."""
         return sum(instance.min_work() for instance in self._instances)
-
-    def work_functions(self) -> List[Dict[FrozenSet[Index], float]]:
-        """Per-part work function snapshots (used by WFIT.repartition)."""
-        return [instance.work_function() for instance in self._instances]

@@ -260,8 +260,8 @@ class WFIT:
 
     def _choose_candidates(self, statement: object) -> List[FrozenSet[Index]]:
         self._universe.update(extract_indices(statement))
-        # Via the optimizer's per-statement IBG cache, so the WFA instances'
-        # bulk costing reuses the same graph instead of re-optimizing.
+        # Via the optimizer's per-statement IBG cache, so a statement seen
+        # again reuses (or grows) its graph instead of rebuilding it.
         ibg = self._optimizer.statement_ibg(
             statement, frozenset(self._universe),
             max_nodes=self._max_ibg_nodes,
@@ -541,10 +541,8 @@ class WFIT:
         tuner._auto = auto
         tuner._n = int(state["statements_analyzed"])
         tuner.repartition_count = int(state["repartition_count"])
-        # Optional in pre-scheduler documents (STATE_VERSION unchanged:
-        # purely additive, reporting-only fields).
-        tuner._feedback_count = int(state.get("feedback_count", 0))
-        last_feedback = state.get("last_feedback_position")
+        tuner._feedback_count = int(state["feedback_count"])
+        last_feedback = state["last_feedback_position"]
         tuner._last_feedback_position = (
             None if last_feedback is None else int(last_feedback)
         )

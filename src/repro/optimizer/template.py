@@ -107,11 +107,6 @@ class PlanTemplate:
         self._write_cost = write_cost
         self._maintenance = tuple(maintenance)
 
-    @property
-    def maintenance_charges(self) -> Tuple[Tuple[int, float], ...]:
-        """``(index bit, charge)`` pairs in sorted index order (writes only)."""
-        return self._maintenance
-
     def costs_into(
         self, config_masks: Sequence[int], out
     ) -> List[Tuple[float, int, int]]:

@@ -190,7 +190,7 @@ class WhatIfOptimizer:
         self._cache: "OrderedDict[Statement, Dict[int, _Entry]]" = OrderedDict()
         self._stmt_tables: "OrderedDict[Statement, Tuple[str, ...]]" = OrderedDict()
         self._maintenance_cache: Dict[Tuple[Statement, Index], float] = {}
-        # statement -> its IBG, LRU-bounded (built lazily by bulk costing;
+        # statement -> its IBG, LRU-bounded (built lazily by statement_ibg;
         # grown when a request spans candidates outside the cached root).
         self._ibg_cache: "OrderedDict[Statement, object]" = OrderedDict()
         # statement -> (root, cap) of an IBG build that hit the node cap, so
@@ -436,29 +436,29 @@ class WhatIfOptimizer:
 
     # -- the statement IBG (configuration-parametric costing) -----------------
 
-    def _statement_ibg(
-        self,
-        statement: Statement,
-        union_mask: int,
-        max_nodes: int = 4096,
-        strict: bool = False,
-    ):
-        """The cached IBG of ``statement`` covering ``union_mask``.
+    def statement_ibg(self, statement: Statement, candidates: AbstractSet[Index],
+                      max_nodes: int = 4096):
+        """The statement's Index Benefit Graph covering ``candidates``.
 
-        A cached graph is reused whenever its root covers the requested
-        candidates (and, in strict mode, respects ``max_nodes``); otherwise
-        it is rebuilt over the union of both roots (the per-subset plan
-        memo makes the rebuild pay only for new nodes). A build that hits
-        the node cap is memoized so it is not repeated for every covered
-        request; non-strict callers then get None and fall back to direct
-        memoized optimization, strict callers get the RuntimeError.
+        Cached per statement (WFIT's candidate maintenance reads it once
+        per analyzed statement). A cached graph is reused whenever its
+        root covers the requested candidates and it respects
+        ``max_nodes``; otherwise it is rebuilt over the union of both
+        roots (the per-subset plan memo makes the rebuild pay only for
+        new nodes). Raises :class:`RuntimeError` when the graph exceeds
+        ``max_nodes``. The failed build is memoized, so repeating the
+        identical request raises again without re-optimizing; a larger
+        cap or a different root still retries.
         """
+        union_mask = self.relevant_mask(
+            statement, self._universe.encode(candidates)
+        )
         cached = self._ibg_cache.get(statement)
         root = union_mask
         if cached is not None:
             self._ibg_cache.move_to_end(statement)
             if union_mask & ~cached.candidates_mask == 0:
-                if not strict or cached.node_count <= max_nodes:
+                if cached.node_count <= max_nodes:
                     self._ibg_graph_hits += 1
                     return cached
                 # The cached cover is over this caller's cap: fall through
@@ -469,11 +469,9 @@ class WhatIfOptimizer:
         # Skip only the *identical* doomed build (same root, no larger cap):
         # a smaller or different root may well fit under the cap.
         if failed is not None and root == failed[0] and max_nodes <= failed[1]:
-            if strict:
-                raise RuntimeError(
-                    f"IBG for {statement!r} previously exceeded the node cap"
-                )
-            return None
+            raise RuntimeError(
+                f"IBG for {statement!r} previously exceeded the node cap"
+            )
         # Imported here: the graph module imports this one at module scope.
         from ..ibg.graph import build_ibg
 
@@ -487,15 +485,13 @@ class WhatIfOptimizer:
             self._ibg_failed.move_to_end(statement)
             while len(self._ibg_failed) > _IBG_CACHE_LIMIT:
                 self._ibg_failed.popitem(last=False)
-            if strict:
-                raise
-            return None
+            raise
         # A success covering a previously failed root invalidates the
         # failure memo (e.g. the failure was at a smaller cap).
         if failed is not None and failed[0] & ~graph.candidates_mask == 0:
             self._ibg_failed.pop(statement, None)
         # Never replace a cached graph with one covering fewer candidates
-        # (possible only via the strict over-cap rebuild above).
+        # (possible only via the over-cap rebuild above).
         if cached is None or cached.candidates_mask & ~graph.candidates_mask == 0:
             self._ibg_cache[statement] = graph
             self._ibg_cache.move_to_end(statement)
@@ -503,18 +499,6 @@ class WhatIfOptimizer:
                 self._ibg_cache.popitem(last=False)
                 self._ibg_evictions += 1
         return graph
-
-    def statement_ibg(self, statement: Statement, candidates: AbstractSet[Index],
-                      max_nodes: int = 4096):
-        """The statement's Index Benefit Graph covering ``candidates``.
-
-        Cached per statement and shared with bulk mask costing, so WFIT's
-        candidate-maintenance sweep and the WFA work-function update answer
-        their configuration questions from one graph. Raises
-        :class:`RuntimeError` when the graph exceeds ``max_nodes``.
-        """
-        union = self.relevant_mask(statement, self._universe.encode(candidates))
-        return self._statement_ibg(statement, union, max_nodes=max_nodes, strict=True)
 
     # -- mask-level interface (the hot path) ----------------------------------
 

@@ -6,9 +6,9 @@ client sessions over one shared WFIT core and one shared what-if optimizer
 (micro-batched single-writer ingest over the priority-classed
 :class:`~repro.service.scheduler.IngestScheduler`: admission-controlled
 queues with typed :class:`~repro.service.scheduler.QueueFull`
-backpressure and deterministic batch formation), with per-client audit
-logs and vote/materialization routing through one
-:class:`~repro.service.engine.ClientSession` handle per client
+backpressure and deterministic batch formation), with per-session
+priority classes and counters and vote/materialization routing through
+one :class:`~repro.service.engine.ClientSession` handle per client
 (``engine.session(client_id)``), versioned JSON checkpoint/restore
 (:mod:`repro.service.snapshot`), durable ingest — a submission
 write-ahead log plus crash-atomic, self-contained snapshots with crash
@@ -16,7 +16,7 @@ recovery (:mod:`repro.service.wal`) — and a replay CLI
 (``python -m repro.service``).
 """
 
-from .engine import ClientSession, Recommendation, SessionEvent, TuningEngine
+from .engine import ClientSession, Recommendation, TuningEngine
 from .scheduler import (
     DEFAULT_PRIORITY,
     PRIORITIES,
@@ -53,7 +53,6 @@ __all__ = [
     "QueueFull",
     "Recommendation",
     "SNAPSHOT_VERSION",
-    "SessionEvent",
     "SnapshotError",
     "TuningEngine",
     "UnsupportedVersion",

@@ -27,9 +27,10 @@ way for concurrent traffic:
   workloads pay for each plan optimization once
   (:meth:`~repro.optimizer.whatif.WhatIfOptimizer.cache_stats` exposes the
   hit rates; ``benchmarks/bench_service.py`` measures the win).
-* **Session routing** — each client gets its own audit log and default
-  priority class; votes and DBA materialization actions are routed from
-  any client to the shared core and recorded against the acting client.
+* **Session routing** — a client that submits statements becomes a
+  session with its own default priority class and counters; votes and
+  DBA materialization actions are routed from any client to the shared
+  core, and the WAL records the acting client with each one.
 * **totWork accounting, recommended and realized** — the engine accounts
   the §3.1 metric twice: :attr:`~TuningEngine.total_work` under
   *immediate adoption* (every recommendation takes effect the moment it
@@ -96,18 +97,8 @@ __all__ = [
     "ClientSession",
     "QueueFull",
     "Recommendation",
-    "SessionEvent",
     "TuningEngine",
 ]
-
-
-@dataclass(frozen=True)
-class SessionEvent:
-    """One entry of a client's audit log."""
-
-    kind: str          # "statement" | "vote" | "create" | "drop" | "recommendation"
-    detail: str
-    position: int      # client statements processed when the event happened
 
 
 @dataclass(frozen=True)
@@ -169,7 +160,6 @@ class _ClientState:
         "priority",
         "submitted",
         "processed",
-        "events",
         "latencies",
         "recommended_work",
         "realized_work",
@@ -180,7 +170,6 @@ class _ClientState:
         self.priority = DEFAULT_PRIORITY
         self.submitted = 0
         self.processed = 0
-        self.events: List[SessionEvent] = []
         # Wall-clock seconds each of the client's last _LATENCY_WINDOW
         # statements spent inside the shared core (analysis + totWork
         # accounting). Ephemeral observability: not part of checkpoint
@@ -454,11 +443,6 @@ class TuningEngine:
         """Cumulative submissions rejected by admission control."""
         return sum(self._scheduler.rejections().values())
 
-    @property
-    def session_ids(self) -> Tuple[str, ...]:
-        with self._ingest_lock:
-            return tuple(sorted(self._clients))
-
     # -- session management ----------------------------------------------------
 
     def _client(self, client_id: str) -> _ClientState:
@@ -502,12 +486,6 @@ class TuningEngine:
         with self._pump_lock:
             with self._ingest_lock:
                 self._wal = wal
-
-    def _log(self, client: _ClientState, kind: str, detail: str) -> None:
-        client.events.append(SessionEvent(kind, detail, client.processed))
-
-    def history(self, client_id: str) -> Tuple[SessionEvent, ...]:
-        return tuple(self._client(client_id).events)
 
     # -- ingest ---------------------------------------------------------------
 
@@ -648,7 +626,6 @@ class TuningEngine:
         if obs.state.enabled:
             _engine_instruments()["statements"].inc()  # type: ignore[union-attr]
             _latency_histogram(client_id).observe(elapsed)  # type: ignore[union-attr]
-        self._log(client, "statement", to_sql(statement))
 
     def _finalize_realized(self) -> None:  # holds: _pump_lock
         """Charge the open statement's realized cost under the current
@@ -862,18 +839,17 @@ class TuningEngine:
     # -- recommendations and feedback routing ---------------------------------
 
     def recommendation(self, client_id: str = "default") -> Recommendation:
-        """The current shared recommendation, audited to ``client_id``."""
+        """The current shared recommendation.
+
+        Every client reads the same one; ``client_id`` is accepted for
+        symmetry with the write calls but not recorded, and reading does
+        not make the caller a session.
+        """
         with self._pump_lock:
-            rec = Recommendation(
+            return Recommendation(
                 recommended=self._tuner.recommend(),
                 materialized=frozenset(self._materialized),
             )
-        self._log(
-            self._client(client_id),
-            "recommendation",
-            f"create={len(rec.to_create)} drop={len(rec.to_drop)}",
-        )
-        return rec
 
     def vote(
         self,
@@ -903,14 +879,7 @@ class TuningEngine:
                         "minus": [ix.to_payload() for ix in sorted(f_minus)],
                     },
                 )
-            rec = self._tuner.feedback(frozenset(f_plus), frozenset(f_minus))
-        self._log(
-            self._client(client_id),
-            "vote",
-            "+{" + ", ".join(ix.name for ix in sorted(f_plus)) + "} "
-            "-{" + ", ".join(ix.name for ix in sorted(f_minus)) + "}",
-        )
-        return rec
+            return self._tuner.feedback(frozenset(f_plus), frozenset(f_minus))
 
     def _note_adoption(self) -> None:  # holds: _pump_lock
         self._adoptions += 1
@@ -944,7 +913,6 @@ class TuningEngine:
             self._tuner.notify_materialized(
                 created={index}, dropped=frozenset()
             )
-        self._log(self._client(client_id), "create", index.name)
 
     def drop_index(self, client_id: str, index: Index) -> None:
         """``client_id`` drops an index; WFIT learns via a −vote."""
@@ -970,7 +938,6 @@ class TuningEngine:
             self._tuner.notify_materialized(
                 created=frozenset(), dropped={index}
             )
-        self._log(self._client(client_id), "drop", index.name)
 
     def adopt(
         self, client_id: str = "default", *, lease: bool = True
@@ -986,7 +953,6 @@ class TuningEngine:
         The realized totWork series is charged the transition cost
         δ(materialized, recommended) here.
         """
-        client = self._client(client_id)
         with self._pump_lock:
             if self._wal is not None:
                 # Adoption is deterministic given the position: the replayed
@@ -1011,10 +977,6 @@ class TuningEngine:
             self._materialized = set(rec)
             if lease:
                 self._tuner.feedback(rec, frozenset(dropped))
-        for index in created:
-            self._log(client, "create", index.name)
-        for index in dropped:
-            self._log(client, "drop", index.name)
         return created, dropped
 
     # -- observability ---------------------------------------------------------
@@ -1055,7 +1017,6 @@ class TuningEngine:
                         "priority": state.priority,
                         "submitted": state.submitted,
                         "processed": state.processed,
-                        "events": len(state.events),
                         "latency_p50_ms": _percentile(samples, 0.50) * 1000.0,
                         "latency_p95_ms": _percentile(samples, 0.95) * 1000.0,
                         "recommended_work": state.recommended_work,
@@ -1278,6 +1239,3 @@ class ClientSession:
     @property
     def statements_processed(self) -> int:
         return self._engine._client(self._client_id).processed
-
-    def history(self) -> Tuple[SessionEvent, ...]:
-        return self._engine.history(self._client_id)

@@ -13,7 +13,7 @@ step-identically:
   (:meth:`repro.core.bitset.IndexUniverse.export_order`), so restored
   masks and cache layouts reproduce the original run exactly;
 * the engine's materialized set, totWork accounting (recommended and
-  realized), and per-session audit logs;
+  realized), and each session's priority class and counters;
 * the *pending queue* — statements submitted but not yet pumped at the
   snapshot point. They are serialized as SQL and re-submitted on
   restore, so a crash between submit and pump loses no work;
@@ -74,7 +74,8 @@ class UnsupportedVersion(SnapshotError):
 
 
 class CorruptSnapshot(SnapshotError):
-    """The document is unreadable (bad JSON / not an object)."""
+    """The document is unreadable: bad JSON, not an object, or a
+    version-4 document with missing or mistyped fields."""
 
 
 class BrokenChain(SnapshotError):
@@ -111,7 +112,7 @@ def checkpoint_engine(
         # Client registration and the queue mutate under the ingest lock
         # (a concurrent first-ever submit inserts into the table);
         # snapshot both before iterating. Per-client processed counts and
-        # events only mutate under the pump lock we already hold. The WAL
+        # cost shares only mutate under the pump lock we already hold. The WAL
         # checkpoint mark is captured in the same region as the queue: a
         # record is appended and its statement enqueued under one ingest-
         # lock acquisition, so ``wal_seq`` covers exactly the submissions
@@ -180,10 +181,6 @@ def checkpoint_engine(
                     "priority": state.priority,
                     "submitted": state.processed,
                     "processed": state.processed,
-                    "events": [
-                        [event.kind, event.detail, event.position]
-                        for event in state.events
-                    ],
                     "recommended_work": state.recommended_work,
                     "realized_work": state.realized_work,
                 }
@@ -205,16 +202,30 @@ def restore_engine(
 
     ``optimizer`` must be freshly built over statistics equivalent to the
     original's; its mask universe is seeded with the checkpointed bit
-    order before any statement flows through it.
+    order before any statement flows through it. A document of another
+    version raises :class:`UnsupportedVersion`; a version-4 document with
+    a missing or mistyped field raises :class:`CorruptSnapshot`, so
+    recovery skips it and falls back to an older snapshot.
     """
-    from .engine import SessionEvent, TuningEngine
-
     version = document.get("version")
     if version != SNAPSHOT_VERSION:
         raise UnsupportedVersion(
             f"unsupported engine checkpoint version {version!r} "
             f"(supported: {SNAPSHOT_VERSION})"
         )
+    try:
+        return _restore(document, optimizer, transitions)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptSnapshot(
+            f"malformed version-{SNAPSHOT_VERSION} engine checkpoint: {exc!r}"
+        ) from exc
+
+
+def _restore(
+    document: Dict[str, object], optimizer: WhatIfOptimizer, transitions
+):
+    from .engine import TuningEngine
+
     optimizer.mask_universe.extend_order(
         Index.from_payload(payload) for payload in document["universe_order"]
     )
@@ -261,10 +272,6 @@ def restore_engine(
         state.priority = str(item["priority"])
         state.submitted = int(item["submitted"])
         state.processed = int(item["processed"])
-        state.events = [
-            SessionEvent(str(kind), str(detail), int(position))
-            for kind, detail, position in item["events"]
-        ]
         state.recommended_work = float(item["recommended_work"])
         state.realized_work = float(item["realized_work"])
     # Replay the pending queue in submission order: the statements re-enter

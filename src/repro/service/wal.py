@@ -275,18 +275,6 @@ class WriteAheadLog:
         return self._path
 
     @property
-    def appended_seq(self) -> int:
-        """Sequence number of the last appended record (0 when none)."""
-        with self._lock:
-            return self._appended_seq
-
-    @property
-    def synced_seq(self) -> int:
-        """Sequence number of the last record known durable."""
-        with self._lock:
-            return self._synced_seq
-
-    @property
     def records_appended(self) -> int:
         with self._lock:
             return self._records_appended

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from ..query.ast import Statement
-from ..query.parser import to_sql
 
 __all__ = ["Workload"]
 
@@ -21,7 +20,7 @@ class Workload:
     """An immutable statement stream ``Q`` with phase metadata.
 
     Supports the operations the experiments need: iteration, slicing into
-    prefixes ``Q_n``, phase lookup, and a human-readable summary.
+    prefixes ``Q_n``, and a human-readable summary.
     """
 
     def __init__(
@@ -67,18 +66,6 @@ class Workload:
     def phase_boundaries(self) -> Tuple[Tuple[str, int], ...]:
         return tuple((b.name, b.start) for b in self._boundaries)
 
-    def phase_of(self, position: int) -> Optional[str]:
-        """Name of the phase containing the statement at ``position``."""
-        if not 0 <= position < len(self._statements):
-            raise IndexError(position)
-        current: Optional[str] = None
-        for boundary in self._boundaries:
-            if boundary.start <= position:
-                current = boundary.name
-            else:
-                break
-        return current
-
     def prefix(self, n: int) -> "Workload":
         """The prefix ``Q_n`` of the first ``n`` statements."""
         return self[:n]
@@ -111,7 +98,3 @@ class Workload:
                 f"{len(chunk) - updates} queries / {updates} updates"
             )
         return "\n".join(lines)
-
-    def to_sql_lines(self) -> List[str]:
-        """Render every statement as SQL (lossy for SET expressions)."""
-        return [to_sql(s) for s in self._statements]

@@ -46,7 +46,7 @@ class TestTotalWorkAccounting:
         # totWork = 10 + (7 + 4) + 4
         assert result.total_work == pytest.approx(25.0)
         assert result.points[1].transition_cost == pytest.approx(7.0)
-        assert result.configuration_changes() == 1
+        assert [point.configuration for point in result.points] == script
 
     def test_series_monotone_nondecreasing(self):
         rng = random.Random(1)

@@ -101,7 +101,7 @@ class TestBenefit:
 
 
 class TestStatementIBG:
-    """The per-statement IBG cache behind bulk mask costing."""
+    """The per-statement IBG cache behind WFIT's candidate maintenance."""
 
     def _rich_query(self, toy_stats):
         amount = toy_stats.column_stats(SALES, "amount")
@@ -142,34 +142,15 @@ class TestStatementIBG:
 
         optimizer = WhatIfOptimizer(toy_stats)
         query = self._rich_query(toy_stats)
-        union = optimizer.relevant_mask(
-            query, optimizer.mask_universe.encode(extract_indices(query))
-        )
-        assert optimizer._statement_ibg(query, union, max_nodes=1) is None
-        spent = optimizer.optimizations
-        # Covered retries answer from the failure memo without re-optimizing.
-        assert optimizer._statement_ibg(query, union, max_nodes=1) is None
-        assert optimizer.optimizations == spent
-
-    def test_bulk_costs_fall_back_when_capped(self, toy_stats):
-        from repro.optimizer import extract_indices
-
-        optimizer = WhatIfOptimizer(toy_stats)
-        query = self._rich_query(toy_stats)
-        universe = optimizer.mask_universe
-        full = universe.encode(extract_indices(query))
-        masks = []
-        sub = full
-        while True:
-            masks.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & full
-        # As if the build had capped out at the default bulk-costing cap.
-        optimizer._ibg_failed[query] = (full, 4096)
-        costs = optimizer.statement_costs(query).costs(masks)
-        direct = [optimizer.cost_mask(query, mask) for mask in masks]
-        assert costs == direct
+        candidates = frozenset(extract_indices(query))
+        with pytest.raises(RuntimeError):
+            optimizer.statement_ibg(query, candidates, max_nodes=1)
+        spent = optimizer.optimizations, optimizer.whatif_calls
+        # The identical retry raises from the failure memo without building
+        # (a rebuild would ask what-if questions, even if memoized ones).
+        with pytest.raises(RuntimeError):
+            optimizer.statement_ibg(query, candidates, max_nodes=1)
+        assert (optimizer.optimizations, optimizer.whatif_calls) == spent
 
     def test_larger_cap_retries_after_failure(self, toy_stats):
         from repro.optimizer import extract_indices

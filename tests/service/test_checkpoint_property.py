@@ -17,6 +17,7 @@ import pytest
 from repro.core.wfit import WFIT
 from repro.db import Index, StatsTransitionCosts, build_catalog
 from repro.optimizer import WhatIfOptimizer
+from repro.query.parser import to_sql
 from repro.service import TuningEngine, UnsupportedVersion
 from repro.workload import generate_workload, scaled_phases
 
@@ -77,6 +78,19 @@ def _work_functions(engine: TuningEngine):
         (instance.indices, instance.work_function())
         for instance in engine.tuner._instances
     ]
+
+
+def _session_counters(engine: TuningEngine):
+    """``metrics()["sessions"]`` without the wall-clock latency window,
+    which checkpoints do not carry."""
+    return {
+        client_id: {
+            key: value
+            for key, value in entry.items()
+            if not key.startswith("latency_")
+        }
+        for client_id, entry in engine.metrics()["sessions"].items()
+    }
 
 
 class TestPrefixCheckpointProperty:
@@ -152,27 +166,21 @@ class TestPrefixCheckpointProperty:
             WhatIfOptimizer(toy_stats),
             StatsTransitionCosts(toy_stats),
         )
-        assert restored.session_ids == ("alice",)
-        restored_session = restored.session("alice")
-        assert restored_session.statements_processed == 4
-        assert [e.kind for e in restored_session.history()] == (
-            [e.kind for e in session.history()]
-        )
+        assert list(_session_counters(restored)) == ["alice"]
+        assert _session_counters(restored) == _session_counters(engine)
+        assert restored.session("alice").statements_processed == 4
         assert restored.total_work == engine.total_work
         assert restored.materialized == engine.materialized
 
-    def test_documents_with_background_lane_keys_restore(
-        self, toy_stats, setting
-    ):
-        """Version-4 documents written while the background slice and
-        pacing were engine options carry them as two extra keys; restore
-        ignores them and the run continues step-identically."""
+    def _assert_restores_step_identically(self, toy_stats, setting, edit):
+        """Checkpoint after the vote, apply ``edit`` to the document, and
+        demand the restored run finish like the uninterrupted one."""
         statements = setting["statements"]
         k = self.VOTE_AT + 1
         engine = _fresh_engine(toy_stats, **self.OPTIONS)
         _drive(engine, statements[:k], self.VOTE_AT, setting["votes"])
         document = engine.checkpoint()
-        document.update(background_batch_size=1, background_pacing=0.008)
+        edit(document, statements[:k])
         restored = TuningEngine.restore(
             json.loads(json.dumps(document)),
             WhatIfOptimizer(toy_stats),
@@ -183,6 +191,68 @@ class TestPrefixCheckpointProperty:
         )
         assert tail_recs == setting["baseline_recs"][k:]
         assert restored.total_work == setting["baseline"].total_work
+
+    def test_documents_with_background_lane_keys_restore(
+        self, toy_stats, setting
+    ):
+        """Version-4 documents written while the background slice and
+        pacing were engine options carry them as two extra keys; restore
+        ignores them and the run continues step-identically."""
+        self._assert_restores_step_identically(
+            toy_stats,
+            setting,
+            lambda document, _: document.update(
+                background_batch_size=1, background_pacing=0.008
+            ),
+        )
+
+    def test_documents_with_session_event_logs_restore(
+        self, toy_stats, setting
+    ):
+        """Version-4 documents written while sessions kept an event log
+        carry an ``events`` array per session, and list clients that only
+        voted; restore ignores the arrays and the run continues
+        step-identically."""
+
+        def add_event_logs(document, analyzed):
+            (session,) = document["sessions"]
+            session["events"] = [
+                ["statement", to_sql(statement), position]
+                for position, statement in enumerate(analyzed)
+            ]
+            document["sessions"].append({
+                "client_id": "dba",
+                "priority": "normal",
+                "submitted": 0,
+                "processed": 0,
+                "events": [["vote", "+{sales_amount} -{}", 0]],
+                "recommended_work": 0.0,
+                "realized_work": 0.0,
+            })
+
+        self._assert_restores_step_identically(
+            toy_stats, setting, add_event_logs
+        )
+
+    def test_sessions_section_does_not_grow_with_statements(
+        self, toy_stats, setting
+    ):
+        """An application client and a DBA who only reads, votes and
+        adopts: the checkpoint's ``sessions`` section holds counters, so
+        its size does not track the number of statements analyzed."""
+        statements = setting["statements"]
+        engine = _fresh_engine(toy_stats, **self.OPTIONS)
+        sizes = {}
+        for n in range(1, 65):
+            engine.submit("app", statements[n % len(statements)])
+            engine.pump()
+            if n % 4 == 0:
+                engine.recommendation("dba")
+                engine.vote("dba", *setting["votes"])
+                engine.adopt("dba")
+            if n in (8, 64):
+                sizes[n] = len(json.dumps(engine.checkpoint()["sessions"]))
+        assert abs(sizes[64] - sizes[8]) <= 100, sizes
 
     @pytest.mark.parametrize("version", [1, 2, 3, 999])
     def test_version_guard(self, toy_stats, version):

@@ -412,6 +412,41 @@ class TestRotationAndChainSafety:
         with pytest.raises(BrokenChain, match="skipped"):
             _recover(toy_stats, io)
 
+    def test_malformed_snapshot_falls_back_to_older_one(
+        self, toy_stats, reference
+    ):
+        """A parseable version-4 document with missing fields is skipped
+        like an unreadable one: recovery restores the older snapshot and
+        continues step-identically with it."""
+        io = FaultyIO()
+        events = reference["events"]
+        engine = _fresh_engine(toy_stats)
+        durability = Durability(DIR, io=io, fsync_interval_ms=0)
+        durability.attach(engine)
+        for event in events[:3]:
+            _apply_event(engine, event)
+        first = durability.checkpoint()
+        durability.close()
+        atomic_write_json(
+            f"{DIR}/snapshot-000002.json", {"version": 4, "wal_seq": 0}, io=io
+        )
+        recovered, report = _recover(toy_stats, io)
+        assert report["snapshot_id"] == 1
+        assert [s["snapshot_id"] for s in report["skipped_snapshots"]] == [2]
+        alone = TuningEngine.restore(
+            json.loads(io.read_bytes(first)),
+            WhatIfOptimizer(toy_stats),
+            StatsTransitionCosts(toy_stats),
+        )
+        for index, event in enumerate(events[3:], start=3):
+            _apply_event(recovered, event)
+            _apply_event(alone, event)
+            _assert_signatures_equal(
+                _signature(recovered),
+                _signature(alone),
+                f"event {index}: recovered != restored from snapshot 1",
+            )
+
 
 # ---------------------------------------------------------------------------
 # Self-contained snapshots

@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
-from repro.service import TuningEngine
+from repro.service import TuningEngine, WriteAheadLog, read_wal
 
 SALES = "shop.sales"
 
@@ -80,14 +80,6 @@ class TestIngest:
 
 
 class TestSessionRouting:
-    def test_audit_logs_are_per_client(self, engine, toy_stats):
-        a, b = engine.session("a"), engine.session("b")
-        a.execute(narrow_sql(toy_stats))
-        b.execute(narrow_sql(toy_stats, "sale_date"))
-        a.vote_up(Index(SALES, ("amount",)))
-        assert [e.kind for e in a.history()] == ["statement", "vote"]
-        assert [e.kind for e in b.history()] == ["statement"]
-
     def test_shared_recommendation(self, engine, toy_stats):
         a, b = engine.session("a"), engine.session("b")
         for _ in range(30):
@@ -95,7 +87,9 @@ class TestSessionRouting:
         engine.pump()
         assert a.recommendation().recommended == b.recommendation().recommended
 
-    def test_materialization_is_shared_and_validated(self, engine, toy_stats):
+    def test_materialization_is_shared_and_validated(self, engine, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        engine.attach_wal(wal)
         a, b = engine.session("a"), engine.session("b")
         index = Index(SALES, ("amount",))
         a.create_index(index)
@@ -105,9 +99,28 @@ class TestSessionRouting:
         b.drop_index(index)
         with pytest.raises(ValueError):
             a.drop_index(index)
-        kinds = [e.kind for e in a.history()]
-        assert kinds == ["create"]
-        assert [e.kind for e in b.history()] == ["drop"]
+        wal.close()
+        # Each action is logged against the acting client; the rejected
+        # calls leave no record.
+        actions = [
+            (record.payload["client_id"], record.payload["action"])
+            for record in read_wal(tmp_path / "wal.log").records
+        ]
+        assert actions == [("a", "create"), ("b", "drop")]
+
+    def test_only_submitting_clients_become_sessions(self, engine, toy_stats):
+        """Reads, votes and DDL act on the shared core without making the
+        caller a session; only submitting statements does."""
+        engine.session("app").execute_many([narrow_sql(toy_stats)] * 3)
+        index = Index(SALES, ("amount",))
+        engine.recommendation("dba")
+        engine.vote("dba", {index}, frozenset())
+        engine.create_index("dba", index)
+        engine.drop_index("dba", index)
+        engine.adopt("dba")
+        assert list(engine.metrics()["sessions"]) == ["app"]
+        document = engine.checkpoint()
+        assert [item["client_id"] for item in document["sessions"]] == ["app"]
 
     def test_votes_route_to_shared_core(self, engine, toy_stats):
         a, b = engine.session("a"), engine.session("b")

@@ -4,9 +4,9 @@ bounded latency window.
 
 The engine's concurrency contract: any number of submitter threads may run
 against the background drain; afterwards every submission is processed
-exactly once, each client's audit log lists its statements in its own
-submission order (the queue is FIFO per client by construction), and a
-checkpoint of the concurrently-driven engine restores step-identically.
+exactly once, each client's statements are analyzed in its own submission
+order (the queue is FIFO per client by construction), and a checkpoint of
+the concurrently-driven engine restores step-identically.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 from repro.db import StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 import repro.service.engine as engine_module
+from repro.query.parser import parse_statement, to_sql
 from repro.service import TuningEngine
 from repro.service.scheduler import BACKGROUND_CLASSES
 
@@ -39,6 +40,24 @@ def make_engine(toy_stats, **options) -> TuningEngine:
     )
 
 
+def record_analysis_order(engine):
+    """Wrap the shared tuner; returns the list it fills with the SQL of
+    every analyzed statement, in analysis order."""
+    analyzed = []
+    analyze = engine.tuner.analyze_statement
+
+    def recording(statement):
+        analyzed.append(to_sql(statement))
+        return analyze(statement)
+
+    engine.tuner.analyze_statement = recording
+    return analyzed
+
+
+def _to_sql(sql: str) -> str:
+    return to_sql(parse_statement(sql))
+
+
 class TestSubmitWhileDraining:
     N_CLIENTS = 4
     PER_CLIENT = 12
@@ -51,6 +70,7 @@ class TestSubmitWhileDraining:
 
     def test_stress_counts_ordering_and_checkpoint_identity(self, toy_stats):
         engine = make_engine(toy_stats)
+        analyzed = record_analysis_order(engine)
         per_client = {
             f"client-{i}": self._client_statements(toy_stats, i)
             for i in range(self.N_CLIENTS)
@@ -79,16 +99,15 @@ class TestSubmitWhileDraining:
         total = self.N_CLIENTS * self.PER_CLIENT
         assert engine.statements_processed == total
         assert engine.queue_depth == 0
+        assert len(set(analyzed)) == len(analyzed) == total
         for client_id, statements in per_client.items():
             state = engine._client(client_id)
             assert state.submitted == state.processed == self.PER_CLIENT
-            # Per-client event ordering: the audit log's statement events
-            # replay the client's own submission order exactly.
-            details = [
-                e.detail for e in engine.history(client_id)
-                if e.kind == "statement"
-            ]
-            assert details == [_to_sql(sql) for sql in statements]
+            # Per-client ordering: the client's statements were analyzed
+            # in its own submission order exactly.
+            expected = [_to_sql(sql) for sql in statements]
+            mine = set(expected)
+            assert [sql for sql in analyzed if sql in mine] == expected
 
         # Checkpoint/restore step-identity: the concurrently-driven engine
         # and its restored twin must walk the same suffix identically.
@@ -110,6 +129,7 @@ class TestSubmitWhileDraining:
 
     def test_submit_many_races_background_drain(self, toy_stats):
         engine = make_engine(toy_stats)
+        analyzed = record_analysis_order(engine)
         batches = [
             [("a", narrow_sql(toy_stats, offset=0.05 * b + 0.01 * i))
              for i in range(4)]
@@ -128,20 +148,11 @@ class TestSubmitWhileDraining:
         finally:
             engine.stop(drain=True)
         assert engine.statements_processed == 16
-        details = [
-            e.detail for e in engine.history("a") if e.kind == "statement"
-        ]
         # Batches interleave arbitrarily, but each batch's statements keep
         # their internal submission order (single lock acquisition).
         for batch in batches:
-            positions = [details.index(_to_sql(sql)) for _, sql in batch]
+            positions = [analyzed.index(_to_sql(sql)) for _, sql in batch]
             assert positions == sorted(positions)
-
-
-def _to_sql(sql: str) -> str:
-    from repro.query.parser import parse_statement, to_sql
-
-    return to_sql(parse_statement(sql))
 
 
 class TestLifecycleRaces:
@@ -247,6 +258,7 @@ class TestLifecycleRaces:
 class TestSubmitMany:
     def test_batch_is_one_lock_acquisition_in_order(self, toy_stats):
         engine = make_engine(toy_stats)
+        analyzed = record_analysis_order(engine)
         entries = [
             ("a", narrow_sql(toy_stats, offset=0.1)),
             ("b", narrow_sql(toy_stats, offset=0.2)),
@@ -257,10 +269,7 @@ class TestSubmitMany:
         assert engine._client("a").submitted == 2
         assert engine._client("b").submitted == 1
         engine.pump()
-        details = [
-            e.detail for e in engine.history("a") if e.kind == "statement"
-        ]
-        assert details == [_to_sql(entries[0][1]), _to_sql(entries[2][1])]
+        assert analyzed == [_to_sql(sql) for _, sql in entries]
 
     def test_empty_batch(self, toy_stats):
         engine = make_engine(toy_stats)

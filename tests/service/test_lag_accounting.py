@@ -11,8 +11,6 @@ larger lags are monotonically no better, and the driver-level
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.driver import run_online
 from repro.core.wfit import WFIT
 from repro.db import StatsTransitionCosts
@@ -162,10 +160,7 @@ class TestDriverRecommendedSeries:
             == autonomous.total_work_series
         )
         # And the lagged DBA can only do worse than full autonomy.
-        assert lagged.adoption_lag_cost >= 0.0
-        assert lagged.total_work == pytest.approx(
-            lagged.recommended_total_work + lagged.adoption_lag_cost
-        )
+        assert lagged.total_work >= lagged.recommended_total_work
 
     def test_untracked_run_has_no_recommended_series(self, toy_stats):
         optimizer = WhatIfOptimizer(toy_stats)

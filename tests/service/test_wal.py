@@ -264,7 +264,6 @@ class TestGroupCommit:
         wal = self._durable_wal(io, fsync_interval_ms=0)
         for n in range(3):
             wal.append("submit", {"n": n})
-        assert wal.synced_seq == wal.appended_seq == 3
         io.crash()
         assert [r.seq for r in read_wal("/w/wal.log", io=io).records] == [1, 2, 3]
 
@@ -275,8 +274,6 @@ class TestGroupCommit:
         wal = self._durable_wal(io, fsync_interval_ms=1e9)
         for n in range(5):
             wal.append("submit", {"n": n})
-        assert wal.appended_seq == 5
-        assert wal.synced_seq == 1
         io.crash()
         survivors = read_wal("/w/wal.log", io=io).records
         assert [r.seq for r in survivors] == [1]
@@ -287,7 +284,6 @@ class TestGroupCommit:
         for n in range(5):
             wal.append("submit", {"n": n})
         wal.sync()
-        assert wal.synced_seq == 5
         io.crash()
         assert len(read_wal("/w/wal.log", io=io).records) == 5
 

@@ -115,12 +115,3 @@ class TestVotes:
         b = Index(SALES, ("sale_date",))
         rec = session.vote({a}, {b})
         assert a in rec and b not in rec
-
-
-class TestAudit:
-    def test_history_records_events(self, session, toy_stats):
-        session.execute(narrow_sql(toy_stats))
-        session.vote_up(Index(SALES, ("amount",)))
-        session.create_index(Index(SALES, ("sale_date",)))
-        kinds = [event.kind for event in session.history()]
-        assert kinds == ["statement", "vote", "create"]

@@ -27,14 +27,6 @@ class TestWorkload:
         assert workload.update_count == 1
         assert workload.query_count == 9
 
-    def test_phase_of(self, workload):
-        assert workload.phase_of(0) == "alpha"
-        assert workload.phase_of(4) == "alpha"
-        assert workload.phase_of(5) == "beta"
-        assert workload.phase_of(9) == "beta"
-        with pytest.raises(IndexError):
-            workload.phase_of(10)
-
     def test_prefix_preserves_boundaries(self, workload):
         prefix = workload.prefix(7)
         assert len(prefix) == 7
@@ -56,8 +48,3 @@ class TestWorkload:
         text = workload.summary()
         assert "alpha" in text and "beta" in text
         assert "10 statements" in text
-
-    def test_to_sql_lines(self, workload):
-        lines = workload.to_sql_lines()
-        assert len(lines) == 10
-        assert lines[0].startswith("SELECT")
