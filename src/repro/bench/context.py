@@ -46,6 +46,7 @@ class ExperimentContext:
     per_phase: int
     scale: float
     seed: int
+    idx_cnt: int                                     # monitored-index budget
     catalog: Catalog
     stats: StatsRepository
     optimizer: WhatIfOptimizer
@@ -145,6 +146,7 @@ def get_context(
         per_phase=per_phase,
         scale=scale,
         seed=seed,
+        idx_cnt=idx_cnt,
         catalog=catalog,
         stats=stats,
         optimizer=optimizer,

@@ -263,7 +263,9 @@ def figure12_auto(
     """Figure 12: automatic maintenance of the stable partition.
 
     FIXED uses the offline-chosen partition for the whole workload; AUTO
-    lets chooseCands/repartition evolve candidates online. Expected: AUTO
+    lets chooseCands/repartition evolve candidates online, monitoring up
+    to the context's ``idx_cnt`` indices (the budget FIXED's candidate set
+    was chosen with). Expected: AUTO
     at least matches FIXED and may exceed OPT early, because it can
     specialize candidates per phase while OPT is stuck with one set.
     """
@@ -276,7 +278,7 @@ def figure12_auto(
     auto = WFIT(
         context.optimizer,
         context.transitions,
-        idx_cnt=40,
+        idx_cnt=context.idx_cnt,
         state_cnt=state_cnt,
         seed=1,
     )
@@ -328,7 +330,7 @@ def overhead_table(context: ExperimentContext) -> FigureResult:
     context.optimizer.clear_cache()
     context.optimizer.reset_counters()
     auto = WFIT(
-        context.optimizer, context.transitions, idx_cnt=40,
+        context.optimizer, context.transitions, idx_cnt=context.idx_cnt,
         state_cnt=_default_state_cnt(context), seed=1,
     )
     _, run = _run_and_ratio(context, auto)

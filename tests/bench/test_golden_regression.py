@@ -7,12 +7,16 @@ numerical behavior of the whole stack — workload generation, the what-if
 cost model, the bitset WFA/IBG kernel, OPT, and the feedback machinery —
 so a perf-motivated refactor cannot silently shift the science.
 
+Figure 12 (automatic candidate maintenance against the fixed partition)
+runs at the same parameters, with the context's ``idx_cnt``, and is pinned
+exactly (``==``, notes included) in ``tests/golden/figure12_small.json``.
+
 Regenerate (after an *intentional* behavior change) with:
 
     PYTHONPATH=src REPRO_REGEN_GOLDEN=1 python -m pytest tests/bench/test_golden_regression.py
 
-and commit the diff of ``tests/golden/figures_small.json`` alongside an
-explanation of why the curves moved.
+and commit the diff of the golden files alongside an explanation of why
+the curves moved.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import pathlib
 
 import pytest
 
-from repro.bench import figure8_baseline, figure9_feedback, get_context
+from repro.bench import figure12_auto, figure8_baseline, figure9_feedback, get_context
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "golden" / "figures_small.json"
+FIGURE12_PATH = GOLDEN_PATH.with_name("figure12_small.json")
 
 #: Reduced-scale, fixed-seed experiment parameters (shared with the harness
 #: tests' tiny context so the session-scoped context cache is reused).
@@ -76,3 +81,18 @@ def test_totwork_curves_match_golden(golden_context):
                 assert actual_series[checkpoint] == pytest.approx(
                     value, abs=_TOL
                 ), f"{figure}/{label} at q={checkpoint}"
+
+
+def test_figure12_matches_golden_exactly(golden_context):
+    result = figure12_auto(golden_context)
+    # Through a JSON round trip: floats round-trip exactly (repr).
+    actual = json.loads(json.dumps({
+        "curves": _curves_as_json(result), "notes": result.notes,
+    }))
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        FIGURE12_PATH.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"golden regenerated at {FIGURE12_PATH}")
+    assert FIGURE12_PATH.exists(), (
+        f"golden file missing; run with REPRO_REGEN_GOLDEN=1 to create {FIGURE12_PATH}"
+    )
+    assert actual == json.loads(FIGURE12_PATH.read_text())
