@@ -14,7 +14,7 @@ per-part size cap that keeps any single WFA instance tractable.
 The search runs on *positions* in ``sorted(candidates)``: an index is an
 int, a part is a mask of positions, and the interaction data is the list
 of positive ``(i, j, doi)`` pairs, read from the ``doi`` callable once per
-search. :func:`partition_loss` / :func:`pairwise_loss` remain the
+search and only for pairs on one table. :func:`partition_loss` / :func:`pairwise_loss` remain the
 set-level definition of the loss; the positional search reproduces their
 float additions (and every ``rng.choices`` draw) exactly.
 """
@@ -217,8 +217,12 @@ def choose_partition(
     the baseline and ``rand_cnt`` randomized merge passes, its parts
     ordered by their least index.
 
-    ``doi`` is called once per candidate pair ``(a, b)`` with ``a < b``,
-    in sorted order; only positive values are kept. The baseline is
+    ``doi`` is called once per *same-table* candidate pair ``(a, b)``
+    with ``a < b``, in sorted order; only positive values are kept. A
+    cross-table pair counts as 0.0 without a call: the cost model confines
+    interaction to one table, and neither source of doi values (WFIT's
+    statistics, :func:`~repro.core.offline.compute_fixed_partition`) ever
+    records a cross-table pair. The baseline is
     ``current_partition`` (disjoint parts; indices outside ``candidates``
     are ignored) restricted to the candidates, plus a singleton for every
     candidate it does not cover. The passes then run on positions in
@@ -237,14 +241,18 @@ def choose_partition(
             f"for {size} candidates"
         )
 
-    # Evaluate doi once per pair (current-doi evaluation scans a history
-    # and is not free); the passes only see the positive pairs.
+    # Evaluate doi once per same-table pair (current-doi evaluation scans
+    # a history and is not free); the passes only see the positive pairs.
+    # Indices sort by table first, so each table's candidates are a run.
     ordered = sorted(wanted)
     positive: PositivePairs = []
     for i in range(size):
         a = ordered[i]
         for j in range(i + 1, size):
-            value = doi(a, ordered[j])
+            b = ordered[j]
+            if b.table != a.table:
+                break
+            value = doi(a, b)
             if value > 0.0:
                 positive.append((i, j, value))
 

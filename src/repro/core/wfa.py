@@ -300,6 +300,11 @@ class WFA:
         self._rec = rec
         self._statements_analyzed = int(state["statements_analyzed"])
 
+    def reset_statement_count(self) -> None:
+        """Restart :attr:`statements_analyzed` at 0, the count of a freshly
+        built part (WFIT's repartition keeps an unchanged part's instance)."""
+        self._statements_analyzed = 0
+
     def work_value(self, subset: AbstractSet[Index]) -> float:
         return self._kernel.work_value(self._mask_of(subset))
 

@@ -317,6 +317,14 @@ class WFIT:
         old-part order, reading each old part's exported ``w`` through a
         new-to-old local-mask table; the δ term for indices never
         monitored before is summed on its own, then added.
+
+        A new part equal to an old part keeps that part's instance, with
+        its statement count restarted at 0. The formula would give it
+        0.0 + w_old(S) + 0.0, which is w_old(S) (work values are sums of
+        non-negative costs, never −0.0), and the recommendation P ∩ rec,
+        which is the old part's own; so its ``export_state()`` is that of
+        a rebuilt part. Only old parts that overlap a changed part export
+        their ``w``.
         """
         materialized = self.recommend()
         new_candidates = (
@@ -329,45 +337,73 @@ class WFIT:
                 f"{sorted(ix.name for ix in uncovered)}"
             )
         old_candidates = self.candidates
-        old_w = [instance.export_state()["w"] for instance in self._instances]
+        kept = dict(zip(self._parts, self._instances))
+        changed = frozenset().union(
+            *(part for part in new_parts if part not in kept)
+        )
+        old_w: Dict[int, List[float]] = {}
         # index -> (old part number, its bit in that part's local mask)
         old_position: Dict[Index, Tuple[int, int]] = {}
-        for number, part in enumerate(self._parts):
+        for number, (part, instance) in enumerate(zip(self._parts, self._instances)):
+            if not part & changed:
+                continue
+            old_w[number] = instance.export_state()["w"]
             for k, index in enumerate(sorted(part)):
                 old_position[index] = (number, 1 << k)
 
         new_instances: List[WFA] = []
         for part in new_parts:
-            ordered = sorted(part)
-            # Per overlapping old part: the image of each new position.
-            bits: Dict[int, List[int]] = {}
-            for k, index in enumerate(ordered):
-                found = old_position.get(index)
-                if found is not None:
-                    number, bit = found
-                    bits.setdefault(number, [0] * len(ordered))[k] = bit
-            values = [0.0] * (1 << len(ordered))
-            for number in sorted(bits):
-                w = old_w[number]
-                values = [
-                    total + w[old_mask]
-                    for total, old_mask in zip(values, _remap_table(bits[number]))
-                ]
-            fresh = self._fresh_delta(ordered, old_candidates)
-            values = [total + delta for total, delta in zip(values, fresh)]
-            new_instances.append(WFA(
-                ordered,
-                self._initial_config & part,
-                self._cost_fn,
-                self._transitions,
-                work_values=values,
-                recommendation=part & materialized,
-            ))
+            instance = kept.get(part)
+            if instance is None:
+                instance = self._warm_started(
+                    part, old_w, old_position, old_candidates, materialized
+                )
+            new_instances.append(instance)
+        # Every new part exists by now, so a raise above left the tuner as
+        # it was.
+        for part, instance in zip(new_parts, new_instances):
+            if part in kept:
+                instance.reset_statement_count()
         self._parts = list(new_parts)
         self._instances = new_instances
         self.repartition_count += 1
         if obs.state.enabled:
             _wfit_counters()[1].inc()
+
+    def _warm_started(
+        self,
+        part: FrozenSet[Index],
+        old_w: Dict[int, List[float]],
+        old_position: Dict[Index, Tuple[int, int]],
+        old_candidates: FrozenSet[Index],
+        materialized: FrozenSet[Index],
+    ) -> WFA:
+        """A new part's instance, seeded by Figure 5's lines 6–7."""
+        ordered = sorted(part)
+        # Per overlapping old part: the image of each new position.
+        bits: Dict[int, List[int]] = {}
+        for k, index in enumerate(ordered):
+            found = old_position.get(index)
+            if found is not None:
+                number, bit = found
+                bits.setdefault(number, [0] * len(ordered))[k] = bit
+        values = [0.0] * (1 << len(ordered))
+        for number in sorted(bits):
+            w = old_w[number]
+            values = [
+                total + w[old_mask]
+                for total, old_mask in zip(values, _remap_table(bits[number]))
+            ]
+        fresh = self._fresh_delta(ordered, old_candidates)
+        values = [total + delta for total, delta in zip(values, fresh)]
+        return WFA(
+            ordered,
+            self._initial_config & part,
+            self._cost_fn,
+            self._transitions,
+            work_values=values,
+            recommendation=part & materialized,
+        )
 
     def _fresh_delta(
         self, ordered: Sequence[Index], old_candidates: AbstractSet[Index]

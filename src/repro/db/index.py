@@ -26,7 +26,8 @@ class Index:
 
     The natural ordering (``order=True``) gives a deterministic global order
     used for tie-breaking in WFA (Appendix B of the paper) and for stable
-    display output.
+    display output. The hash is the generated dataclass one, computed once
+    per object.
     """
 
     table: str
@@ -39,6 +40,21 @@ class Index:
             raise ValueError("index must have at least one column")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError(f"duplicate columns in index: {self.columns!r}")
+
+    def __hash__(self) -> int:
+        # Indices key every configuration, memo and statistics table, so
+        # the field-tuple hash is computed once and kept on the object.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.table, self.columns))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Pickle and copy through the constructor: str hashes are salted
+        # per process, so the cached hash must not travel with the index.
+        return (type(self), (self.table, self.columns))
 
     @property
     def name(self) -> str:

@@ -12,18 +12,29 @@ Both are maxima over configurations ``X ⊆ U``. Evaluating them needs no
 further optimizer calls: every ``cost`` lookup is answered by the IBG. The
 enumeration is restricted to the *interaction scope* of the index — by
 default the IBG indices on the same table, because the cost model localizes
-interactions within a table (hash-join configuration; see DESIGN.md). A
-wider scope can be requested when index-nested-loop joins are enabled.
+interactions within a table (hash-join configuration; see the README's
+"Candidate maintenance" section). A wider scope can be requested when
+index-nested-loop joins are enabled.
 
-The sweeps run on the bitset kernel: contexts are enumerated as submasks
-of the scope mask (``sub = (sub − 1) & scope``, one int op per subset) and
-costs are read through :meth:`IndexBenefitGraph.cost_mask`, so a full
-``2^|scope|`` benefit scan allocates no containers at all.
+The sweeps run on one cost vector per *pool*: the IBG's used indices on
+the index's table (all of them when the scope is not table-local). The
+graph lists ``C[k] = cost(k)`` for every subset ``k`` of the pool once
+(:meth:`IndexBenefitGraph.subset_costs`); then
+
+* ``β(a) = max(0, max over k ∌ a of C[k] − C[k|a])``, and
+* ``doi(a, b) = max over k ∌ a, b of
+  |(C[k] − C[k|a]) − (C[k|b] − C[k|a|b])|``.
+
+These are the subtractions a per-context sweep makes, so the maxima are
+the same floats; every index and pair of a table reads the same vector.
+Pools above ``_FULL_ENUMERATION_LIMIT`` indices keep the per-context sweep,
+which samples the contexts instead (see :func:`_context_masks`).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterator, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.bitset import iter_submasks
 from ..db.index import Index
@@ -41,6 +52,15 @@ __all__ = [
 _FULL_ENUMERATION_LIMIT = 12
 
 
+def _pool_mask(ibg: IndexBenefitGraph, index: Index, same_table_only: bool) -> int:
+    """The indices that can share a context with ``index``, as a mask: the
+    IBG's used indices, restricted to ``index``'s table by default."""
+    pool = ibg.all_used_mask()
+    if same_table_only:
+        pool &= ibg.universe.table_mask(index.table)
+    return pool
+
+
 def _scope_mask(
     ibg: IndexBenefitGraph, index: Index, same_table_only: bool
 ) -> int:
@@ -50,13 +70,9 @@ def _scope_mask(
     :func:`interaction_scope` is its decoded view. An ``index`` not (yet)
     registered in the universe simply contributes no bit to exclude.
     """
-    universe = ibg.universe
-    position = universe.position(index)
+    position = ibg.universe.position(index)
     bit = 0 if position is None else 1 << position
-    pool = ibg.all_used_mask()
-    if same_table_only:
-        pool &= universe.table_mask(index.table)
-    return pool & ~bit
+    return _pool_mask(ibg, index, same_table_only) & ~bit
 
 
 def interaction_scope(
@@ -73,7 +89,7 @@ def interaction_scope(
 
 
 def _context_masks(ibg: IndexBenefitGraph, scope: int) -> Iterator[int]:
-    """Candidate contexts X for the maxima, as masks.
+    """Candidate contexts X for the maxima over a large pool, as masks.
 
     Full power set when the scope is small; otherwise the family of used
     sets realized by IBG nodes (projected into the scope), which is where
@@ -94,6 +110,26 @@ def _context_masks(ibg: IndexBenefitGraph, scope: int) -> Iterator[int]:
         yield scope
 
 
+def _local_bit(pool: int, bit: int) -> int:
+    """``bit``, a member of ``pool``, as a bit of ``pool``'s local masks."""
+    return 1 << (pool & (bit - 1)).bit_count()
+
+
+def _differences(values: Sequence[float], local: int) -> List[float]:
+    """``values[k] − values[k | local]`` for every local mask ``k`` without
+    ``local``, in ascending ``k``: a vector over the remaining positions."""
+    return [
+        values[k] - values[k | local]
+        for k in range(len(values)) if not k & local
+    ]
+
+
+def _max_from_zero(values: Iterable[float]) -> float:
+    """The largest value, or 0.0 if none is positive — with a sweep's
+    strict ``>``, so the float kept is the one a per-context loop keeps."""
+    return max(chain((0.0,), values))
+
+
 def max_benefit(
     ibg: IndexBenefitGraph, index: Index, same_table_only: bool = True
 ) -> float:
@@ -103,13 +139,16 @@ def max_benefit(
     bit = ibg.universe.bit_of(index)
     if not (ibg.candidates_mask & bit) or not (ibg.all_used_mask() & bit):
         return 0.0
-    best = 0.0
+    pool = _pool_mask(ibg, index, same_table_only)
+    if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
+        return _max_from_zero(
+            _differences(ibg.subset_costs(pool), _local_bit(pool, bit))
+        )
     cost = ibg.cost_mask
-    for context in _context_masks(ibg, _scope_mask(ibg, index, same_table_only)):
-        benefit = cost(context) - cost(context | bit)
-        if benefit > best:
-            best = benefit
-    return best
+    return _max_from_zero(
+        cost(context) - cost(context | bit)
+        for context in _context_masks(ibg, pool & ~bit)
+    )
 
 
 def degree_of_interaction(
@@ -134,17 +173,25 @@ def degree_of_interaction(
     used_anywhere = ibg.all_used_mask()
     if not (used_anywhere & a_bit) or not (used_anywhere & b_bit):
         return 0.0  # an index that never enters a plan cannot interact
-    scope = _scope_mask(ibg, a, same_table_only) & ~b_bit
-    worst = 0.0
+    pool = _pool_mask(ibg, a, same_table_only)
+    if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
+        # a's benefit in every context, then the change b makes to it:
+        # b's position is counted in the pool without a.
+        benefits = _differences(ibg.subset_costs(pool), _local_bit(pool, a_bit))
+        return _max_from_zero(
+            abs(diff)
+            for diff in _differences(benefits, _local_bit(pool & ~a_bit, b_bit))
+        )
     cost = ibg.cost_mask
-    for context in _context_masks(ibg, scope):
-        benefit_without = cost(context) - cost(context | a_bit)
-        with_b = context | b_bit
-        benefit_with = cost(with_b) - cost(with_b | a_bit)
-        diff = abs(benefit_without - benefit_with)
-        if diff > worst:
-            worst = diff
-    return worst
+
+    def diffs() -> Iterator[float]:
+        for context in _context_masks(ibg, pool & ~a_bit & ~b_bit):
+            benefit_without = cost(context) - cost(context | a_bit)
+            with_b = context | b_bit
+            benefit_with = cost(with_b) - cost(with_b | a_bit)
+            yield abs(benefit_without - benefit_with)
+
+    return _max_from_zero(diffs())
 
 
 def interaction_pairs(
@@ -154,8 +201,9 @@ def interaction_pairs(
 ) -> Dict[Tuple[Index, Index], float]:
     """All positive doi values among ``indices`` (keys sorted per pair).
 
-    Pairs are pruned to those that co-occur in some IBG used set or share a
-    table, since any other pair provably has doi 0 in this cost model.
+    With ``same_table_only`` (the default), only pairs on one table are
+    evaluated: the cost model confines interaction to a table, so every
+    cross-table pair has doi 0.
     """
     candidates = sorted(set(indices) & set(ibg.candidates))
     out: Dict[Tuple[Index, Index], float] = {}

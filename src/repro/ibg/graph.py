@@ -16,11 +16,12 @@ removing a used index not in ``X``.
 optimizer's :class:`~repro.core.bitset.IndexUniverse`: nodes are keyed by
 int, the root-walk step is two mask operations, and ``cost_mask`` answers a
 lookup without constructing a single container — which is what makes the
-per-statement benefit/interaction sweeps of WFIT affordable. The sweeps ask
-for the same configurations once per index pair, so ``cost_mask`` memoizes
-its answer per graph: one covering walk and one maintenance sum per
-distinct configuration, for as long as the graph lives. The frozenset API
-(``cost``, ``used``, ``benefit``) remains as an encode shim.
+per-statement benefit/interaction sweeps of WFIT affordable. ``cost_mask``
+memoizes its answer per graph: one covering walk and one maintenance sum
+per distinct configuration, for as long as the graph lives. The sweeps
+read whole pools at once through :meth:`IndexBenefitGraph.subset_costs`,
+the cost of every subset of a pool as one list, memoized per pool. The
+frozenset API (``cost``, ``used``, ``benefit``) remains as an encode shim.
 
 **Write statements.** For updates/inserts/deletes, *every* index on the
 written table is cost-relevant through maintenance, which would make used
@@ -118,6 +119,8 @@ class IndexBenefitGraph:
         )
         # cost_mask results (core cost plus maintenance) by config & root.
         self._cost_memo: Dict[int, float] = {}
+        # subset_costs results by pool mask.
+        self._subset_costs: Dict[int, List[float]] = {}
         self._all_used_mask: Optional[int] = None
         self._all_used: Optional[FrozenSet[Index]] = None
         self.empty_cost = self.cost_mask(0)
@@ -185,6 +188,22 @@ class IndexBenefitGraph:
                 total += self._maintenance_sum(charged)
             self._cost_memo[wanted] = total
         return total
+
+    def subset_costs(self, pool: int) -> List[float]:
+        """``cost_mask`` of every subset of ``pool``, by local mask.
+
+        Local bit ``k`` stands for the ``k``-th lowest set bit of ``pool``,
+        so the list has ``2^|pool|`` entries. Memoized per pool: the
+        benefit and interaction sweeps of one table share one vector.
+        """
+        costs = self._subset_costs.get(pool)
+        if costs is None:
+            masks = [0]
+            for bit in iter_bits(pool):
+                masks += [mask | bit for mask in masks]
+            cost = self.cost_mask
+            costs = self._subset_costs[pool] = [cost(mask) for mask in masks]
+        return costs
 
     def used_mask(self, config_mask: int) -> int:
         """``used(q, X)`` as a mask: the cost-relevant indices under ``X``."""

@@ -133,7 +133,6 @@ class StatementCosts:
         tables_mask = optimizer._statement_tables_mask(statement)
         cache = self._cache
         cache_get = cache.get
-        optimize = optimizer._optimize_relevant
         if (
             _np is not None
             and isinstance(config_masks, _np.ndarray)
@@ -157,22 +156,25 @@ class StatementCosts:
                     statement, miss_masks, cache, values, miss_positions
                 )
             _np.take(values, inverse.reshape(-1), out=out)
-            optimizer._stmt_hits += n - len(miss_masks)
+            optimizer._count_batch(n - len(miss_masks), len(miss_masks))
             return
         if _np is not None and isinstance(config_masks, _np.ndarray):
             # Universe beyond 63 bits: the int64 vector cannot carry the
             # table mask — rewiden to Python ints and take the int loop.
             config_masks = config_masks.tolist()
         hits = 0
+        template = None  # fetched on the batch's first memo miss
         for i, mask in enumerate(config_masks):
             relevant = mask & tables_mask
             entry = cache_get(relevant)
             if entry is None:
-                entry = optimize(statement, relevant, cache)
+                if template is None:
+                    template = optimizer._statement_template(statement)
+                entry = cache[relevant] = template.entry(relevant)
             else:
                 hits += 1
             out[i] = entry[0]
-        optimizer._stmt_hits += hits
+        optimizer._count_batch(hits, n - hits)
 
 
 class WhatIfOptimizer:
@@ -189,7 +191,8 @@ class WhatIfOptimizer:
         # LRU-bounded like every statement-keyed table here.
         self._cache: "OrderedDict[Statement, Dict[int, _Entry]]" = OrderedDict()
         self._stmt_tables: "OrderedDict[Statement, Tuple[str, ...]]" = OrderedDict()
-        self._maintenance_cache: Dict[Tuple[Statement, Index], float] = {}
+        # statement -> {index -> maintenance charge}, bounded like _cache.
+        self._maintenance_cache: "OrderedDict[Statement, Dict[Index, float]]" = OrderedDict()
         # statement -> its IBG, LRU-bounded (built lazily by statement_ibg;
         # grown when a request spans candidates outside the cached root).
         self._ibg_cache: "OrderedDict[Statement, object]" = OrderedDict()
@@ -361,18 +364,12 @@ class WhatIfOptimizer:
             self._template_evictions += 1
         return template
 
-    def _optimize_relevant(
-        self,
-        statement: Statement,
-        relevant_mask: int,
-        cache: Dict[int, _Entry],
-    ) -> _Entry:
-        """Cache miss: price the mask via the plan template."""
-        self._stmt_misses += 1
-        entry = self._statement_template(statement).entry(relevant_mask)
-        self._template_mask_costs += 1
-        cache[relevant_mask] = entry
-        return entry
+    def _count_batch(self, hits: int, misses: int) -> None:
+        """Memo accounting for a batch whose misses were priced by a
+        template menu walk (the template fetched once per batch)."""
+        self._stmt_hits += hits
+        self._stmt_misses += misses
+        self._template_mask_costs += misses
 
     def _price_relevant_batch(
         self,
@@ -384,18 +381,16 @@ class WhatIfOptimizer:
     ) -> None:
         """Price a batch of distinct memo-missing relevant masks at once.
 
-        The batched twin of :meth:`_optimize_relevant`: the statement's
-        plan template is fetched *once* for the whole batch and the masks
-        are priced through :meth:`PlanTemplate.costs_into`. Entries land
+        The statement's plan template is fetched *once* for the whole
+        batch and the masks are priced through
+        :meth:`PlanTemplate.costs_into`. Entries land
         in the shared memo and their costs in ``values`` at the given
         ``positions``.
         """
-        self._stmt_misses += len(relevant_masks)
         costs = [0.0] * len(relevant_masks)
         entries = self._statement_template(statement).costs_into(
             relevant_masks, costs
         )
-        self._template_mask_costs += len(relevant_masks)
         for rel, entry in zip(relevant_masks, entries):
             cache[rel] = entry
         for pos, cost in zip(positions, costs):
@@ -407,7 +402,9 @@ class WhatIfOptimizer:
         cache = self._statement_cache(statement)
         entry = cache.get(relevant)
         if entry is None:
-            entry = self._optimize_relevant(statement, relevant, cache)
+            template = self._statement_template(statement)
+            entry = cache[relevant] = template.entry(relevant)
+            self._count_batch(0, 1)
         else:
             self._stmt_hits += 1
         return entry
@@ -416,22 +413,26 @@ class WhatIfOptimizer:
         self, statement: Statement, config_masks: Sequence[int]
     ) -> List[Tuple[float, int]]:
         """Batched :meth:`plan_usage_mask`: ``(cost, plan-used mask)`` per
-        requested configuration, priced through the statement's template
-        with one handle fetch for the whole batch (what IBG construction
-        drives wave by wave)."""
+        requested configuration (what IBG construction drives wave by
+        wave). Memo misses are priced through the statement's template,
+        fetched once, on the batch's first miss."""
         self.whatif_calls += len(config_masks)
         tables_mask = self._statement_tables_mask(statement)
         cache = self._statement_cache(statement)
         cache_get = cache.get
+        template = None
+        misses = 0
         out: List[Tuple[float, int]] = []
         for mask in config_masks:
             relevant = mask & tables_mask
             entry = cache_get(relevant)
             if entry is None:
-                entry = self._optimize_relevant(statement, relevant, cache)
-            else:
-                self._stmt_hits += 1
+                if template is None:
+                    template = self._statement_template(statement)
+                entry = cache[relevant] = template.entry(relevant)
+                misses += 1
             out.append((entry[0], entry[2]))
+        self._count_batch(len(config_masks) - misses, misses)
         return out
 
     # -- the statement IBG (configuration-parametric costing) -----------------
@@ -540,12 +541,15 @@ class WhatIfOptimizer:
 
     def maintenance_cost(self, statement: Statement, index: Index) -> float:
         """Config-independent maintenance charge of ``index`` (0 for reads)."""
-        key = (statement, index)
-        cached = self._maintenance_cache.get(key)
-        if cached is None:
-            cached = self._model.maintenance_cost(statement, index)
-            self._maintenance_cache[key] = cached
-        return cached
+        charges = self._maintenance_cache.get(statement)
+        if charges is None:
+            charges = self._maintenance_cache[statement] = {}
+            while len(self._maintenance_cache) > _STMT_CACHE_LIMIT:
+                self._maintenance_cache.popitem(last=False)
+        charge = charges.get(index)
+        if charge is None:
+            charge = charges[index] = self._model.maintenance_cost(statement, index)
+        return charge
 
     def explain(self, statement: Statement, config: AbstractSet[Index]) -> QueryPlan:
         """The chosen plan (not cached; used for inspection and examples)."""
@@ -574,9 +578,12 @@ class WhatIfOptimizer:
 
         ``statement_*`` accounts the per-statement cost memo (a hit is a
         costing request answered without pricing work); ``template_*``
-        accounts the compiled plan-template cache — ``template_builds``
-        counts genuine plan derivations, ``template_mask_costs`` the memo
-        misses priced by a template menu walk. ``ibg_*`` accounts the
+        accounts the compiled plan-template cache — the template is
+        fetched once per costing batch that misses the memo, so
+        ``template_hits`` counts such batches (not misses) answered by a
+        cached template, ``template_builds`` counts genuine plan
+        derivations, and ``template_mask_costs`` the memo misses priced by
+        a template menu walk. ``ibg_*`` accounts the
         per-statement Index Benefit Graph cache (WFIT's candidate
         analysis). Hit rates are derived; they are 0.0 while no requests
         have been observed. Counters are cumulative since construction or

@@ -3,7 +3,9 @@
 Statements are immutable, hashable value objects: the what-if cache keys on
 ``(statement, configuration)``, mirroring the configuration-parametric
 optimization of Bruno & Nehme [8] that the paper cites for fast repeated
-what-if calls.
+what-if calls. A statement computes its hash once (the value the generated
+dataclass ``__hash__`` returns) and rebuilds through its constructor on
+pickle or copy, so the cached value never leaves the process.
 
 The modelled SQL subset matches the paper's benchmark workload: conjunctive
 select-project-join queries (equality / range / BETWEEN predicates, equi-
@@ -13,7 +15,7 @@ INSERT / DELETE statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import FrozenSet, Optional, Tuple, Union
 
 __all__ = [
@@ -29,6 +31,28 @@ __all__ = [
     "DeleteStatement",
     "Statement",
 ]
+
+
+def _field_values(statement) -> tuple:
+    return tuple(getattr(statement, f.name) for f in fields(statement))
+
+
+def _hash_once(self) -> int:
+    """The generated dataclass hash (of the field tuple), computed once per
+    statement: statements key the what-if memo and the template and IBG
+    caches, and rehashing a query's field tree costs microseconds."""
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(_field_values(self))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def _rebuild(self):
+    """Pickle and copy through the constructor: ``str`` hashes are salted
+    per process, so the cached hash must not travel with the statement."""
+    return (type(self), _field_values(self))
 
 
 @dataclass(frozen=True, order=True)
@@ -143,6 +167,9 @@ class SelectQuery:
     projection: Tuple[ColumnRef, ...] = ()
     order_by: Optional[OrderBy] = None
 
+    __hash__ = _hash_once
+    __reduce__ = _rebuild
+
     def __post_init__(self) -> None:
         if not self.tables:
             raise ValueError("query must reference at least one table")
@@ -194,6 +221,9 @@ class UpdateStatement:
     set_columns: Tuple[str, ...]
     predicates: Tuple[TablePredicate, ...] = ()
 
+    __hash__ = _hash_once
+    __reduce__ = _rebuild
+
     def __post_init__(self) -> None:
         if not self.set_columns:
             raise ValueError("UPDATE must set at least one column")
@@ -226,6 +256,9 @@ class InsertStatement:
     table: str
     row_count: int = 1
 
+    __hash__ = _hash_once
+    __reduce__ = _rebuild
+
     def __post_init__(self) -> None:
         if self.row_count < 1:
             raise ValueError("row_count must be >= 1")
@@ -250,6 +283,9 @@ class DeleteStatement:
 
     table: str
     predicates: Tuple[TablePredicate, ...] = ()
+
+    __hash__ = _hash_once
+    __reduce__ = _rebuild
 
     def __post_init__(self) -> None:
         for pred in self.predicates:

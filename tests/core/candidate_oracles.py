@@ -2,7 +2,8 @@
 
 These are the original, frozenset-level implementations of
 ``choosePartition`` (Figure 7) and of the ``repartition`` warm start
-(Figure 5, lines 4–7). Production code (:mod:`repro.core.partitioning`,
+(Figure 5, lines 4–7). Like production, the partition oracle reads doi
+for same-table pairs only and takes every cross-table pair as 0.0. Production code (:mod:`repro.core.partitioning`,
 :meth:`repro.core.wfit.WFIT._repartition`) runs the same computations on
 positions and masks; the property tests assert that both give exactly
 equal (``==``) results and leave the RNG in the same state.
@@ -123,6 +124,8 @@ def reference_choose_partition(
     matrix: dict = {}
     for i, a in enumerate(ordered_all):
         for b in ordered_all[i + 1:]:
+            if a.table != b.table:
+                continue  # interaction is confined to one table
             value = doi(a, b)
             if value > 0.0:
                 matrix[(a, b)] = value

@@ -5,12 +5,13 @@ oracle exactly.
 and masks, reading ``doi`` once per pair; ``candidate_oracles`` keeps the
 original frozenset implementation. Over random doi matrices (sparse, dense,
 tied, decimal fractions whose sums round by order, magnitudes from 1e-300
-to 1e6, all-zero), current partitions
+to 1e6, all-zero), candidates on one to three tables, current partitions
 (including infeasible baselines and indices that are no longer
 candidates), budgets and ``rand_cnt`` ∈ {0, 1, 100}, both must return the
 same partition (``==``, part order included) or raise the same error, call
 ``doi`` with the same pairs in the same order, and leave the RNG in the same
-state.
+state. The matrices carry cross-table entries too; both searches must
+ignore them and never ask ``doi`` for a cross-table pair.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from candidate_oracles import reference_choose_partition
 from repro.core.partitioning import MAX_PART_SIZE, choose_partition
+from repro.db import Index
 from synth import make_indices
 
 #: Indices 0..n-1 are candidates; the last three only ever appear in the
@@ -41,8 +43,14 @@ _VALUES = {
 @st.composite
 def search_cases(draw, max_candidates=12):
     n = draw(st.integers(0, max_candidates))
-    indices = make_indices(n + _FORMER)
-    candidates = indices[:n]
+    tables = draw(st.integers(1, 3))
+    slots = draw(st.lists(
+        st.integers(0, tables - 1), min_size=n + _FORMER, max_size=n + _FORMER
+    ))
+    indices = [
+        Index(f"syn.t{slot}", (f"c{i:02d}",)) for i, slot in enumerate(slots)
+    ]
+    candidates = sorted(indices[:n])
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
     values = _VALUES[draw(st.sampled_from(sorted(_VALUES)))]
     matrix = {}
@@ -98,6 +106,7 @@ def _assert_same(case):
     assert actual == expected
     assert actual_calls == expected_calls
     assert actual_rng == expected_rng
+    assert all(a.table == b.table for a, b in actual_calls)
     return actual
 
 
@@ -105,6 +114,10 @@ def _assert_same(case):
 @given(case=search_cases())
 def test_matches_set_based_oracle(case):
     outcome = _assert_same(case)
+    candidates, matrix = case[0], case[1]
+    event(f"tables: {len({ix.table for ix in candidates})}")
+    if any(a.table != b.table and value > 0.0 for (a, b), value in matrix.items()):
+        event("positive cross-table entries")
     if outcome[0] == "ok":
         event(f"largest part: {max((len(p) for p in outcome[1]), default=0)}")
     else:

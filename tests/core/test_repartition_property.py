@@ -6,16 +6,21 @@ function by local mask (Figure 5, lines 6–7); ``candidate_oracles`` keeps
 the original frozenset computation. From a tuned auto-mode state, random
 new partitions — indices kept, dropped and never monitored before,
 including an initially materialized index that left the candidate set (the
-line-7 drop term) — must give every new part the oracle's ``w`` vector,
-``==`` value for value, on both work-function kernel backends.
+line-7 drop term), and old parts kept verbatim — must give every new part
+the oracle's ``w`` vector, ``==`` value for value, on both work-function
+kernel backends. Every new part's ``export_state()`` (``w``,
+``recommendation_mask``, ``statements_analyzed``) must equal that of a
+part rebuilt from the oracle's vector, including the parts ``repartition``
+keeps instead of rebuilding.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from candidate_oracles import reference_warm_start
+from repro.core.wfa import WFA
 from repro.core.wfa_kernel import available_backends, force_backend
 from repro.core.wfit import WFIT
 from repro.db import StatsTransitionCosts
@@ -46,8 +51,15 @@ def tuned(bench_catalog):
     return stats, tuner.export_state(), initial
 
 
-def _draw_partition(data, pool, required):
-    """A random partition of ``required`` plus a random subset of ``pool``."""
+def _draw_partition(data, pool, required, old_parts):
+    """A random partition of ``required`` plus a random subset of ``pool``,
+    keeping a random selection of ``old_parts`` verbatim."""
+    verbatim = data.draw(st.lists(
+        st.booleans(), min_size=len(old_parts), max_size=len(old_parts)
+    ))
+    kept = [part for part, k in zip(old_parts, verbatim) if k]
+    taken = frozenset().union(*kept)
+    pool = [ix for ix in pool if ix not in taken]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     chosen = [ix for ix, k in zip(pool, keep) if k or ix in required]
     slots = data.draw(st.lists(
@@ -57,16 +69,32 @@ def _draw_partition(data, pool, required):
         frozenset(ix for ix, slot in zip(chosen, slots) if slot == number)
         for number in range(4)
     ]
-    return [part for part in parts if part]
+    return data.draw(st.permutations(kept + [part for part in parts if part]))
 
 
 def _repartition_matches_oracle(tuner, new_parts, backend):
     expected = reference_warm_start(tuner, new_parts)
+    materialized = tuner.recommend()
+    rebuilt = [
+        WFA(
+            sorted(part), tuner._initial_config & part, tuner._cost_fn,
+            tuner._transitions, work_values=vector,
+            recommendation=part & materialized,
+        ).export_state()
+        for part, vector in zip(new_parts, expected)
+    ]
+    old = dict(zip(tuner.partition, tuner._instances))
+    counts = {part: instance.statements_analyzed for part, instance in old.items()}
     tuner._repartition(new_parts)
     assert list(tuner.partition) == new_parts
-    for instance, vector in zip(tuner._instances, expected):
+    for part, instance, vector, state in zip(
+        new_parts, tuner._instances, expected, rebuilt
+    ):
         assert instance.kernel_backend == backend
         assert instance.export_state()["w"] == vector
+        assert instance.export_state() == state
+        if old.get(part) is instance and counts[part] > 0:
+            event("a kept part restarted its statement count")
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -86,9 +114,11 @@ def test_warm_start_matches_set_based_oracle(tuned, backend, data):
             st.sampled_from(others), max_size=3, unique=True
         )) if others else []
         pool = sorted((tuner.candidates | set(fresh)) - initial)
-        first = _draw_partition(data, pool, tuner.recommend())
+        old_parts = [part for part in tuner.partition if not part & initial]
+        first = _draw_partition(data, pool, tuner.recommend(), old_parts)
         _repartition_matches_oracle(tuner, first, backend)
         second = _draw_partition(
-            data, sorted(set(pool) | initial), tuner.recommend() | initial
+            data, sorted(set(pool) | initial), tuner.recommend() | initial,
+            list(tuner.partition),
         )
         _repartition_matches_oracle(tuner, second, backend)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.db import Index, IndexSizer, build_toy_catalog
@@ -24,6 +28,25 @@ class TestIndexObject:
         assert a < b
         assert a < ab  # shorter tuple with same head sorts first
         assert len({a, b, ab, Index("d.t", ("a",))}) == 3
+
+    def test_hash_is_the_field_tuple_hash_computed_once(self):
+        index = Index("d.t", ("a", "b"))
+        assert hash(index) == hash(("d.t", ("a", "b")))
+        assert vars(index)["_hash"] == hash(index)
+        assert [f.name for f in dataclasses.fields(index)] == ["table", "columns"]
+        assert repr(index) == "Index(table='d.t', columns=('a', 'b'))"
+        assert index.to_payload() == {"table": "d.t", "columns": ["a", "b"]}
+
+    def test_cached_hash_does_not_survive_pickle_or_copy(self):
+        index = Index("d.t", ("a",))
+        hash(index)
+        for clone in (
+            copy.copy(index), copy.deepcopy(index),
+            pickle.loads(pickle.dumps(index)),
+        ):
+            assert "_hash" not in vars(clone)
+            assert clone == index and not clone < index
+            assert hash(clone) == hash(index)
 
     def test_name(self):
         index = Index("tpch.lineitem", ("l_shipdate", "l_partkey"))

@@ -46,7 +46,8 @@ def _uncached_cost(ibg, optimizer, config_mask):
 
 
 class _Uncached:
-    """An IBG view whose ``cost_mask`` walks the graph on every call."""
+    """An IBG view whose ``cost_mask`` walks the graph on every call, and
+    whose ``subset_costs`` builds each pool's vector from those walks."""
 
     def __init__(self, ibg, optimizer):
         self._ibg = ibg
@@ -60,6 +61,12 @@ class _Uncached:
 
     def cost_mask(self, config_mask):
         return _uncached_cost(self._ibg, self._optimizer, config_mask)
+
+    def subset_costs(self, pool):
+        masks = [0]
+        for bit in iter_bits(pool):
+            masks += [mask | bit for mask in masks]
+        return [self.cost_mask(mask) for mask in masks]
 
 
 def _statistics(ibg):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.db import Index
 from repro.optimizer import WhatIfOptimizer
+from repro.optimizer import whatif as whatif_module
 from repro.query import select, update
 
 SALES = "shop.sales"
@@ -74,6 +78,33 @@ class TestUsedSets:
         index = Index(SALES, ("amount",))
         _, used = optimizer.optimize(stmt, frozenset({index}))
         assert index in used
+
+
+class TestMaintenanceCache:
+    def test_bounded_like_the_statement_memo(self, toy_stats, monkeypatch):
+        """maintenance_cost keeps the charges of a bounded number of
+        statements, like every other statement-keyed table, instead of
+        pinning every write statement it ever priced."""
+        monkeypatch.setattr(whatif_module, "_STMT_CACHE_LIMIT", 4)
+        optimizer = WhatIfOptimizer(toy_stats)
+        index = Index(SALES, ("amount",))
+        col = toy_stats.column_stats(SALES, "sale_date")
+        alive = []
+        for k in range(12):
+            stmt = (
+                update(SALES)
+                .set("amount")
+                .where_between("sale_date", col.min_value, col.min_value + 10 + k)
+                .build()
+            )
+            charge = optimizer.maintenance_cost(stmt, index)
+            assert charge > 0.0
+            assert charge == optimizer.cost_model.maintenance_cost(stmt, index)
+            assert optimizer.maintenance_cost(stmt, index) == charge
+            alive.append(weakref.ref(stmt))
+            del stmt
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) == 4
 
 
 class TestBenefit:

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
+
+import repro
+from repro.db import Index
 
 from repro.query.ast import (
     ColumnRef,
@@ -145,3 +155,73 @@ class TestWriteStatements:
             DeleteStatement(
                 L, predicates=(RangePredicate(ColumnRef(O, "o_totalprice"), lo=0),)
             )
+
+
+def _statements():
+    ship = ColumnRef(L, "l_shipdate")
+    return [
+        SelectQuery(
+            tables=(L, O),
+            predicates=(
+                EqualityPredicate(ColumnRef(O, "o_orderstatus"), "F"),
+                RangePredicate(ship, lo=1.5, hi=20.0),
+            ),
+            joins=(JoinPredicate(ColumnRef(L, "l_orderkey"), ColumnRef(O, "o_orderkey")),),
+            projection=(ship,),
+            order_by=OrderBy((ship,)),
+        ),
+        UpdateStatement(L, ("l_tax",), (RangePredicate(ship, hi=3.0),)),
+        InsertStatement(L, row_count=7),
+        DeleteStatement(L, (EqualityPredicate(ship, 4),)),
+    ]
+
+
+def _field_tuple(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+class TestHashOnce:
+    """Statements hash once per object, to the generated dataclass value."""
+
+    @pytest.mark.parametrize("statement", _statements(), ids=lambda s: type(s).__name__)
+    def test_hash_is_the_field_tuple_hash_computed_once(self, statement):
+        assert "_hash" not in vars(statement)
+        assert hash(statement) == hash(_field_tuple(statement))
+        assert vars(statement)["_hash"] == hash(statement)
+        twin = copy.copy(statement)
+        assert twin == statement and twin is not statement
+        assert hash(twin) == hash(statement)
+        assert "_hash" not in repr(statement)
+        assert "_hash" not in [f.name for f in dataclasses.fields(statement)]
+
+    @pytest.mark.parametrize("statement", _statements(), ids=lambda s: type(s).__name__)
+    def test_cached_hash_does_not_survive_pickle_or_copy(self, statement):
+        hash(statement)
+        for clone in (
+            copy.copy(statement),
+            copy.deepcopy(statement),
+            pickle.loads(pickle.dumps(statement)),
+        ):
+            assert "_hash" not in vars(clone)
+            assert clone == statement
+            assert hash(clone) == hash(statement)
+
+    def test_pickles_rehash_under_another_hash_seed(self):
+        """str hashes are salted per process: an unpickled statement or
+        index must hash like a fresh one in the loading process."""
+        objects = _statements() + [Index(L, ("l_shipdate", "l_tax"))]
+        for obj in objects:
+            hash(obj)
+        script = (
+            "import dataclasses, pickle, sys\n"
+            "objs = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(all(hash(o) == hash(tuple(getattr(o, f.name) for f in "
+            "dataclasses.fields(o))) for o in objs))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(objects),
+            env=env, capture_output=True, check=True,
+        )
+        assert done.stdout.strip() == b"True"
