@@ -14,9 +14,10 @@ per-part size cap that keeps any single WFA instance tractable.
 The search runs on *positions* in ``sorted(candidates)``: an index is an
 int, a part is a mask of positions, and the interaction data is the list
 of positive ``(i, j, doi)`` pairs, read from the ``doi`` callable once per
-search and only for pairs on one table. :func:`partition_loss` / :func:`pairwise_loss` remain the
-set-level definition of the loss; the positional search reproduces their
-float additions (and every ``rng.choices`` draw) exactly.
+search and only for pairs on one table. :func:`partition_loss` /
+:func:`pairwise_loss` remain the set-level definition of the loss; the
+positional search reproduces their float additions (and every
+``rng.choices`` draw) exactly.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ class Index:
     table: str
     columns: Tuple[str, ...]
 
+    _hash = None  # the cached hash; None until first computed
+
     def __post_init__(self) -> None:
         if self.table.count(".") != 1:
             raise ValueError(f"index table must be qualified: {self.table!r}")
@@ -44,12 +46,11 @@ class Index:
     def __hash__(self) -> int:
         # Indices key every configuration, memo and statistics table, so
         # the field-tuple hash is computed once and kept on the object.
-        try:
-            return self._hash
-        except AttributeError:
+        value = self._hash
+        if value is None:
             value = hash((self.table, self.columns))
             object.__setattr__(self, "_hash", value)
-            return value
+        return value
 
     def __reduce__(self):
         # Pickle and copy through the constructor: str hashes are salted

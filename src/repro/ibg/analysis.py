@@ -125,8 +125,8 @@ def _differences(values: Sequence[float], local: int) -> List[float]:
 
 
 def _max_from_zero(values: Iterable[float]) -> float:
-    """The largest value, or 0.0 if none is positive — with a sweep's
-    strict ``>``, so the float kept is the one a per-context loop keeps."""
+    """The largest value, or 0.0 if none is positive — with the per-context
+    loop's strict ``>`` (below), so the float kept is the one it keeps."""
     return max(chain((0.0,), values))
 
 
@@ -144,11 +144,13 @@ def max_benefit(
         return _max_from_zero(
             _differences(ibg.subset_costs(pool), _local_bit(pool, bit))
         )
+    best = 0.0
     cost = ibg.cost_mask
-    return _max_from_zero(
-        cost(context) - cost(context | bit)
-        for context in _context_masks(ibg, pool & ~bit)
-    )
+    for context in _context_masks(ibg, pool & ~bit):
+        benefit = cost(context) - cost(context | bit)
+        if benefit > best:
+            best = benefit
+    return best
 
 
 def degree_of_interaction(
@@ -182,16 +184,16 @@ def degree_of_interaction(
             abs(diff)
             for diff in _differences(benefits, _local_bit(pool & ~a_bit, b_bit))
         )
+    worst = 0.0
     cost = ibg.cost_mask
-
-    def diffs() -> Iterator[float]:
-        for context in _context_masks(ibg, pool & ~a_bit & ~b_bit):
-            benefit_without = cost(context) - cost(context | a_bit)
-            with_b = context | b_bit
-            benefit_with = cost(with_b) - cost(with_b | a_bit)
-            yield abs(benefit_without - benefit_with)
-
-    return _max_from_zero(diffs())
+    for context in _context_masks(ibg, pool & ~a_bit & ~b_bit):
+        benefit_without = cost(context) - cost(context | a_bit)
+        with_b = context | b_bit
+        benefit_with = cost(with_b) - cost(with_b | a_bit)
+        diff = abs(benefit_without - benefit_with)
+        if diff > worst:
+            worst = diff
+    return worst
 
 
 def interaction_pairs(

@@ -40,13 +40,13 @@ def _field_values(statement) -> tuple:
 def _hash_once(self) -> int:
     """The generated dataclass hash (of the field tuple), computed once per
     statement: statements key the what-if memo and the template and IBG
-    caches, and rehashing a query's field tree costs microseconds."""
-    try:
-        return self._hash
-    except AttributeError:
+    caches, and rehashing a query's field tree costs microseconds. The
+    class attribute ``_hash = None`` marks a statement not hashed yet."""
+    value = self._hash
+    if value is None:
         value = hash(_field_values(self))
         object.__setattr__(self, "_hash", value)
-        return value
+    return value
 
 
 def _rebuild(self):
@@ -167,6 +167,7 @@ class SelectQuery:
     projection: Tuple[ColumnRef, ...] = ()
     order_by: Optional[OrderBy] = None
 
+    _hash = None
     __hash__ = _hash_once
     __reduce__ = _rebuild
 
@@ -221,6 +222,7 @@ class UpdateStatement:
     set_columns: Tuple[str, ...]
     predicates: Tuple[TablePredicate, ...] = ()
 
+    _hash = None
     __hash__ = _hash_once
     __reduce__ = _rebuild
 
@@ -256,6 +258,7 @@ class InsertStatement:
     table: str
     row_count: int = 1
 
+    _hash = None
     __hash__ = _hash_once
     __reduce__ = _rebuild
 
@@ -284,6 +287,7 @@ class DeleteStatement:
     table: str
     predicates: Tuple[TablePredicate, ...] = ()
 
+    _hash = None
     __hash__ = _hash_once
     __reduce__ = _rebuild
 

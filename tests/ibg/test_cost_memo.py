@@ -5,7 +5,8 @@ per configuration. For random read and write statements (writes charge
 maintenance), every submask of the root must read the same float from the
 memo — on the first (cold) and on a repeated (warm) lookup — as an uncached
 covering walk plus the maintenance sum, and the benefit/interaction
-statistics must come out unchanged. The memo lives and dies with its graph.
+statistics must come out unchanged. The memo, like the per-pool cost
+vectors the statistics read, lives and dies with its graph.
 """
 
 from __future__ import annotations
@@ -144,11 +145,15 @@ def test_rebuilt_graph_starts_with_an_empty_memo(catalog):
     small = optimizer.statement_ibg(statement, frozenset(indices[:1]))
     for config_mask in iter_submasks(small.candidates_mask):
         small.cost_mask(config_mask)
+    _statistics(small)
+    assert small._subset_costs
     grown = optimizer.statement_ibg(statement, frozenset(indices))
     assert grown is not small
     assert grown.candidates_mask & ~small.candidates_mask
-    # Only the empty configuration, priced when the graph was built.
+    # Only the empty configuration, priced when the graph was built, and
+    # no pool vector.
     assert list(grown._cost_memo) == [0]
+    assert grown._subset_costs == {}
     for config_mask in iter_submasks(grown.candidates_mask):
         assert grown.cost_mask(config_mask) == _uncached_cost(
             grown, optimizer, config_mask

@@ -164,25 +164,3 @@ def test_pools_near_and_above_the_enumeration_limit(
     assert _largest_pool(ibg, same_table_only=True) == size
     _assert_matches_oracle(ibg, True, oracle_first)
 
-
-def test_rebuilt_graph_starts_with_empty_memos(catalog):
-    """A graph grown over a wider root is a new graph: neither its cost
-    memo nor its pool vectors carry anything over from the old one."""
-    catalog_, stats = catalog
-    optimizer = WhatIfOptimizer(stats)
-    statement = next(
-        s for s in generate_workload(
-            catalog_, stats, scaled_phases(2), seed=99
-        ).statements
-        if len(extract_indices(s)) >= 2
-    )
-    indices = sorted(extract_indices(statement))
-    small = optimizer.statement_ibg(statement, frozenset(indices[:1]))
-    _assert_matches_oracle(small, True, oracle_first=False)
-    assert small._subset_costs
-    grown = optimizer.statement_ibg(statement, frozenset(indices))
-    assert grown is not small
-    assert grown.candidates_mask & ~small.candidates_mask
-    assert grown._subset_costs == {}
-    assert list(grown._cost_memo) == [0]
-    _assert_matches_oracle(grown, True, oracle_first=False)
