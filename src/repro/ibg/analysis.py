@@ -54,25 +54,15 @@ _FULL_ENUMERATION_LIMIT = 12
 
 def _pool_mask(ibg: IndexBenefitGraph, index: Index, same_table_only: bool) -> int:
     """The indices that can share a context with ``index``, as a mask: the
-    IBG's used indices, restricted to ``index``'s table by default."""
+    IBG's used indices, restricted to ``index``'s table by default.
+
+    This is the single definition of the scope rule: ``index``'s
+    interaction scope is its pool without ``index`` itself.
+    """
     pool = ibg.all_used_mask()
     if same_table_only:
         pool &= ibg.universe.table_mask(index.table)
     return pool
-
-
-def _scope_mask(
-    ibg: IndexBenefitGraph, index: Index, same_table_only: bool
-) -> int:
-    """The interaction scope as a mask over the IBG's universe.
-
-    This is the single definition of the scope rule;
-    :func:`interaction_scope` is its decoded view. An ``index`` not (yet)
-    registered in the universe simply contributes no bit to exclude.
-    """
-    position = ibg.universe.position(index)
-    bit = 0 if position is None else 1 << position
-    return _pool_mask(ibg, index, same_table_only) & ~bit
 
 
 def interaction_scope(
@@ -84,8 +74,12 @@ def interaction_scope(
     is never part of any optimal plan cannot change any cost, hence cannot
     interact with anything. With the default hash-join cost model the scope
     is further restricted to the same table (cross-table doi is provably 0).
+    An ``index`` not (yet) registered in the universe simply contributes no
+    bit to exclude.
     """
-    return ibg.universe.decode(_scope_mask(ibg, index, same_table_only))
+    position = ibg.universe.position(index)
+    bit = 0 if position is None else 1 << position
+    return ibg.universe.decode(_pool_mask(ibg, index, same_table_only) & ~bit)
 
 
 def _context_masks(ibg: IndexBenefitGraph, scope: int) -> Iterator[int]:
