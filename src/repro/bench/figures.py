@@ -337,7 +337,7 @@ def overhead_table(context: ExperimentContext) -> FigureResult:
     result.add_curve("WFIT-AUTO", _overhead_curve(run))
     result.notes.append(
         "columns: q=1 → ms per statement; q=2 → optimizer plan "
-        "optimizations per statement (template builds + scalar fallbacks); "
+        "optimizations per statement (template builds); "
         "q=3 → cached cost lookups per statement; "
         "q=4 → what-if statement-cache hit rate; q=5 → IBG graph-cache hit "
         "rate; q=6 → plan-template-cache hit rate; q=7 → template builds "

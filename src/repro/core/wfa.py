@@ -184,32 +184,23 @@ class WFA:
     def _detect_mask_provider(cost_fn):
         """The optimizer behind ``cost_fn`` when it speaks masks, else None.
 
-        Duck-typed: an owner exposing ``statement_costs`` and
-        ``mask_universe`` — the
-        :class:`~repro.optimizer.whatif.WhatIfOptimizer` contract — lets the
-        work-function update skip frozenset construction entirely. The fast
-        path engages only when ``cost_fn`` *is* the published ``cost``
-        entry point of the class that defines ``statement_costs``: a
-        subclass that overrides ``cost`` (noise injection, instrumentation)
-        or any wrapper callable must be honored verbatim, so those fall
-        back to the plain per-configuration path.
+        Duck-typed: an owner exposing ``costs_into`` and ``mask_universe``
+        — the :class:`~repro.optimizer.whatif.WhatIfOptimizer` contract —
+        lets the work-function update skip frozenset construction
+        entirely. The fast path engages only when ``cost_fn`` *is* the
+        published ``cost`` entry point of the class that defines
+        ``costs_into``: a subclass that overrides ``cost`` (noise
+        injection, instrumentation) or any other callable must be honored
+        verbatim, so those fall back to the plain per-configuration path.
         """
         owner = getattr(cost_fn, "__self__", None)
-        if owner is None:
-            # A non-method callable that itself publishes the mask contract
-            # (an explicit adapter) vouches for its own consistency.
-            if hasattr(cost_fn, "statement_costs") and hasattr(
-                cost_fn, "mask_universe"
-            ):
-                return cost_fn
-            return None
         if not (
-            hasattr(owner, "statement_costs") and hasattr(owner, "mask_universe")
+            hasattr(owner, "costs_into") and hasattr(owner, "mask_universe")
         ):
             return None
         func = getattr(cost_fn, "__func__", None)
         for klass in type(owner).__mro__:
-            if "statement_costs" in vars(klass):
+            if "costs_into" in vars(klass):
                 return owner if vars(klass).get("cost") is func else None
         return None
 
@@ -319,9 +310,7 @@ class WFA:
         cost vector (no intermediate list on the mask-provider path)."""
         out = self._kernel.costs
         if self._global_masks is not None:
-            self._mask_provider.statement_costs(statement).costs_into(
-                self._global_masks, out
-            )
+            self._mask_provider.costs_into(statement, self._global_masks, out)
             return
         subsets = self._subsets
         if subsets is None:

@@ -10,7 +10,7 @@ re-states those three operations over *contiguous arrays*:
 
 * the work-function vector ``w`` (one float per configuration mask),
 * the per-statement cost vector (filled in place by
-  :meth:`repro.optimizer.whatif.StatementCosts.costs_into`),
+  :meth:`repro.optimizer.whatif.WhatIfOptimizer.costs_into`),
 * the δ prefix sums of :class:`~repro.core.bitset.MaskDeltaTable`
   (``array('d')`` buffers, zero-copy viewable by numpy).
 
@@ -228,7 +228,7 @@ class PurePythonWFKernel:
         self._drop = [drop_sum[1 << i] for i in range(self._k)]
         self._w = array("d", bytes(8 * size))
         #: The per-statement cost vector; callers fill it in place
-        #: (``StatementCosts.costs_into``) before :meth:`analyze`.
+        #: (``WhatIfOptimizer.costs_into``) before :meth:`analyze`.
         self.costs = array("d", bytes(8 * size))
 
     # -- state ---------------------------------------------------------------

@@ -159,7 +159,7 @@ class ReferenceWFA:
 
     # -- the algorithm -----------------------------------------------------------
 
-    def _statement_costs(self, statement: object) -> List[float]:
+    def _costs_of(self, statement: object) -> List[float]:
         return [
             self._cost_fn(statement, self._set_of(mask))
             for mask in range(self._size)
@@ -168,7 +168,7 @@ class ReferenceWFA:
     def analyze_statement(self, statement: object) -> FrozenSet[Index]:
         """``WFA.analyzeQuery`` of Figure 3; returns the new recommendation."""
         size = self._size
-        costs = self._statement_costs(statement)
+        costs = self._costs_of(statement)
         w = self._w
 
         new_w = [w[mask] + costs[mask] for mask in range(size)]

@@ -396,7 +396,7 @@ class CostModel:
             return 0.0
         if index.table != statement.tables_referenced()[0]:
             return 0.0
-        access = AccessCostModel(self._stats, self._sizer, self.config.access)
+        access = self._access
         if isinstance(statement, InsertStatement):
             return access.index_maintenance_cost(
                 index, float(statement.row_count), key_change=True

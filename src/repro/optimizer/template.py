@@ -107,27 +107,6 @@ class PlanTemplate:
         self._write_cost = write_cost
         self._maintenance = tuple(maintenance)
 
-    def costs_into(
-        self, config_masks: Sequence[int], out
-    ) -> List[Tuple[float, int, int]]:
-        """Price a batch of (relevance-reduced) masks into ``out``.
-
-        ``out`` is any float container with ``__setitem__`` — typically a
-        slice of the work-function kernel's cost vector or a scratch numpy
-        buffer. Returns the full ``(cost, used, plan-used)`` memo triples
-        in batch order so the caller can install them in the statement
-        memo; costs land in ``out`` so array consumers skip the per-entry
-        tuple unpacking on the hot path.
-        """
-        entry = self.entry
-        entries: List[Tuple[float, int, int]] = []
-        append = entries.append
-        for i, mask in enumerate(config_masks):
-            triple = entry(mask)
-            out[i] = triple[0]
-            append(triple)
-        return entries
-
     def entry(self, config_mask: int) -> Tuple[float, int, int]:
         """``(cost, used mask, plan-used mask)`` under ``config_mask``.
 

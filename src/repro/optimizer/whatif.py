@@ -22,13 +22,17 @@ Configurations are interned into a shared
 against the statement's table mask and a hit costs one int-dict probe
 instead of hashing a frozenset. The frozenset API (``cost``, ``optimize``,
 ``plan_usage``) is preserved as a thin encode/decode shim at the module
-boundary; hot loops use the ``*_mask`` variants or a per-statement
-:class:`StatementCosts` handle (see :meth:`WhatIfOptimizer.statement_costs`),
-which is what WFA's work-function update drives.
+boundary; hot loops use the mask API: ``cost_mask``, the IBG's
+``plan_usage_masks`` waves, and :meth:`WhatIfOptimizer.costs_into`, which
+is what WFA's work-function update drives.
 
-Batched costing (plan templates)
---------------------------------
-Memo *misses* are priced by a cached per-statement
+One memo routine
+----------------
+Every costing request — a single lookup, an IBG wave, a WFA part vector
+on either kernel — goes through one private routine: reduce each mask to
+its relevant bits, probe the statement's memo, fetch the plan template on
+the batch's first miss, price the miss, install it, and count. Memo
+*misses* are priced by a cached per-statement
 :class:`~repro.optimizer.template.PlanTemplate` — selectivities, the greedy
 join order, and every candidate access path are computed once per statement,
 after which any configuration mask is a pure table-local menu argmin plus
@@ -44,7 +48,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-try:  # Optional: the vectorized costs_into() path. Pure-Python callers
+try:  # Optional: the deduplicating costs_into() branch. Pure-Python callers
     import numpy as _np  # (and the no-numpy CI lane) use the int loop.
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
@@ -57,7 +61,7 @@ from ..query.ast import Statement
 from .cost_model import CostModel, CostModelConfig, QueryPlan
 from .template import PlanTemplate, build_plan_template
 
-__all__ = ["StatementCosts", "WhatIfOptimizer"]
+__all__ = ["WhatIfOptimizer"]
 
 #: Per-statement memo entry: (total cost, used mask, plan-used mask).
 _Entry = Tuple[float, int, int]
@@ -73,108 +77,10 @@ _IBG_CACHE_LIMIT = 64
 #: the statement memo rather than the (heavier) IBG cache.
 _TEMPLATE_CACHE_LIMIT = 512
 
-#: Most-recent statements whose cost memo / table tuple is retained. Entries
-#: are small, so this is far larger than the IBG bound, but it keeps the
-#: optimizer's footprint flat over non-repeating workload streams too.
+#: Most-recent statements whose cost memo is retained. Entries are small,
+#: so this is far larger than the IBG bound, but it keeps the optimizer's
+#: footprint flat over non-repeating workload streams too.
 _STMT_CACHE_LIMIT = 1024
-
-
-class StatementCosts:
-    """Mask-level costing handle for one statement (the WFA hot path).
-
-    Snapshots the statement's table mask once, then answers ``cost(mask)``
-    requests with one ``&`` plus one int-keyed dict probe, sharing the
-    owning optimizer's memo table (so every part of a WFA⁺ partition and
-    every caller of the frozenset API hit the same entries).
-    """
-
-    __slots__ = ("_optimizer", "_statement", "_cache")
-
-    def __init__(self, optimizer: "WhatIfOptimizer", statement: Statement) -> None:
-        self._optimizer = optimizer
-        self._statement = statement
-        self._cache = optimizer._statement_cache(statement)
-
-    def costs(self, config_masks: Sequence[int]) -> List[float]:
-        """Vectorized :meth:`cost` over many configuration masks.
-
-        The whole batch is priced through the statement's plan template
-        (built at most once per statement) — the paper's §5 architecture:
-        ``2^k`` configuration costs from a single plan derivation. Repeat
-        masks are answered from the shared memo with one int-dict probe.
-        """
-        out: List[float] = [0.0] * len(config_masks)
-        self.costs_into(config_masks, out)
-        return out
-
-    def costs_into(self, config_masks: Sequence[int], out) -> None:
-        """:meth:`costs`, written into a caller-owned float buffer.
-
-        ``out`` may be any float container supporting ``__setitem__``
-        (``array('d')``, a numpy vector, a list); this is how WFA⁺/WFIT
-        parts fetch statement costs directly into the work-function
-        kernel's cost vector without building a ``2^k`` Python list per
-        statement.
-
-        When ``config_masks`` and ``out`` are both numpy vectors (the
-        numpy-kernel hot path), relevance reduction runs vectorized: the
-        batch collapses to its *distinct* relevant masks (one ``&`` plus
-        one ``unique`` over int64), only those hit the memo/template, and
-        the answers broadcast back with one gather. Cache accounting is
-        identical either way — a request answered without pricing work is
-        a hit whether it was deduplicated or individually probed.
-        """
-        optimizer = self._optimizer
-        n = len(config_masks)
-        optimizer.whatif_calls += n
-        statement = self._statement
-        # Recomputed per batch: the universe may have grown (new indices on
-        # this statement's tables) since the handle was created.
-        tables_mask = optimizer._statement_tables_mask(statement)
-        cache = self._cache
-        cache_get = cache.get
-        if (
-            _np is not None
-            and isinstance(config_masks, _np.ndarray)
-            and isinstance(out, _np.ndarray)
-            and 0 <= tables_mask < (1 << 63)
-        ):
-            relevant = _np.bitwise_and(config_masks, tables_mask)
-            uniq, inverse = _np.unique(relevant, return_inverse=True)
-            values = _np.empty(len(uniq), dtype=_np.float64)
-            miss_masks: List[int] = []
-            miss_positions: List[int] = []
-            for j, rel in enumerate(uniq.tolist()):
-                entry = cache_get(rel)
-                if entry is None:
-                    miss_masks.append(rel)
-                    miss_positions.append(j)
-                else:
-                    values[j] = entry[0]
-            if miss_masks:
-                optimizer._price_relevant_batch(
-                    statement, miss_masks, cache, values, miss_positions
-                )
-            _np.take(values, inverse.reshape(-1), out=out)
-            optimizer._count_batch(n - len(miss_masks), len(miss_masks))
-            return
-        if _np is not None and isinstance(config_masks, _np.ndarray):
-            # Universe beyond 63 bits: the int64 vector cannot carry the
-            # table mask — rewiden to Python ints and take the int loop.
-            config_masks = config_masks.tolist()
-        hits = 0
-        template = None  # fetched on the batch's first memo miss
-        for i, mask in enumerate(config_masks):
-            relevant = mask & tables_mask
-            entry = cache_get(relevant)
-            if entry is None:
-                if template is None:
-                    template = optimizer._statement_template(statement)
-                entry = cache[relevant] = template.entry(relevant)
-            else:
-                hits += 1
-            out[i] = entry[0]
-        optimizer._count_batch(hits, n - hits)
 
 
 class WhatIfOptimizer:
@@ -190,9 +96,6 @@ class WhatIfOptimizer:
         # statement -> {relevant mask -> (cost, used mask, plan-used mask)},
         # LRU-bounded like every statement-keyed table here.
         self._cache: "OrderedDict[Statement, Dict[int, _Entry]]" = OrderedDict()
-        self._stmt_tables: "OrderedDict[Statement, Tuple[str, ...]]" = OrderedDict()
-        # statement -> {index -> maintenance charge}, bounded like _cache.
-        self._maintenance_cache: "OrderedDict[Statement, Dict[Index, float]]" = OrderedDict()
         # statement -> its IBG, LRU-bounded (built lazily by statement_ibg;
         # grown when a request spans candidates outside the cached root).
         self._ibg_cache: "OrderedDict[Statement, object]" = OrderedDict()
@@ -275,23 +178,14 @@ class WhatIfOptimizer:
 
     # -- relevance reduction -------------------------------------------------
 
-    def _tables_of(self, statement: Statement) -> Tuple[str, ...]:
-        tables = self._stmt_tables.get(statement)
-        if tables is None:
-            tables = tuple(dict.fromkeys(statement.tables_referenced()))
-            self._stmt_tables[statement] = tables
-            while len(self._stmt_tables) > _STMT_CACHE_LIMIT:
-                self._stmt_tables.popitem(last=False)
-        return tables
-
     def _statement_tables_mask(self, statement: Statement) -> int:
-        return self._universe.tables_mask(self._tables_of(statement))
+        return self._universe.tables_mask(statement.tables_referenced())
 
     def relevant_subset(
         self, statement: Statement, config: AbstractSet[Index]
     ) -> FrozenSet[Index]:
         """Indices of ``config`` that can influence ``statement``'s plan."""
-        tables = set(self._tables_of(statement))
+        tables = set(statement.tables_referenced())
         return frozenset(ix for ix in config if ix.table in tables)
 
     def relevant_mask(self, statement: Statement, config_mask: int) -> int:
@@ -364,65 +258,28 @@ class WhatIfOptimizer:
             self._template_evictions += 1
         return template
 
-    def _count_batch(self, hits: int, misses: int) -> None:
-        """Memo accounting for a batch whose misses were priced by a
-        template menu walk (the template fetched once per batch)."""
-        self._stmt_hits += hits
-        self._stmt_misses += misses
-        self._template_mask_costs += misses
+    def _memo_entries(
+        self, statement: Statement, config_masks: Sequence[int], requests: int
+    ) -> List[_Entry]:
+        """The memo entries of ``config_masks``: every costing path's one
+        routine.
 
-    def _price_relevant_batch(
-        self,
-        statement: Statement,
-        relevant_masks: List[int],
-        cache: Dict[int, _Entry],
-        values,
-        positions: List[int],
-    ) -> None:
-        """Price a batch of distinct memo-missing relevant masks at once.
-
-        The statement's plan template is fetched *once* for the whole
-        batch and the masks are priced through
-        :meth:`PlanTemplate.costs_into`. Entries land
-        in the shared memo and their costs in ``values`` at the given
-        ``positions``.
+        Each mask is reduced to its relevant bits and probed in the
+        statement's memo; a miss is priced by the statement's plan
+        template — fetched once, on the batch's first miss — and
+        installed. ``requests`` is how many costing requests the batch
+        answers (more than ``len(config_masks)`` when the caller
+        deduplicated): each counts as a what-if call, and every request
+        not priced here counts as a memo hit.
         """
-        costs = [0.0] * len(relevant_masks)
-        entries = self._statement_template(statement).costs_into(
-            relevant_masks, costs
-        )
-        for rel, entry in zip(relevant_masks, entries):
-            cache[rel] = entry
-        for pos, cost in zip(positions, costs):
-            values[pos] = cost
-
-    def _lookup_mask(self, statement: Statement, config_mask: int) -> _Entry:
-        self.whatif_calls += 1
-        relevant = config_mask & self._statement_tables_mask(statement)
-        cache = self._statement_cache(statement)
-        entry = cache.get(relevant)
-        if entry is None:
-            template = self._statement_template(statement)
-            entry = cache[relevant] = template.entry(relevant)
-            self._count_batch(0, 1)
-        else:
-            self._stmt_hits += 1
-        return entry
-
-    def plan_usage_masks(
-        self, statement: Statement, config_masks: Sequence[int]
-    ) -> List[Tuple[float, int]]:
-        """Batched :meth:`plan_usage_mask`: ``(cost, plan-used mask)`` per
-        requested configuration (what IBG construction drives wave by
-        wave). Memo misses are priced through the statement's template,
-        fetched once, on the batch's first miss."""
-        self.whatif_calls += len(config_masks)
+        self.whatif_calls += requests
         tables_mask = self._statement_tables_mask(statement)
         cache = self._statement_cache(statement)
         cache_get = cache.get
         template = None
         misses = 0
-        out: List[Tuple[float, int]] = []
+        entries: List[_Entry] = []
+        append = entries.append
         for mask in config_masks:
             relevant = mask & tables_mask
             entry = cache_get(relevant)
@@ -431,9 +288,14 @@ class WhatIfOptimizer:
                     template = self._statement_template(statement)
                 entry = cache[relevant] = template.entry(relevant)
                 misses += 1
-            out.append((entry[0], entry[2]))
-        self._count_batch(len(config_masks) - misses, misses)
-        return out
+            append(entry)
+        self._stmt_hits += requests - misses
+        self._stmt_misses += misses
+        self._template_mask_costs += misses
+        return entries
+
+    def _lookup_mask(self, statement: Statement, config_mask: int) -> _Entry:
+        return self._memo_entries(statement, (config_mask,), 1)[0]
 
     # -- the statement IBG (configuration-parametric costing) -----------------
 
@@ -503,20 +365,58 @@ class WhatIfOptimizer:
 
     # -- mask-level interface (the hot path) ----------------------------------
 
-    def statement_costs(self, statement: Statement) -> StatementCosts:
-        """A per-statement mask costing handle (see :class:`StatementCosts`)."""
-        return StatementCosts(self, statement)
-
     def cost_mask(self, statement: Statement, config_mask: int) -> float:
         """``cost(q, X)`` with ``X`` encoded in :attr:`mask_universe`."""
         return self._lookup_mask(statement, config_mask)[0]
 
-    def plan_usage_mask(
-        self, statement: Statement, config_mask: int
-    ) -> Tuple[float, int]:
-        """``(cost, plan-used mask)`` — excludes maintenance-only indices."""
-        entry = self._lookup_mask(statement, config_mask)
-        return entry[0], entry[2]
+    def plan_usage_masks(
+        self, statement: Statement, config_masks: Sequence[int]
+    ) -> List[Tuple[float, int]]:
+        """``(cost, plan-used mask)`` per requested configuration — the
+        plan-used mask excludes maintenance-only indices. IBG construction
+        prices its graph one BFS wave at a time through this."""
+        return [
+            (entry[0], entry[2])
+            for entry in self._memo_entries(
+                statement, config_masks, len(config_masks)
+            )
+        ]
+
+    def costs_into(self, statement: Statement, config_masks, out) -> None:
+        """``cost(q, X)`` for each configuration mask, written into ``out``.
+
+        ``out`` is any float container supporting ``__setitem__`` — the
+        WFA part's kernel cost vector (``array('d')`` or a numpy vector),
+        or a list. This is how a part fetches all ``2^k`` statement costs
+        without building a Python list per statement.
+
+        When ``config_masks`` and ``out`` are both numpy vectors (the
+        numpy-kernel hot path), relevance reduction runs vectorized: the
+        batch collapses to its *distinct* relevant masks (one ``&`` plus
+        one ``unique`` over int64), only those reach the memo, and the
+        answers broadcast back with one gather. Cache accounting is the
+        same either way: a request answered without pricing work is a hit
+        whether it was deduplicated or individually probed.
+        """
+        requests = len(config_masks)
+        if _np is not None and isinstance(config_masks, _np.ndarray):
+            tables_mask = self._statement_tables_mask(statement)
+            if isinstance(out, _np.ndarray) and tables_mask < (1 << 63):
+                relevant = _np.bitwise_and(config_masks, tables_mask)
+                uniq, inverse = _np.unique(relevant, return_inverse=True)
+                entries = self._memo_entries(statement, uniq.tolist(), requests)
+                values = _np.array(
+                    [entry[0] for entry in entries], dtype=_np.float64
+                )
+                _np.take(values, inverse.reshape(-1), out=out)
+                return
+            # Universe beyond 63 bits: the int64 vector cannot carry the
+            # table mask — rewiden to Python ints and take the int loop.
+            config_masks = config_masks.tolist()
+        for i, entry in enumerate(
+            self._memo_entries(statement, config_masks, requests)
+        ):
+            out[i] = entry[0]
 
     # -- frozenset interface (module-boundary shim) ----------------------------
 
@@ -540,16 +440,12 @@ class WhatIfOptimizer:
         return self._lookup_mask(statement, self._universe.encode(config))[0]
 
     def maintenance_cost(self, statement: Statement, index: Index) -> float:
-        """Config-independent maintenance charge of ``index`` (0 for reads)."""
-        charges = self._maintenance_cache.get(statement)
-        if charges is None:
-            charges = self._maintenance_cache[statement] = {}
-            while len(self._maintenance_cache) > _STMT_CACHE_LIMIT:
-                self._maintenance_cache.popitem(last=False)
-        charge = charges.get(index)
-        if charge is None:
-            charge = charges[index] = self._model.maintenance_cost(statement, index)
-        return charge
+        """Config-independent maintenance charge of ``index`` (0 for reads).
+
+        Not memoized: IBG construction asks once per write statement and
+        relevant index, and a charge costs a few float operations.
+        """
+        return self._model.maintenance_cost(statement, index)
 
     def explain(self, statement: Statement, config: AbstractSet[Index]) -> QueryPlan:
         """The chosen plan (not cached; used for inspection and examples)."""
@@ -640,8 +536,6 @@ class WhatIfOptimizer:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._maintenance_cache.clear()
-        self._stmt_tables.clear()
         self._ibg_cache.clear()
         self._ibg_failed.clear()
         self._template_cache.clear()

@@ -82,9 +82,9 @@ class TestUsedSets:
 
 class TestMaintenanceCache:
     def test_bounded_like_the_statement_memo(self, toy_stats, monkeypatch):
-        """maintenance_cost keeps the charges of a bounded number of
-        statements, like every other statement-keyed table, instead of
-        pinning every write statement it ever priced."""
+        """maintenance_cost pins no write statement it priced: the charges
+        are not memoized (a memo answered 1 lookup in 332 on a default
+        WFIT stream), so nothing keeps the statements alive."""
         monkeypatch.setattr(whatif_module, "_STMT_CACHE_LIMIT", 4)
         optimizer = WhatIfOptimizer(toy_stats)
         index = Index(SALES, ("amount",))
@@ -104,7 +104,7 @@ class TestMaintenanceCache:
             alive.append(weakref.ref(stmt))
             del stmt
         gc.collect()
-        assert sum(ref() is not None for ref in alive) == 4
+        assert sum(ref() is not None for ref in alive) == 0
 
 
 class TestBenefit:
