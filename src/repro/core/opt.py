@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.index import Index
+from .bitset import delta_cost
 from .wfa import CostFunction
 from .wfa_plus import validate_partition
 
@@ -191,10 +192,10 @@ class _PartState:
                 total += self._drop[i]
         return total
 
-    def step(self, statement_costs: List[float]) -> None:
+    def step(self, costs: List[float]) -> None:
         """Append ``w_n`` computed from ``w_{n-1}`` and this statement's costs."""
         previous = self.history[-1]
-        new_w = [previous[mask] + statement_costs[mask] for mask in range(self.size)]
+        new_w = [previous[mask] + costs[mask] for mask in range(self.size)]
         for i in range(len(self.indices)):
             bit = 1 << i
             create = self._create[i]
@@ -215,12 +216,12 @@ class _PartState:
         return min(self.history[n])
 
     def backtrack(
-        self, statement_costs: List[List[float]], upto: Optional[int] = None
+        self, cost_log: List[List[float]], upto: Optional[int] = None
     ) -> List[int]:
         """Recover one optimal schedule (masks per statement) for the prefix
         of ``upto`` statements (default: all).
 
-        ``statement_costs[n][mask]`` must be the cost of statement ``n+1``
+        ``cost_log[n][mask]`` must be the cost of statement ``n+1``
         under that mask. Ties prefer staying in the target configuration
         (fewest transitions), then the smaller mask.
         """
@@ -232,7 +233,7 @@ class _PartState:
         masks: List[int] = [0] * n_statements
         for n in range(n_statements, 0, -1):
             previous = self.history[n - 1]
-            costs = statement_costs[n - 1]
+            costs = cost_log[n - 1]
             best_mask = None
             best_value = float("inf")
             for mask in range(self.size):
@@ -309,7 +310,7 @@ class OfflineOptimizer:
         running = 0.0
         previous = self._initial
         for statement, config in zip(statements, schedule):
-            running += self._transition_cost(previous, config)
+            running += delta_cost(self._transitions, previous, config)
             running += self._cost_fn(statement, config)
             evaluated.append(running)
             previous = config
@@ -357,7 +358,7 @@ class OfflineOptimizer:
         total = 0.0
         previous = self._initial
         for statement, config in zip(statements, schedule):
-            total += self._transition_cost(previous, config)
+            total += delta_cost(self._transitions, previous, config)
             total += self._cost_fn(statement, config)
             previous = config
         return total
@@ -383,8 +384,6 @@ class OfflineOptimizer:
             elif previous_has and not has:
                 saving += self._transitions.drop_cost(index)
             previous_has = has
-        if previous_has and index not in self._initial:
-            pass  # the schedule never drops it; no trailing transition
         return saving
 
     def _refine_schedule(
@@ -416,18 +415,6 @@ class OfflineOptimizer:
                 break
             schedule = [config - {best_index} for config in schedule]
         return schedule
-
-    def _transition_cost(
-        self, old: AbstractSet[Index], new: AbstractSet[Index]
-    ) -> float:
-        total = 0.0
-        for index in sorted(new):
-            if index not in old:
-                total += self._transitions.create_cost(index)
-        for index in sorted(old):
-            if index not in new:
-                total += self._transitions.drop_cost(index)
-        return total
 
 
 def brute_force_opt(
