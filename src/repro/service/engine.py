@@ -451,10 +451,23 @@ class TuningEngine:
         # could be inserting — safe-ish on CPython today, but exactly the
         # kind of convention R3 exists to make explicit rather than lucky.
         with self._ingest_lock:
-            state = self._clients.get(client_id)
-            if state is None:
-                state = self._clients[client_id] = _ClientState(client_id)
+            return self._client_locked(client_id)
+
+    def _client_locked(self, client_id: str) -> _ClientState:  # holds: _ingest_lock
+        state = self._clients.get(client_id)
+        if state is None:
+            state = self._clients[client_id] = _ClientState(client_id)
         return state
+
+    def _resolve_priority(  # holds: _ingest_lock
+        self, client_id: str, priority: Optional[str]
+    ) -> str:
+        """``priority``, else the client's default class (``normal`` for a
+        client that has no state yet)."""
+        if priority is not None:
+            return priority
+        state = self._clients.get(client_id)
+        return state.priority if state is not None else DEFAULT_PRIORITY
 
     def session(
         self, client_id: str = "default", priority: Optional[str] = None
@@ -466,10 +479,10 @@ class TuningEngine:
         inherits it. Omitted, an existing session keeps its class and a
         new one defaults to ``"normal"``.
         """
-        state = self._client(client_id)
-        if priority is not None:
-            resolved = normalize_priority(priority)
-            with self._ingest_lock:
+        resolved = None if priority is None else normalize_priority(priority)
+        with self._ingest_lock:
+            state = self._client_locked(client_id)
+            if resolved is not None:
                 state.priority = resolved
         return ClientSession(self, client_id)
 
@@ -502,20 +515,18 @@ class TuningEngine:
         queue bound would be exceeded, :class:`QueueFull` is raised
         before anything is logged or enqueued — the WAL never records a
         submission the engine did not accept, so recovery replays
-        exactly the admitted stream. The statement is analyzed at the
-        next :meth:`pump` (or by the background drain thread when
+        exactly the admitted stream, and a rejected submission leaves no
+        session behind. The statement is analyzed at the next
+        :meth:`pump` (or by the background drain thread when
         :meth:`start` is active).
         """
         parsed = (
             parse_statement(statement) if isinstance(statement, str) else statement
         )
-        client = self._client(client_id)
+        if priority is not None:
+            priority = normalize_priority(priority)
         with self._ingest_lock:
-            resolved = (
-                normalize_priority(priority)
-                if priority is not None
-                else client.priority
-            )
+            resolved = self._resolve_priority(client_id, priority)
             self._scheduler.admit(resolved, 1)
             if self._wal is not None:
                 payload: Dict[str, object] = {
@@ -525,7 +536,7 @@ class TuningEngine:
                     payload["priority"] = resolved
                 self._wal.append("submit", payload)
             self._scheduler.push(resolved, client_id, parsed)
-            client.submitted += 1
+            self._client_locked(client_id).submitted += 1
             self._wakeup.notify()
         return parsed
 
@@ -547,9 +558,10 @@ class TuningEngine:
         locking showed up directly in ingest throughput under concurrent
         submitters). Admission is all-or-nothing: if any class's bound
         would be exceeded, :class:`QueueFull` is raised and *nothing* —
-        no WAL record, no queue entry — happens for any element.
+        no WAL record, no queue entry, no session — happens for any
+        element.
         """
-        batch: List[Tuple[_ClientState, str, Statement, Optional[str]]] = []
+        batch: List[Tuple[str, Statement, Optional[str]]] = []
         for entry in entries:
             if len(entry) == 3:
                 client_id, statement, priority = entry  # type: ignore[misc]
@@ -563,29 +575,22 @@ class TuningEngine:
             )
             if priority is not None:
                 priority = normalize_priority(priority)
-            # Resolve client states outside the queue lock: _client() takes
-            # _ingest_lock itself on first sight of a client.
-            batch.append((self._client(client_id), client_id, parsed, priority))
+            batch.append((client_id, parsed, priority))
         if not batch:
             return 0
         with self._ingest_lock:
             resolved = [
-                (
-                    client,
-                    client_id,
-                    parsed,
-                    priority if priority is not None else client.priority,
-                )
-                for client, client_id, parsed, priority in batch
+                (client_id, parsed, self._resolve_priority(client_id, priority))
+                for client_id, parsed, priority in batch
             ]
             counts: Dict[str, int] = {}
-            for _, _, _, priority in resolved:
+            for _, _, priority in resolved:
                 counts[priority] = counts.get(priority, 0) + 1
             for priority in sorted(counts):
                 self._scheduler.admit(priority, counts[priority])
             if self._wal is not None:
                 payload_entries: List[Dict[str, object]] = []
-                for _, client_id, parsed, priority in resolved:
+                for client_id, parsed, priority in resolved:
                     item: Dict[str, object] = {
                         "client_id": client_id, "sql": to_sql(parsed),
                     }
@@ -593,9 +598,9 @@ class TuningEngine:
                         item["priority"] = priority
                     payload_entries.append(item)
                 self._wal.append("submit_many", {"entries": payload_entries})
-            for client, client_id, parsed, priority in resolved:
+            for client_id, parsed, priority in resolved:
                 self._scheduler.push(priority, client_id, parsed)
-                client.submitted += 1
+                self._client_locked(client_id).submitted += 1
             self._wakeup.notify()
         return len(batch)
 

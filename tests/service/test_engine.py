@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
-from repro.service import TuningEngine, WriteAheadLog, read_wal
+from repro.service import QueueFull, TuningEngine, WriteAheadLog, read_wal
 
 SALES = "shop.sales"
 
@@ -119,6 +119,33 @@ class TestSessionRouting:
         engine.drop_index("dba", index)
         engine.adopt("dba")
         assert list(engine.metrics()["sessions"]) == ["app"]
+        document = engine.checkpoint()
+        assert [item["client_id"] for item in document["sessions"]] == ["app"]
+
+    def test_rejected_calls_leave_no_session(self, toy_stats):
+        """A call rejected for an unknown priority class or by admission
+        control creates no session: none in metrics, none in checkpoints."""
+        engine = TuningEngine(
+            WhatIfOptimizer(toy_stats),
+            StatsTransitionCosts(toy_stats),
+            queue_limits={"normal": 1},
+        )
+        sql = narrow_sql(toy_stats)
+        with pytest.raises(ValueError):
+            engine.session("bad-session", priority="bogus")
+        with pytest.raises(ValueError):
+            engine.submit("bad-submit", sql, priority="bogus")
+        with pytest.raises(ValueError):
+            engine.submit_many([("bad-many", sql, "bogus")])
+        engine.submit("app", sql)  # a new client resolves to "normal"
+        with pytest.raises(QueueFull):
+            engine.submit("full", sql)
+        with pytest.raises(QueueFull):
+            engine.submit_many([("full-many", sql), ("app", sql)])
+        sessions = engine.metrics()["sessions"]
+        assert list(sessions) == ["app"]
+        assert sessions["app"]["priority"] == "normal"
+        assert sessions["app"]["submitted"] == 1
         document = engine.checkpoint()
         assert [item["client_id"] for item in document["sessions"]] == ["app"]
 
