@@ -641,14 +641,26 @@ def diff_snapshots(
 # A small Prometheus text-format parser (tests + CI validation)
 # ---------------------------------------------------------------------------
 
+_QUOTED = r'"(?:\\.|[^"\\])*"'
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    r"(?:\{(?P<labels>(?:[^\"}]|" + _QUOTED + r")*)\})?"
     r"\s+(?P<value>[^\s]+)(?:\s+(?P<ts>-?\d+))?$"
 )
 _LABEL_RE = re.compile(
-    r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:\\.|[^"\\])*)"'
+    r"(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)=(?P<value>" + _QUOTED + ")"
 )
+#: A whole ``{…}`` label list: comma-separated pairs, trailing comma allowed.
+_PAIR = r"[a-zA-Z_][a-zA-Z0-9_]*=" + _QUOTED
+_LABELS_RE = re.compile(f"(?:{_PAIR}(?:,{_PAIR})*,?)?")
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _unescape_label_value(quoted: str) -> str:
+    """The value of a quoted label, unescaped in one left-to-right pass."""
+    return _ESCAPE_RE.sub(
+        lambda m: "\n" if m.group(1) == "n" else m.group(1), quoted[1:-1]
+    )
 
 
 def parse_prometheus_text(text: str) -> Dict[str, Dict[str, object]]:
@@ -705,15 +717,12 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, object]]:
         labels: Dict[str, str] = {}
         raw = match.group("labels")
         if raw:
-            consumed = 0
-            for label in _LABEL_RE.finditer(raw):
-                labels[label.group("name")] = (
-                    label.group("value")
-                    .replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-                )
-                consumed += 1
-            if consumed != len([p for p in raw.split(",") if p.strip()]):
+            if not _LABELS_RE.fullmatch(raw):
                 raise ValueError(f"line {lineno}: malformed labels {raw!r}")
+            for label in _LABEL_RE.finditer(raw):
+                labels[label.group("name")] = _unescape_label_value(
+                    label.group("value")
+                )
         value_text = match.group("value")
         if value_text == "+Inf":
             value = math.inf

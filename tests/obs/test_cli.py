@@ -75,6 +75,15 @@ class TestCheck:
         assert main(["check", str(snapshot_path)]) == 0
         assert capsys.readouterr().out.startswith("OK ")
 
+    def test_ok_on_label_values_with_separators(self, tmp_path, capsys):
+        registry = MetricsRegistry()
+        for client in ("app,1", "a}b"):
+            registry.counter("r_total", labels={"client": client}).inc()
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(registry.snapshot(), sort_keys=True))
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("OK ")
+
     def test_fails_on_invalid_snapshot(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 77, "metrics": {}}))

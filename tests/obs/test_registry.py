@@ -311,6 +311,16 @@ class TestExposition:
         (_, labels, value), = families["r_total"]["samples"]
         assert labels["k"] == nasty and value == 1
 
+    def test_label_values_with_separators_round_trip(self, registry):
+        """Commas, braces and a literal backslash-n in label values parse
+        back as rendered (client ids are free-form strings)."""
+        values = ["app,1", "a}b", "{x}", "lit\\n", "\\\\n", "a=\"b\",c"]
+        for value in values:
+            registry.counter("r_total", labels={"client": value}).inc()
+        families = parse_prometheus_text(registry.expose_text())
+        parsed = [labels["client"] for _, labels, _ in families["r_total"]["samples"]]
+        assert sorted(parsed) == sorted(values)
+
     def test_sorted_key_snapshot_renders_ordered_buckets(self, registry):
         registry.histogram("r_size", buckets=POW2_BUCKETS).observe(3)
         # Simulate a JSON round-trip with lexicographic keys ("128" < "2").
@@ -326,6 +336,18 @@ class TestExposition:
         with pytest.raises(ValueError):
             # A sample with no TYPE declaration.
             parse_prometheus_text("orphan_total 3\n")
+
+    @pytest.mark.parametrize("labels", [
+        'a="1" b="2"',    # missing comma
+        'a=1',            # unquoted value
+        'a="1",,b="2"',   # empty pair
+        '="1"',           # missing name
+        'a="1",b',        # dangling name
+    ])
+    def test_parser_rejects_malformed_label_lists(self, labels):
+        text = "# TYPE r_total counter\nr_total{" + labels + "} 1\n"
+        with pytest.raises(ValueError, match="malformed labels"):
+            parse_prometheus_text(text)
 
 
 class TestDefaultRegistryContract:
