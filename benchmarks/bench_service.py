@@ -419,7 +419,6 @@ def main(argv=None) -> int:
             "optimizations": shared_stats["optimizations"],
             "statement_hit_rate": shared_stats["statement_hit_rate"],
             "template_hit_rate": shared_stats["template_hit_rate"],
-            "ibg_hit_rate": shared_stats["ibg_hit_rate"],
             "batches": engine.batches_processed,
             "session_latency": shared_latencies,
             "obs": obs_shared,

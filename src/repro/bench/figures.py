@@ -316,9 +316,8 @@ def overhead_table(context: ExperimentContext) -> FigureResult:
             2: run.optimizations / n_statements,                # optimizations/stmt
             3: run.whatif_calls / n_statements,                 # cost lookups/stmt
             4: cache["statement_hit_rate"],                     # stmt-memo hit rate
-            5: cache["ibg_hit_rate"],                           # IBG-cache hit rate
-            6: cache["template_hit_rate"],                      # template-cache hit rate
-            7: cache["template_builds"] / n_statements,         # template builds/stmt
+            5: cache["template_hit_rate"],                      # template-cache hit rate
+            6: cache["template_builds"] / n_statements,         # template builds/stmt
         }
 
     for state_cnt in sorted(context.partitions, reverse=True):
@@ -339,8 +338,7 @@ def overhead_table(context: ExperimentContext) -> FigureResult:
         "columns: q=1 → ms per statement; q=2 → optimizer plan "
         "optimizations per statement (template builds); "
         "q=3 → cached cost lookups per statement; "
-        "q=4 → what-if statement-cache hit rate; q=5 → IBG graph-cache hit "
-        "rate; q=6 → plan-template-cache hit rate; q=7 → template builds "
-        "per statement"
+        "q=4 → what-if statement-cache hit rate; q=5 → plan-template-cache "
+        "hit rate; q=6 → template builds per statement"
     )
     return result

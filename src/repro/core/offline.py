@@ -17,7 +17,6 @@ from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
 
 from ..db.index import Index
 from ..ibg.analysis import degree_of_interaction, max_benefit
-from ..ibg.graph import build_ibg
 from ..optimizer.extract import extract_indices
 from ..optimizer.whatif import WhatIfOptimizer
 from .partitioning import choose_partition
@@ -71,18 +70,25 @@ def compute_fixed_partition(
     n_statements = max(len(workload), 1)
 
     for statement in workload:
-        ibg = build_ibg(optimizer, statement, universe_frozen, max_nodes=max_ibg_nodes)
+        # One graph per table: β and same-table doi read the index's own.
+        graphs = optimizer.statement_ibg(
+            statement, universe_frozen, max_nodes=max_ibg_nodes
+        )
+        extracted = frozenset(extract_indices(statement))
         relevant = sorted(
-            (frozenset(extract_indices(statement)) | ibg.all_used_indices())
-            & ibg.candidates
+            index
+            for graph in graphs.values()
+            for index in (extracted | graph.all_used_indices()) & graph.candidates
         )
         for index in relevant:
-            benefit_sums[index] = benefit_sums.get(index, 0.0) + max_benefit(ibg, index)
+            benefit_sums[index] = benefit_sums.get(index, 0.0) + max_benefit(
+                graphs[index.table], index
+            )
         for i, a in enumerate(relevant):
             for b in relevant[i + 1:]:
                 if a.table != b.table:
                     continue
-                doi = degree_of_interaction(ibg, a, b)
+                doi = degree_of_interaction(graphs[a.table], a, b)
                 if doi > 0.0:
                     key = (a, b) if a <= b else (b, a)
                     doi_sums[key] = doi_sums.get(key, 0.0) + doi

@@ -239,34 +239,45 @@ class WFIT:
 
     # -- statistics maintenance (updateStats of Figure 6) ------------------------
 
-    def _update_statistics(self, statement: object, ibg: IndexBenefitGraph) -> FrozenSet[Index]:
-        """Record β and doi for indices relevant to this statement."""
-        relevant = frozenset(extract_indices(statement)) | ibg.all_used_indices()
-        relevant &= ibg.candidates
+    def _update_statistics(
+        self,
+        extracted: FrozenSet[Index],
+        graphs: Dict[str, IndexBenefitGraph],
+        position: int,
+    ) -> FrozenSet[Index]:
+        """Record β and doi at ``position`` for indices relevant to this
+        statement, each read from its own table's graph."""
+        relevant = frozenset().union(*(
+            (extracted | graph.all_used_indices()) & graph.candidates
+            for graph in graphs.values()
+        ))
         for index in sorted(relevant):
-            beta = max_benefit(ibg, index)
-            self.statistics.record_benefit(index, self._n, beta)
+            beta = max_benefit(graphs[index.table], index)
+            self.statistics.record_benefit(index, position, beta)
         if not self.assume_independence:
             ordered = sorted(relevant)
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
                     if a.table != b.table:
                         continue  # cross-table doi is 0 in this cost model
-                    doi = degree_of_interaction(ibg, a, b)
-                    self.statistics.record_interaction(a, b, self._n, doi)
+                    doi = degree_of_interaction(graphs[a.table], a, b)
+                    self.statistics.record_interaction(a, b, position, doi)
         return relevant
 
     # -- chooseCands (Figure 6) ---------------------------------------------------
 
-    def _choose_candidates(self, statement: object) -> List[FrozenSet[Index]]:
-        self._universe.update(extract_indices(statement))
-        # Via the optimizer's per-statement IBG cache, so a statement seen
-        # again reuses (or grows) its graph instead of rebuilding it.
-        ibg = self._optimizer.statement_ibg(
-            statement, frozenset(self._universe),
+    def _choose_candidates(
+        self, statement: object, position: int
+    ) -> List[FrozenSet[Index]]:
+        extracted = frozenset(extract_indices(statement))
+        # The graphs are built before U grows or anything is recorded, so
+        # a statement the optimizer cannot price leaves the tuner as it was.
+        graphs = self._optimizer.statement_ibg(
+            statement, frozenset(self._universe) | extracted,
             max_nodes=self._max_ibg_nodes,
         )
-        self._update_statistics(statement, ibg)
+        self._universe.update(extracted)
+        self._update_statistics(extracted, graphs, position)
 
         materialized = set(self.recommend())
         pool = frozenset(self._universe) - materialized
@@ -275,7 +286,7 @@ class WFIT:
             self.idx_cnt - len(materialized),
             self.candidates,
             self.statistics,
-            self._n,
+            position,
             self._transitions,
             create_penalty_factor=self.create_penalty_factor,
         )
@@ -290,11 +301,11 @@ class WFIT:
         # configuration space WFIT draws from.
         refresh = (
             monitored != self.candidates
-            or self._n % self.partition_refresh_period == 0
+            or position % self.partition_refresh_period == 0
         )
         if not refresh:
             return list(self._parts)
-        doi = self.statistics.doi_lookup(self._n)
+        doi = self.statistics.doi_lookup(position)
         return choose_partition(
             monitored,
             self.state_cnt,
@@ -443,18 +454,21 @@ class WFIT:
         """``WFIT.analyzeQuery(q)``: maintain candidates, then run WFA⁺.
 
         Every part's costs are fetched first, then every part is relaxed,
-        both in fixed part order.
+        both in fixed part order. The statement counts as analyzed once
+        its costs are fetched: a statement the optimizer cannot price
+        raises before the count, U or any statistic changes.
         """
-        self._n += 1
+        position = self._n + 1
         with obs.span("wfit.analyze"):
             if self._auto:
                 with obs.span("wfit.choose_candidates"):
-                    new_parts = self._choose_candidates(statement)
+                    new_parts = self._choose_candidates(statement, position)
                 if set(new_parts) != set(self._parts):
                     self._repartition(new_parts)
             with obs.span("wfit.prepare"):
                 for instance in self._instances:
                     instance.prepare_statement(statement)
+            self._n = position
             with obs.span("wfit.relax"):
                 for instance in self._instances:
                     instance.relax()

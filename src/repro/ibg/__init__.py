@@ -4,7 +4,6 @@
 from .analysis import (
     degree_of_interaction,
     interaction_pairs,
-    interaction_scope,
     max_benefit,
 )
 from .graph import IBGNode, IndexBenefitGraph, build_ibg
@@ -15,6 +14,5 @@ __all__ = [
     "build_ibg",
     "degree_of_interaction",
     "interaction_pairs",
-    "interaction_scope",
     "max_benefit",
 ]

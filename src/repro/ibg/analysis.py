@@ -10,15 +10,23 @@ Two quantities drive WFIT's candidate maintenance (§5.2.2):
 
 Both are maxima over configurations ``X ⊆ U``. Evaluating them needs no
 further optimizer calls: every ``cost`` lookup is answered by the IBG. The
-enumeration is restricted to the *interaction scope* of the index — by
-default the IBG indices on the same table, because the cost model localizes
-interactions within a table (hash-join configuration; see the README's
-"Candidate maintenance" section). A wider scope can be requested when
-index-nested-loop joins are enabled.
+enumeration runs over one *pool* per index: the IBG's used indices on the
+index's table.
 
-The sweeps run on one cost vector per *pool*: the IBG's used indices on
-the index's table (all of them when the scope is not table-local). The
-graph lists ``C[k] = cost(k)`` for every subset ``k`` of the pool once
+**Separability.** The pool is table-local because the cost model is: a
+table's access-path menu entries need only that table's indices, and each
+join step's alternatives — hash join over the inner table's access path,
+or, with ``enable_inlj``, an index-nested-loop join through an index on
+the inner table — read only the inner table's index bits, while the join
+order and every cardinality are configuration-independent. So ``used(X)``
+restricted to a table ``T`` is ``used(X ∩ T)``, doi of a cross-table pair
+is 0, and a graph built over ``T``'s candidates alone gives the same pool,
+the same subset costs and the same β and doi, ``==``, as a graph over the
+whole statement (``tests/optimizer/test_table_separability.py``). WFIT
+reads each table's own graph (see the README's "Candidate maintenance").
+
+The sweeps read one cost vector per pool: the graph lists
+``C[k] = cost(k)`` for every subset ``k`` of the pool once
 (:meth:`IndexBenefitGraph.subset_costs`); then
 
 * ``β(a) = max(0, max over k ∌ a of C[k] − C[k|a])``, and
@@ -34,14 +42,13 @@ which samples the contexts instead (see :func:`_context_masks`).
 from __future__ import annotations
 
 from itertools import chain
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.bitset import iter_submasks
 from ..db.index import Index
 from .graph import IndexBenefitGraph
 
 __all__ = [
-    "interaction_scope",
     "max_benefit",
     "degree_of_interaction",
     "interaction_pairs",
@@ -52,34 +59,10 @@ __all__ = [
 _FULL_ENUMERATION_LIMIT = 12
 
 
-def _pool_mask(ibg: IndexBenefitGraph, index: Index, same_table_only: bool) -> int:
+def _pool_mask(ibg: IndexBenefitGraph, index: Index) -> int:
     """The indices that can share a context with ``index``, as a mask: the
-    IBG's used indices, restricted to ``index``'s table by default.
-
-    This is the single definition of the scope rule: ``index``'s
-    interaction scope is its pool without ``index`` itself.
-    """
-    pool = ibg.all_used_mask()
-    if same_table_only:
-        pool &= ibg.universe.table_mask(index.table)
-    return pool
-
-
-def interaction_scope(
-    ibg: IndexBenefitGraph, index: Index, same_table_only: bool = True
-) -> FrozenSet[Index]:
-    """Indices whose presence can change ``index``'s benefit.
-
-    Restricted to indices that appear in some IBG used set: a candidate that
-    is never part of any optimal plan cannot change any cost, hence cannot
-    interact with anything. With the default hash-join cost model the scope
-    is further restricted to the same table (cross-table doi is provably 0).
-    An ``index`` not (yet) registered in the universe simply contributes no
-    bit to exclude.
-    """
-    position = ibg.universe.position(index)
-    bit = 0 if position is None else 1 << position
-    return ibg.universe.decode(_pool_mask(ibg, index, same_table_only) & ~bit)
+    IBG's used indices on ``index``'s table."""
+    return ibg.all_used_mask() & ibg.universe.table_mask(index.table)
 
 
 def _context_masks(ibg: IndexBenefitGraph, scope: int) -> Iterator[int]:
@@ -124,16 +107,14 @@ def _max_from_zero(values: Iterable[float]) -> float:
     return max(chain((0.0,), values))
 
 
-def max_benefit(
-    ibg: IndexBenefitGraph, index: Index, same_table_only: bool = True
-) -> float:
+def max_benefit(ibg: IndexBenefitGraph, index: Index) -> float:
     """β = max over X ⊆ U of ``benefit_q({index}, X)`` (0 if never positive)."""
     if index not in ibg.universe:
         return 0.0
     bit = ibg.universe.bit_of(index)
     if not (ibg.candidates_mask & bit) or not (ibg.all_used_mask() & bit):
         return 0.0
-    pool = _pool_mask(ibg, index, same_table_only)
+    pool = _pool_mask(ibg, index)
     if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
         return _max_from_zero(
             _differences(ibg.subset_costs(pool), _local_bit(pool, bit))
@@ -147,13 +128,9 @@ def max_benefit(
     return best
 
 
-def degree_of_interaction(
-    ibg: IndexBenefitGraph,
-    a: Index,
-    b: Index,
-    same_table_only: bool = True,
-) -> float:
-    """doi_q(a, b) per §2 of the paper; symmetric in ``a`` and ``b``."""
+def degree_of_interaction(ibg: IndexBenefitGraph, a: Index, b: Index) -> float:
+    """doi_q(a, b) per §2 of the paper; symmetric in ``a`` and ``b``, and
+    0 for indices on different tables (see the module docstring)."""
     if a == b:
         raise ValueError("degree of interaction is defined for distinct indices")
     universe = ibg.universe
@@ -164,12 +141,12 @@ def degree_of_interaction(
     candidates = ibg.candidates_mask
     if not (candidates & a_bit) or not (candidates & b_bit):
         return 0.0
-    if same_table_only and a.table != b.table:
+    if a.table != b.table:
         return 0.0
     used_anywhere = ibg.all_used_mask()
     if not (used_anywhere & a_bit) or not (used_anywhere & b_bit):
         return 0.0  # an index that never enters a plan cannot interact
-    pool = _pool_mask(ibg, a, same_table_only)
+    pool = _pool_mask(ibg, a)
     if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
         # a's benefit in every context, then the change b makes to it:
         # b's position is counted in the pool without a.
@@ -191,23 +168,20 @@ def degree_of_interaction(
 
 
 def interaction_pairs(
-    ibg: IndexBenefitGraph,
-    indices: AbstractSet[Index],
-    same_table_only: bool = True,
+    ibg: IndexBenefitGraph, indices: AbstractSet[Index]
 ) -> Dict[Tuple[Index, Index], float]:
     """All positive doi values among ``indices`` (keys sorted per pair).
 
-    With ``same_table_only`` (the default), only pairs on one table are
-    evaluated: the cost model confines interaction to a table, so every
-    cross-table pair has doi 0.
+    Only pairs on one table are evaluated: every cross-table pair has
+    doi 0.
     """
     candidates = sorted(set(indices) & set(ibg.candidates))
     out: Dict[Tuple[Index, Index], float] = {}
     for i, a in enumerate(candidates):
         for b in candidates[i + 1:]:
-            if same_table_only and a.table != b.table:
+            if a.table != b.table:
                 continue
-            doi = degree_of_interaction(ibg, a, b, same_table_only)
+            doi = degree_of_interaction(ibg, a, b)
             if doi > 0.0:
                 out[(a, b)] = doi
     return out

@@ -20,8 +20,12 @@ per-statement benefit/interaction sweeps of WFIT affordable. ``cost_mask``
 memoizes its answer per graph: one covering walk and one maintenance sum
 per distinct configuration, for as long as the graph lives. The sweeps
 read whole pools at once through :meth:`IndexBenefitGraph.subset_costs`,
-the cost of every subset of a pool as one list, memoized per pool. The
-frozenset API (``cost``, ``used``, ``benefit``) remains as an encode shim.
+the cost of every subset of a pool as one list, memoized per pool.
+
+**One graph per table.** WFIT asks for one graph per referenced table
+(:meth:`~repro.optimizer.whatif.WhatIfOptimizer.statement_ibg`); this
+module's :func:`build_ibg` builds a graph over any candidate set, a whole
+statement's included.
 
 **Write statements.** For updates/inserts/deletes, *every* index on the
 written table is cost-relevant through maintenance, which would make used
@@ -94,9 +98,9 @@ class IBGNode:
 class IndexBenefitGraph:
     """The IBG of one statement over a candidate set ``U``.
 
-    Provides ``cost(X)`` / ``used(X)`` lookups for any ``X ⊆ U`` without
-    further optimizer calls; the ``*_mask`` variants answer the same
-    questions for :class:`IndexUniverse`-encoded configurations.
+    Answers ``cost(X)`` and ``used(X)`` for any :class:`IndexUniverse`-
+    encoded ``X ⊆ U`` (:meth:`cost_mask`, :meth:`used_mask`) without
+    further optimizer calls.
     """
 
     def __init__(
@@ -219,25 +223,6 @@ class IndexBenefitGraph:
                 out |= node.used_mask
             self._all_used_mask = out
         return self._all_used_mask
-
-    # -- frozenset API (module-boundary shim) ----------------------------------
-
-    def cost(self, subset: AbstractSet[Index]) -> float:
-        """``cost(q, X)`` for any ``X ⊆ U``, answered from the graph."""
-        return self.cost_mask(self._universe.project(subset))
-
-    def used(self, subset: AbstractSet[Index]) -> FrozenSet[Index]:
-        """``used(q, X)``: the cost-relevant indices under ``X``."""
-        return self._universe.decode(
-            self.used_mask(self._universe.project(subset))
-        )
-
-    def benefit(self, extra: AbstractSet[Index], base: AbstractSet[Index]) -> float:
-        """``benefit_q(extra, base)`` evaluated entirely from the graph."""
-        base_mask = self._universe.project(base)
-        return self.cost_mask(base_mask) - self.cost_mask(
-            base_mask | self._universe.project(extra)
-        )
 
     def all_used_indices(self) -> FrozenSet[Index]:
         """Union of cost-relevant indices over all configurations.

@@ -47,8 +47,10 @@ class CostModelConfig:
     output_cpu_per_row: float = 0.0005  # per produced join output row
     sort_cpu_per_row: float = 0.0008    # per row per log2 level
     inlj_lookup_cost: float = 1.5       # per outer row: traverse + fetch
-    enable_inlj: bool = False           # index-nested-loop joins (cross-table
-                                        # interactions) — off for benchmarks
+    # Index-nested-loop joins, off for benchmarks. Each alternative probes
+    # an index on the step's inner table, so costs stay table-separable:
+    # a table's access path and join method read only its own indices.
+    enable_inlj: bool = False
 
     access: AccessCosts = field(default_factory=AccessCosts)
 

@@ -41,12 +41,23 @@ precomputed join/sort/maintenance terms, bit-identical to the scalar
 :meth:`WhatIfOptimizer.explain`). The ``optimizations`` counter therefore
 counts *template builds*: the number of times genuine plan derivation ran,
 which is the machine-independent overhead quantity of §6.2.
+
+Benefit graphs
+--------------
+:meth:`WhatIfOptimizer.statement_ibg` builds one Index Benefit Graph per
+referenced table, fresh on every call: graphs are not cached, and their
+waves are answered by the memo above. Because each table's menu entries
+and join-step alternatives read only that table's index bits, a table's
+graph prices every subset of its candidates exactly as a graph over the
+whole statement would.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 try:  # Optional: the deduplicating costs_into() branch. Pure-Python callers
     import numpy as _np  # (and the no-numpy CI lane) use the int loop.
@@ -61,25 +72,21 @@ from ..query.ast import Statement
 from .cost_model import CostModel, CostModelConfig, QueryPlan
 from .template import PlanTemplate, build_plan_template
 
+if TYPE_CHECKING:  # the graph module imports this one at module scope
+    from ..ibg.graph import IndexBenefitGraph
+
 __all__ = ["WhatIfOptimizer"]
 
 #: Per-statement memo entry: (total cost, used mask, plan-used mask).
 _Entry = Tuple[float, int, int]
 
-#: Most-recent statements whose IBG (or failed-build record) is retained.
-#: Graph reuse is within-statement (across WFA⁺ parts, and WFIT's
-#: chooseCands → analyze sequence), so a small LRU keeps every win while
-#: bounding memory over arbitrarily long non-repeating workload streams.
-_IBG_CACHE_LIMIT = 64
-
 #: Most-recent statements whose compiled plan template is retained. A
-#: template is a few flat tuples per referenced table, so the bound mirrors
-#: the statement memo rather than the (heavier) IBG cache.
+#: template is a few flat tuples per referenced table.
 _TEMPLATE_CACHE_LIMIT = 512
 
 #: Most-recent statements whose cost memo is retained. Entries are small,
-#: so this is far larger than the IBG bound, but it keeps the optimizer's
-#: footprint flat over non-repeating workload streams too.
+#: but the bound keeps the optimizer's footprint flat over non-repeating
+#: workload streams.
 _STMT_CACHE_LIMIT = 1024
 
 
@@ -96,21 +103,13 @@ class WhatIfOptimizer:
         # statement -> {relevant mask -> (cost, used mask, plan-used mask)},
         # LRU-bounded like every statement-keyed table here.
         self._cache: "OrderedDict[Statement, Dict[int, _Entry]]" = OrderedDict()
-        # statement -> its IBG, LRU-bounded (built lazily by statement_ibg;
-        # grown when a request spans candidates outside the cached root).
-        self._ibg_cache: "OrderedDict[Statement, object]" = OrderedDict()
-        # statement -> (root, cap) of an IBG build that hit the node cap, so
-        # the identical doomed build is not repeated; a larger cap, or a
-        # different root, still retries. LRU-bounded like the graph cache.
-        self._ibg_failed: "OrderedDict[Statement, Tuple[int, int]]" = OrderedDict()
         # statement -> compiled PlanTemplate, LRU-bounded; rebuilt when new
         # candidate indices appear on the statement's tables.
         self._template_cache: "OrderedDict[Statement, PlanTemplate]" = OrderedDict()
         self.whatif_calls = 0
         self.optimizations = 0
         # Observability counters behind cache_stats(): hit/miss/eviction
-        # accounting for the statement memo, the plan-template cache, and
-        # the IBG cache.
+        # accounting for the statement memo and the plan-template cache.
         self._stmt_hits = 0
         self._stmt_misses = 0
         self._stmt_evictions = 0
@@ -118,9 +117,6 @@ class WhatIfOptimizer:
         self._template_builds = 0
         self._template_evictions = 0
         self._template_mask_costs = 0
-        self._ibg_graph_hits = 0
-        self._ibg_graph_builds = 0
-        self._ibg_evictions = 0
         # The counters above stay plain per-instance ints (no lock, no
         # registry call on the costing hot path; benches build several
         # optimizers per process and read them per instance). The default
@@ -151,12 +147,6 @@ class WhatIfOptimizer:
             ("repro_whatif_template_mask_costs_total",
              "Memo misses priced by a template menu walk.",
              self._template_mask_costs),
-            ("repro_whatif_ibg_hits_total",
-             "IBG cache hits.", self._ibg_graph_hits),
-            ("repro_whatif_ibg_builds_total",
-             "IBG constructions.", self._ibg_graph_builds),
-            ("repro_whatif_ibg_evictions_total",
-             "IBG cache LRU evictions.", self._ibg_evictions),
         )
         return [
             {"name": name, "type": "counter", "help": help_text, "value": value}
@@ -297,71 +287,40 @@ class WhatIfOptimizer:
     def _lookup_mask(self, statement: Statement, config_mask: int) -> _Entry:
         return self._memo_entries(statement, (config_mask,), 1)[0]
 
-    # -- the statement IBG (configuration-parametric costing) -----------------
+    # -- the statement's IBGs (configuration-parametric costing) ---------------
 
-    def statement_ibg(self, statement: Statement, candidates: AbstractSet[Index],
-                      max_nodes: int = 4096):
-        """The statement's Index Benefit Graph covering ``candidates``.
+    def statement_ibg(
+        self,
+        statement: Statement,
+        candidates: AbstractSet[Index],
+        max_nodes: int = 4096,
+    ) -> "Dict[str, IndexBenefitGraph]":
+        """One Index Benefit Graph per referenced table, as ``{table: graph}``.
 
-        Cached per statement (WFIT's candidate maintenance reads it once
-        per analyzed statement). A cached graph is reused whenever its
-        root covers the requested candidates and it respects
-        ``max_nodes``; otherwise it is rebuilt over the union of both
-        roots (the per-subset plan memo makes the rebuild pay only for
-        new nodes). Raises :class:`RuntimeError` when the graph exceeds
-        ``max_nodes``. The failed build is memoized, so repeating the
-        identical request raises again without re-optimizing; a larger
-        cap or a different root still retries.
+        A table gets a graph when some of ``candidates`` lie on it; its
+        root is those candidates, and the dict is in sorted table order.
+        Every graph is built fresh by :func:`~repro.ibg.graph.build_ibg`;
+        the memo answers the nodes an earlier build priced. Raises
+        :class:`RuntimeError` when a graph exceeds ``max_nodes``.
+
+        The split is exact: each access-path menu and join step of the
+        statement's plan template (INLJ alternatives included) reads only
+        its own table's index bits, so a table's graph holds the same
+        subset costs and used sets, ``==``, as a graph over the whole
+        statement, with far fewer nodes on joins.
         """
-        union_mask = self.relevant_mask(
-            statement, self._universe.encode(candidates)
-        )
-        cached = self._ibg_cache.get(statement)
-        root = union_mask
-        if cached is not None:
-            self._ibg_cache.move_to_end(statement)
-            if union_mask & ~cached.candidates_mask == 0:
-                if cached.node_count <= max_nodes:
-                    self._ibg_graph_hits += 1
-                    return cached
-                # The cached cover is over this caller's cap: fall through
-                # and build over just the requested root, which may fit.
-            else:
-                root = union_mask | cached.candidates_mask
-        failed = self._ibg_failed.get(statement)
-        # Skip only the *identical* doomed build (same root, no larger cap):
-        # a smaller or different root may well fit under the cap.
-        if failed is not None and root == failed[0] and max_nodes <= failed[1]:
-            raise RuntimeError(
-                f"IBG for {statement!r} previously exceeded the node cap"
-            )
-        # Imported here: the graph module imports this one at module scope.
         from ..ibg.graph import build_ibg
 
-        try:
-            graph = build_ibg(
-                self, statement, self._universe.decode(root), max_nodes=max_nodes
-            )
-            self._ibg_graph_builds += 1
-        except RuntimeError:
-            self._ibg_failed[statement] = (root, max_nodes)
-            self._ibg_failed.move_to_end(statement)
-            while len(self._ibg_failed) > _IBG_CACHE_LIMIT:
-                self._ibg_failed.popitem(last=False)
-            raise
-        # A success covering a previously failed root invalidates the
-        # failure memo (e.g. the failure was at a smaller cap).
-        if failed is not None and failed[0] & ~graph.candidates_mask == 0:
-            self._ibg_failed.pop(statement, None)
-        # Never replace a cached graph with one covering fewer candidates
-        # (possible only via the over-cap rebuild above).
-        if cached is None or cached.candidates_mask & ~graph.candidates_mask == 0:
-            self._ibg_cache[statement] = graph
-            self._ibg_cache.move_to_end(statement)
-            while len(self._ibg_cache) > _IBG_CACHE_LIMIT:
-                self._ibg_cache.popitem(last=False)
-                self._ibg_evictions += 1
-        return graph
+        universe = self._universe
+        relevant = self.relevant_mask(statement, universe.encode(candidates))
+        graphs: "Dict[str, IndexBenefitGraph]" = {}
+        for table in sorted(statement.tables_referenced()):
+            root = relevant & universe.table_mask(table)
+            if root:
+                graphs[table] = build_ibg(
+                    self, statement, universe.decode(root), max_nodes=max_nodes
+                )
+        return graphs
 
     # -- mask-level interface (the hot path) ----------------------------------
 
@@ -470,7 +429,7 @@ class WhatIfOptimizer:
         )
 
     def cache_stats(self, reset: bool = False) -> Dict[str, float]:
-        """Hit/miss/eviction counters for the memo, template and IBG caches.
+        """Hit/miss/eviction counters for the memo and template caches.
 
         ``statement_*`` accounts the per-statement cost memo (a hit is a
         costing request answered without pricing work); ``template_*``
@@ -479,19 +438,15 @@ class WhatIfOptimizer:
         ``template_hits`` counts such batches (not misses) answered by a
         cached template, ``template_builds`` counts genuine plan
         derivations, and ``template_mask_costs`` the memo misses priced by
-        a template menu walk. ``ibg_*`` accounts the
-        per-statement Index Benefit Graph cache (WFIT's candidate
-        analysis). Hit rates are derived; they are 0.0 while no requests
-        have been observed. Counters are cumulative since construction or
-        the last reset; with
-        ``reset=True`` the returned values cover the window since the
+        a template menu walk. Hit rates are derived; they are 0.0 while no
+        requests have been observed. Counters are cumulative since
+        construction or the last reset; with ``reset=True`` the returned values cover the window since the
         previous reset and the counters restart at zero (the caches
         themselves are untouched), which is how the bench harnesses report
         per-section counts instead of run totals.
         """
         stmt_lookups = self._stmt_hits + self._stmt_misses
         template_requests = self._template_hits + self._template_builds
-        ibg_requests = self._ibg_graph_hits + self._ibg_graph_builds
         stats = {
             "statement_hits": self._stmt_hits,
             "statement_misses": self._stmt_misses,
@@ -507,12 +462,6 @@ class WhatIfOptimizer:
                 if template_requests else 0.0
             ),
             "template_mask_costs": self._template_mask_costs,
-            "ibg_graph_hits": self._ibg_graph_hits,
-            "ibg_graph_builds": self._ibg_graph_builds,
-            "ibg_evictions": self._ibg_evictions,
-            "ibg_hit_rate": (
-                self._ibg_graph_hits / ibg_requests if ibg_requests else 0.0
-            ),
             "whatif_calls": self.whatif_calls,
             "optimizations": self.optimizations,
         }
@@ -530,12 +479,7 @@ class WhatIfOptimizer:
         self._template_builds = 0
         self._template_evictions = 0
         self._template_mask_costs = 0
-        self._ibg_graph_hits = 0
-        self._ibg_graph_builds = 0
-        self._ibg_evictions = 0
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._ibg_cache.clear()
-        self._ibg_failed.clear()
         self._template_cache.clear()

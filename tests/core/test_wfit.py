@@ -7,6 +7,7 @@ import pytest
 from repro.core.wfit import WFIT
 from repro.db import Index, StatsTransitionCosts
 from repro.query import select, update
+from statements import SIX_TABLE_JOIN_SQL, UNKNOWN_TABLE_SQL
 
 SALES = "shop.sales"
 CUSTOMERS = "shop.customers"
@@ -275,3 +276,96 @@ class TestWfitFeedback:
         tuner = WFIT(optimizer, transitions, fixed_partition=[{a}, {b}])
         rec = tuner.notify_materialized(created={a}, dropped={b})
         assert a in rec and b not in rec
+
+
+class TestAtomicAnalysis:
+    """A statement the optimizer cannot price raises and leaves the tuner
+    exactly as it was: count, universe and exported state."""
+
+    @pytest.fixture()
+    def stream(self, bench_catalog):
+        from repro.workload import generate_workload, scaled_phases
+
+        catalog, stats = bench_catalog
+        return stats, generate_workload(
+            catalog, stats, scaled_phases(8), seed=3
+        ).statements[:60]
+
+    @staticmethod
+    def _assert_rejected_unchanged(tuner):
+        from repro.db.schema import SchemaError
+        from repro.query.parser import parse_statement
+
+        before = (
+            tuner.statements_analyzed, tuner.universe, tuner.export_state()
+        )
+        with pytest.raises(SchemaError):
+            tuner.analyze_statement(parse_statement(UNKNOWN_TABLE_SQL))
+        after = (
+            tuner.statements_analyzed, tuner.universe, tuner.export_state()
+        )
+        assert after == before
+
+    def test_default_tuner_unchanged_by_unknown_table(self, stream):
+        from repro.optimizer import WhatIfOptimizer
+
+        stats, statements = stream
+        tuner = WFIT(WhatIfOptimizer(stats), StatsTransitionCosts(stats))
+        tuner.analyze_statement(statements[0])
+        self._assert_rejected_unchanged(tuner)
+        assert tuner.statements_analyzed == 1
+
+    def test_fixed_partition_tuner_unchanged_by_unknown_table(self, stream):
+        from repro.optimizer import WhatIfOptimizer
+
+        stats, statements = stream
+        part = frozenset({
+            Index("tpch.lineitem", ("l_shipdate",)),
+            Index("tpch.lineitem", ("l_quantity",)),
+        })
+        tuner = WFIT(
+            WhatIfOptimizer(stats), StatsTransitionCosts(stats),
+            fixed_partition=[part],
+        )
+        tuner.analyze_statement(statements[0])
+        self._assert_rejected_unchanged(tuner)
+        assert tuner.statements_analyzed == 1
+
+    def test_rejected_statements_leave_no_trace_in_the_stream(self, stream):
+        """Meeting the bad statement at positions 5 and 30 of 60 changes
+        nothing: every recommendation and the final state equal those of
+        a tuner that never saw it."""
+        from repro.db.schema import SchemaError
+        from repro.optimizer import WhatIfOptimizer
+        from repro.query.parser import parse_statement
+
+        stats, statements = stream
+        bad = parse_statement(UNKNOWN_TABLE_SQL)
+        clean = WFIT(WhatIfOptimizer(stats), StatsTransitionCosts(stats))
+        hit = WFIT(WhatIfOptimizer(stats), StatsTransitionCosts(stats))
+        for position, statement in enumerate(statements):
+            if position in (5, 30):
+                with pytest.raises(SchemaError):
+                    hit.analyze_statement(bad)
+            assert hit.analyze_statement(statement) == clean.analyze_statement(
+                statement
+            )
+        assert hit.statements_analyzed == clean.statements_analyzed == 60
+        assert hit.export_state() == clean.export_state()
+
+    def test_six_table_join_is_analyzed(self):
+        from repro.db import build_catalog
+        from repro.optimizer import WhatIfOptimizer, extract_indices
+        from repro.query.parser import parse_statement
+
+        _, stats = build_catalog(scale=0.05)
+        optimizer = WhatIfOptimizer(stats)
+        tuner = WFIT(optimizer, StatsTransitionCosts(stats))
+        statement = parse_statement(SIX_TABLE_JOIN_SQL)
+        tuner.analyze_statement(statement)
+        assert tuner.statements_analyzed == 1
+        graphs = optimizer.statement_ibg(
+            statement, frozenset(extract_indices(statement))
+        )
+        assert sorted(graphs) == sorted(statement.tables_referenced())
+        assert sum(graph.node_count for graph in graphs.values()) == 31

@@ -16,13 +16,11 @@ from repro.core.bitset import iter_submasks
 from repro.ibg.analysis import _FULL_ENUMERATION_LIMIT
 
 
-def _scope_mask(ibg, index, same_table_only: bool) -> int:
+def _scope_mask(ibg, index) -> int:
     universe = ibg.universe
     position = universe.position(index)
     bit = 0 if position is None else 1 << position
-    pool = ibg.all_used_mask()
-    if same_table_only:
-        pool &= universe.table_mask(index.table)
+    pool = ibg.all_used_mask() & universe.table_mask(index.table)
     return pool & ~bit
 
 
@@ -44,7 +42,7 @@ def _context_masks(ibg, scope: int) -> Iterator[int]:
         yield scope
 
 
-def reference_max_benefit(ibg, index, same_table_only: bool = True) -> float:
+def reference_max_benefit(ibg, index) -> float:
     """β = max over contexts X of ``cost(X) − cost(X ∪ {index})``, from 0."""
     if index not in ibg.universe:
         return 0.0
@@ -53,16 +51,14 @@ def reference_max_benefit(ibg, index, same_table_only: bool = True) -> float:
         return 0.0
     best = 0.0
     cost = ibg.cost_mask
-    for context in _context_masks(ibg, _scope_mask(ibg, index, same_table_only)):
+    for context in _context_masks(ibg, _scope_mask(ibg, index)):
         benefit = cost(context) - cost(context | bit)
         if benefit > best:
             best = benefit
     return best
 
 
-def reference_degree_of_interaction(
-    ibg, a, b, same_table_only: bool = True
-) -> float:
+def reference_degree_of_interaction(ibg, a, b) -> float:
     """doi(a, b) = max over contexts X of
     ``|benefit({a}, X) − benefit({a}, X ∪ {b})|``, from 0."""
     if a == b:
@@ -75,12 +71,12 @@ def reference_degree_of_interaction(
     candidates = ibg.candidates_mask
     if not (candidates & a_bit) or not (candidates & b_bit):
         return 0.0
-    if same_table_only and a.table != b.table:
+    if a.table != b.table:
         return 0.0
     used_anywhere = ibg.all_used_mask()
     if not (used_anywhere & a_bit) or not (used_anywhere & b_bit):
         return 0.0
-    scope = _scope_mask(ibg, a, same_table_only) & ~b_bit
+    scope = _scope_mask(ibg, a) & ~b_bit
     worst = 0.0
     cost = ibg.cost_mask
     for context in _context_masks(ibg, scope):

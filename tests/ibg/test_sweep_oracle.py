@@ -5,11 +5,11 @@
 pool (:meth:`IndexBenefitGraph.subset_costs`); ``sweep_oracles`` keeps the
 original sweeps, which price every context through ``cost_mask`` on its
 own. For random read and write statements (writes charge maintenance,
-which puts every maintained index in the pool), pools near and above
+which puts every maintained index in the pool) and pools near and above
 ``_FULL_ENUMERATION_LIMIT`` (where the per-context sweep, sampling
-included, stays in charge) and both interaction scopes, β of every
-candidate and doi of every pair the scope allows must come out ``==``,
-whichever of the two runs first on the graph's shared memo.
+included, stays in charge), β of every candidate and doi of every
+same-table pair must come out ``==``, whichever of the two runs first on
+the graph's shared memo.
 """
 
 from __future__ import annotations
@@ -49,35 +49,33 @@ def _table_indices(catalog, table):
     return singles + pairs
 
 
-def _statistics(ibg, same_table_only, oracle):
-    """β of every candidate, then doi of every pair the scope allows."""
+def _statistics(ibg, oracle):
+    """β of every candidate, then doi of every same-table pair."""
     benefit = reference_max_benefit if oracle else max_benefit
     doi = reference_degree_of_interaction if oracle else degree_of_interaction
     ordered = sorted(ibg.candidates)
-    betas = [benefit(ibg, index, same_table_only) for index in ordered]
+    betas = [benefit(ibg, index) for index in ordered]
     dois = [
-        doi(ibg, a, b, same_table_only)
+        doi(ibg, a, b)
         for a, b in itertools.combinations(ordered, 2)
-        if not same_table_only or a.table == b.table
+        if a.table == b.table
     ]
     return betas, dois
 
 
-def _assert_matches_oracle(ibg, same_table_only, oracle_first):
+def _assert_matches_oracle(ibg, oracle_first):
     if oracle_first:
-        expected = _statistics(ibg, same_table_only, oracle=True)
-        actual = _statistics(ibg, same_table_only, oracle=False)
+        expected = _statistics(ibg, oracle=True)
+        actual = _statistics(ibg, oracle=False)
     else:
-        actual = _statistics(ibg, same_table_only, oracle=False)
-        expected = _statistics(ibg, same_table_only, oracle=True)
+        actual = _statistics(ibg, oracle=False)
+        expected = _statistics(ibg, oracle=True)
     assert actual == expected
     return actual
 
 
-def _largest_pool(ibg, same_table_only):
+def _largest_pool(ibg):
     used = ibg.all_used_mask()
-    if not same_table_only:
-        return used.bit_count()
     universe = ibg.universe
     return max(
         ((used & universe.table_mask(table)).bit_count()
@@ -95,12 +93,11 @@ def catalog(request):
 @given(
     seed=st.integers(0, 100_000),
     extra=st.integers(0, 6),
-    same_table_only=st.booleans(),
     oracle_first=st.booleans(),
     data=st.data(),
 )
 def test_workload_statements_match_oracle(
-    catalog, seed, extra, same_table_only, oracle_first, data
+    catalog, seed, extra, oracle_first, data
 ):
     """Generated reads and writes, over their mined candidates plus a few
     more indices on the tables they touch."""
@@ -120,9 +117,9 @@ def test_workload_statements_match_oracle(
         st.sampled_from(others), max_size=extra, unique=True
     )))
     ibg = build_ibg(optimizer, statement, frozenset(candidates))
-    _assert_matches_oracle(ibg, same_table_only, oracle_first)
+    _assert_matches_oracle(ibg, oracle_first)
     event(f"{'write' if statement.is_update else 'read'}, "
-          f"largest pool {_largest_pool(ibg, same_table_only)}")
+          f"largest pool {_largest_pool(ibg)}")
 
 
 @st.composite
@@ -161,6 +158,6 @@ def test_pools_near_and_above_the_enumeration_limit(
         st.sampled_from(wanted), min_size=size, max_size=size, unique=True
     ))
     ibg = build_ibg(optimizer, statement, frozenset(candidates))
-    assert _largest_pool(ibg, same_table_only=True) == size
-    _assert_matches_oracle(ibg, True, oracle_first)
+    assert _largest_pool(ibg) == size
+    _assert_matches_oracle(ibg, oracle_first)
 

@@ -132,7 +132,7 @@ class TestBenefit:
 
 
 class TestStatementIBG:
-    """The per-statement IBG cache behind WFIT's candidate maintenance."""
+    """The per-table IBGs behind WFIT's candidate maintenance."""
 
     def _rich_query(self, toy_stats):
         amount = toy_stats.column_stats(SALES, "amount")
@@ -147,17 +147,61 @@ class TestStatementIBG:
             .build()
         )
 
-    def test_statement_ibg_cached_and_grown(self, toy_stats):
+    def _join_query(self, toy_stats):
+        amount = toy_stats.column_stats(SALES, "amount")
+        return (
+            select(SALES)
+            .join(CUSTOMERS, on=("customer_id", "customer_id"))
+            .where_between("amount", amount.min_value,
+                           amount.min_value + amount.domain_width * 0.03,
+                           table=SALES)
+            .where_eq("region", 5, table=CUSTOMERS)
+            .build()
+        )
+
+    def test_one_graph_per_table_with_candidates(self, toy_stats):
+        from repro.optimizer import extract_indices
+
+        optimizer = WhatIfOptimizer(toy_stats)
+        query = self._join_query(toy_stats)
+        candidates = set(extract_indices(query))
+        assert {ix.table for ix in candidates} == {SALES, CUSTOMERS}
+        graphs = optimizer.statement_ibg(query, frozenset(candidates))
+        assert list(graphs) == sorted([CUSTOMERS, SALES])
+        for table, graph in graphs.items():
+            assert graph.candidates == frozenset(
+                ix for ix in candidates if ix.table == table
+            )
+        # A table without candidates gets no graph; an irrelevant
+        # candidate joins none.
+        only_sales = {ix for ix in candidates if ix.table == SALES}
+        graphs = optimizer.statement_ibg(
+            query, frozenset(only_sales | {Index("shop.products", ("price",))})
+        )
+        assert list(graphs) == [SALES]
+        assert graphs[SALES].candidates == frozenset(only_sales)
+
+    def test_graphs_are_built_fresh_and_not_retained(self, toy_stats):
         from repro.optimizer import extract_indices
 
         optimizer = WhatIfOptimizer(toy_stats)
         query = self._rich_query(toy_stats)
-        candidates = sorted(extract_indices(query))
-        first = optimizer.statement_ibg(query, frozenset(candidates[:1]))
-        again = optimizer.statement_ibg(query, frozenset(candidates[:1]))
-        assert again is first
-        grown = optimizer.statement_ibg(query, frozenset(candidates))
-        assert grown.candidates >= first.candidates
+        candidates = frozenset(extract_indices(query))
+        first = optimizer.statement_ibg(query, candidates)[SALES]
+        derivations = optimizer.optimizations
+        misses = optimizer.cache_stats()["statement_misses"]
+        again = optimizer.statement_ibg(query, candidates)[SALES]
+        assert again is not first
+        assert {node.mask: (node.cost, node.used_mask) for node in again} == {
+            node.mask: (node.cost, node.used_mask) for node in first
+        }
+        # The memo answers every node the first build priced.
+        assert optimizer.optimizations == derivations
+        assert optimizer.cache_stats()["statement_misses"] == misses
+        alive = [weakref.ref(first), weakref.ref(again)]
+        del first, again
+        gc.collect()
+        assert all(ref() is None for ref in alive)
 
     def test_statement_ibg_enforces_node_cap(self, toy_stats):
         from repro.optimizer import extract_indices
@@ -168,21 +212,6 @@ class TestStatementIBG:
         with pytest.raises(RuntimeError):
             optimizer.statement_ibg(query, candidates, max_nodes=1)
 
-    def test_failed_build_memoized_not_retried(self, toy_stats):
-        from repro.optimizer import extract_indices
-
-        optimizer = WhatIfOptimizer(toy_stats)
-        query = self._rich_query(toy_stats)
-        candidates = frozenset(extract_indices(query))
-        with pytest.raises(RuntimeError):
-            optimizer.statement_ibg(query, candidates, max_nodes=1)
-        spent = optimizer.optimizations, optimizer.whatif_calls
-        # The identical retry raises from the failure memo without building
-        # (a rebuild would ask what-if questions, even if memoized ones).
-        with pytest.raises(RuntimeError):
-            optimizer.statement_ibg(query, candidates, max_nodes=1)
-        assert (optimizer.optimizations, optimizer.whatif_calls) == spent
-
     def test_larger_cap_retries_after_failure(self, toy_stats):
         from repro.optimizer import extract_indices
 
@@ -192,21 +221,8 @@ class TestStatementIBG:
         with pytest.raises(RuntimeError):
             optimizer.statement_ibg(query, candidates, max_nodes=1)
         # A failure at a small cap must not poison builds at a larger cap.
-        graph = optimizer.statement_ibg(query, candidates, max_nodes=4096)
-        assert graph.node_count >= 1
-
-    def test_ibg_cache_is_bounded(self, toy_stats):
-        from repro.optimizer.whatif import _IBG_CACHE_LIMIT
-
-        optimizer = WhatIfOptimizer(toy_stats)
-        amount = toy_stats.column_stats(SALES, "amount")
-        for k in range(_IBG_CACHE_LIMIT + 10):
-            lo = amount.min_value + k  # distinct literals -> distinct statements
-            query = (
-                select(SALES).where_between("amount", lo, lo + 25).count_star().build()
-            )
-            optimizer.statement_ibg(query, frozenset({Index(SALES, ("amount",))}))
-        assert len(optimizer._ibg_cache) <= _IBG_CACHE_LIMIT
+        graphs = optimizer.statement_ibg(query, candidates, max_nodes=4096)
+        assert graphs[SALES].node_count >= 1
 
 
 class TestPlanTemplates:

@@ -65,16 +65,24 @@ def _fixed_partition(statements):
 
 
 def _run(stats, statements, **options):
-    """Counters after feeding ``statements`` one submit and pump at a time."""
-    engine = TuningEngine(
-        WhatIfOptimizer(stats), StatsTransitionCosts(stats), **options
-    )
+    """Counters after feeding ``statements`` one submit and pump at a time,
+    plus the number of IBG waves (``plan_usage_masks`` batches) priced."""
+    optimizer = WhatIfOptimizer(stats)
+    waves = []
+    price_wave = optimizer.plan_usage_masks
+
+    def counted(statement, masks):
+        waves.append(len(masks))
+        return price_wave(statement, masks)
+
+    optimizer.plan_usage_masks = counted  # type: ignore[method-assign]
+    engine = TuningEngine(optimizer, StatsTransitionCosts(stats), **options)
     for statement in statements:
         engine.submit("client", statement)
         engine.pump()
     tuner = engine.tuner
     sizes = sorted(len(part) for part in tuner.partition)
-    return engine.optimizer.cache_stats(), sizes, tuner.kernel_backend
+    return optimizer.cache_stats(), sizes, tuner.kernel_backend, len(waves)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +133,9 @@ def test_counters_match_golden(auto_run, fixed_run):
 def test_fixed_counters_do_not_depend_on_the_kernel(stream, fixed_run):
     stats, statements, partition = stream
     with force_backend("python"):
-        python_stats, _, backend = _run(stats, statements, fixed_partition=partition)
+        python_stats, _, backend, _ = _run(
+            stats, statements, fixed_partition=partition
+        )
     assert backend == "python"
     assert python_stats == fixed_run[0]
     assert _as_json(python_stats) == _golden()["fixed"]
@@ -133,11 +143,11 @@ def test_fixed_counters_do_not_depend_on_the_kernel(stream, fixed_run):
 
 def test_runs_exercise_every_costing_path(auto_run, fixed_run):
     """The streams must keep reaching what the golden exists to pin."""
-    auto_stats, _, auto_backend = auto_run
-    assert auto_stats["ibg_graph_builds"] > 0
+    _, _, auto_backend, auto_waves = auto_run
+    assert auto_waves > 0
     assert "python" in auto_backend  # parts under 64 states: the int loop
-    fixed_stats, fixed_sizes, fixed_backend = fixed_run
-    assert fixed_stats["ibg_graph_builds"] == 0
+    _, fixed_sizes, fixed_backend, fixed_waves = fixed_run
+    assert fixed_waves == 0
     assert fixed_sizes == sorted(PARAMS["fixed_parts"])
     if "numpy" in available_backends() and not os.environ.get("REPRO_NO_NUMPY"):
         assert fixed_backend == "numpy+python"  # the 6-index part: the dedupe

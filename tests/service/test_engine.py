@@ -7,6 +7,7 @@ import pytest
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.service import QueueFull, TuningEngine, WriteAheadLog, read_wal
+from statements import SIX_TABLE_JOIN_SQL
 
 SALES = "shop.sales"
 
@@ -211,8 +212,20 @@ class TestObservability:
         session.execute(statement)
         window_two = optimizer.cache_stats(reset=True)
         assert window_two["optimizations"] == 0
-        assert 0 < window_two["whatif_calls"] < window_one["whatif_calls"]
+        assert window_two["whatif_calls"] > 0
         assert optimizer.cache_stats()["whatif_calls"] == 0
+        # The two windows add up to an unreset twin's run totals.
+        twin_optimizer = WhatIfOptimizer(toy_stats)
+        twin = TuningEngine(
+            twin_optimizer, StatsTransitionCosts(toy_stats),
+            idx_cnt=8, state_cnt=64,
+        ).session("a")
+        twin.execute(statement)
+        twin.execute(statement)
+        totals = twin_optimizer.cache_stats()
+        for key in ("whatif_calls", "optimizations", "statement_hits",
+                    "statement_misses", "template_hits", "template_builds"):
+            assert window_one[key] + window_two[key] == totals[key], key
 
     def test_uptime_and_queue_depth_in_metrics(self, engine, toy_stats):
         engine.session("a").execute(narrow_sql(toy_stats))
@@ -313,3 +326,15 @@ class TestCheckpointWithPendingSubmissions:
         assert restored.total_work == pytest.approx(shadow.total_work)
         state = restored._client("a")
         assert state.submitted == state.processed == 5
+
+
+class TestWideJoins:
+    def test_six_table_join_is_analyzed_through_submit_and_pump(self):
+        """One benefit graph per table keeps it under the node cap."""
+        from repro.db import build_catalog
+
+        _, stats = build_catalog(scale=0.05)
+        engine = TuningEngine(WhatIfOptimizer(stats), StatsTransitionCosts(stats))
+        engine.submit("a", SIX_TABLE_JOIN_SQL)
+        assert engine.pump() == 1
+        assert engine.statements_processed == 1
