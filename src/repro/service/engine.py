@@ -502,6 +502,19 @@ class TuningEngine:
 
     # -- ingest ---------------------------------------------------------------
 
+    def _parse_and_bind(self, statement: Union[str, Statement]) -> Statement:
+        """``statement`` parsed (SQL text) or as given (an AST), with every
+        referenced table bound against the optimizer's statistics: an
+        unknown table raises :class:`~repro.db.schema.SchemaError` before
+        anything is admitted, logged or enqueued."""
+        parsed = (
+            parse_statement(statement) if isinstance(statement, str) else statement
+        )
+        stats = self._optimizer.stats
+        for table in parsed.tables_referenced():
+            stats.table_stats(table)
+        return parsed
+
     def submit(
         self,
         client_id: str,
@@ -518,11 +531,11 @@ class TuningEngine:
         exactly the admitted stream, and a rejected submission leaves no
         session behind. The statement is analyzed at the next
         :meth:`pump` (or by the background drain thread when
-        :meth:`start` is active).
+        :meth:`start` is active). A statement that names a table the
+        optimizer has no statistics for raises
+        :class:`~repro.db.schema.SchemaError` before admission.
         """
-        parsed = (
-            parse_statement(statement) if isinstance(statement, str) else statement
-        )
+        parsed = self._parse_and_bind(statement)
         if priority is not None:
             priority = normalize_priority(priority)
         with self._ingest_lock:
@@ -559,7 +572,8 @@ class TuningEngine:
         submitters). Admission is all-or-nothing: if any class's bound
         would be exceeded, :class:`QueueFull` is raised and *nothing* —
         no WAL record, no queue entry, no session — happens for any
-        element.
+        element; the same holds when any element names an unknown table
+        (:class:`~repro.db.schema.SchemaError`, raised while parsing).
         """
         batch: List[Tuple[str, Statement, Optional[str]]] = []
         for entry in entries:
@@ -568,11 +582,7 @@ class TuningEngine:
             else:
                 client_id, statement = entry  # type: ignore[misc]
                 priority = None
-            parsed = (
-                parse_statement(statement)
-                if isinstance(statement, str)
-                else statement
-            )
+            parsed = self._parse_and_bind(statement)
             if priority is not None:
                 priority = normalize_priority(priority)
             batch.append((client_id, parsed, priority))

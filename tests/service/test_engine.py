@@ -7,7 +7,7 @@ import pytest
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.service import QueueFull, TuningEngine, WriteAheadLog, read_wal
-from statements import SIX_TABLE_JOIN_SQL
+from statements import SIX_TABLE_JOIN_SQL, UNKNOWN_TABLE_SQL
 
 SALES = "shop.sales"
 
@@ -326,6 +326,82 @@ class TestCheckpointWithPendingSubmissions:
         assert restored.total_work == pytest.approx(shadow.total_work)
         state = restored._client("a")
         assert state.submitted == state.processed == 5
+
+
+class TestUnknownTables:
+    """A statement naming a table without statistics is rejected at
+    submit, before admission, the WAL append, the queue push or session
+    creation — so it can neither stop the drain nor poison recovery."""
+
+    @staticmethod
+    def _observable(engine, wal):
+        return (
+            wal.records_appended,
+            engine.queue_depth,
+            engine.metrics()["sessions"],
+        )
+
+    def test_submit_rejects_sql_and_ast_alike(self, engine, toy_stats, tmp_path):
+        from repro.db.schema import SchemaError
+        from repro.query.parser import parse_statement
+
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        engine.attach_wal(wal)
+        engine.submit("a", narrow_sql(toy_stats))
+        before = self._observable(engine, wal)
+        for statement in (UNKNOWN_TABLE_SQL, parse_statement(UNKNOWN_TABLE_SQL)):
+            for client in ("a", "new-client"):
+                with pytest.raises(SchemaError, match="tpch.nosuch"):
+                    engine.submit(client, statement)
+        assert self._observable(engine, wal) == before
+        assert engine.pump() == 1
+        wal.close()
+
+    def test_submit_many_with_one_unknown_table_does_nothing(
+        self, engine, toy_stats, tmp_path
+    ):
+        from repro.db.schema import SchemaError
+
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        engine.attach_wal(wal)
+        before = self._observable(engine, wal)
+        with pytest.raises(SchemaError):
+            engine.submit_many([
+                ("a", narrow_sql(toy_stats)),
+                ("b", UNKNOWN_TABLE_SQL),
+                ("c", narrow_sql(toy_stats, offset=0.1)),
+            ])
+        assert self._observable(engine, wal) == before
+        wal.close()
+        assert not read_wal(tmp_path / "wal.log").records
+
+    def test_directory_that_saw_a_rejected_submit_recovers(
+        self, toy_stats, tmp_path
+    ):
+        from repro.db.schema import SchemaError
+        from repro.service.wal import Durability
+
+        def fresh():
+            return WhatIfOptimizer(toy_stats), StatsTransitionCosts(toy_stats)
+
+        live = TuningEngine(*fresh(), idx_cnt=8, state_cnt=64)
+        durability = Durability(tmp_path)
+        durability.attach(live)
+        for k in range(12):
+            if k in (3, 9):
+                with pytest.raises(SchemaError):
+                    live.submit("a", UNKNOWN_TABLE_SQL)
+            live.submit("a", narrow_sql(toy_stats, offset=0.05 * k))
+            if k == 6:
+                live.pump()
+                durability.checkpoint()
+        live.pump()
+        durability.close()
+        recovered, _ = TuningEngine.recover(tmp_path, *fresh())
+        recovered.pump()
+        assert recovered.statements_processed == live.statements_processed == 12
+        assert recovered.total_work == live.total_work
+        assert recovered.recommendation("a") == live.recommendation("a")
 
 
 class TestWideJoins:
