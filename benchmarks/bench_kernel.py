@@ -20,7 +20,10 @@ Usage::
 
 The full run records its table under ``benchmarks/results/`` and exits
 non-zero if the size-8 speedup falls below the 3x acceptance floor
-(disable with ``--no-check``).
+(disable with ``--no-check``). ``--quick`` times every kernel row and
+every seed row as the median of ``QUICK_REPEATS`` runs: one run over its
+32 statements takes ~50 ms, short enough for host noise alone to move
+the perf gate's seed-relative ratio.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import cProfile
 import io
 import pathlib
 import pstats
+import statistics
 import sys
 import time
 from collections import Counter
@@ -52,6 +56,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Acceptance floor: kernel statements/sec over seed statements/sec at the
 #: partition-size-8 point.
 SPEEDUP_FLOOR = 3.0
+
+#: Timed runs per row under ``--quick``; the row reports their median.
+QUICK_REPEATS = 5
 
 
 class SeedWhatIfCache:
@@ -208,6 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sizes = (4, 8) if args.quick else (4, 8, 12)
+    repeats = QUICK_REPEATS if args.quick else 1
     per_phase = args.per_phase or (4 if args.quick else 12)
     scale = 0.02 if args.quick and args.scale == 0.05 else args.scale
 
@@ -239,20 +247,33 @@ def main(argv=None) -> int:
             print(f"part size {part_size}: not enough candidates "
                   f"({len(pool)}), skipped")
             continue
-        # One seed-baseline run per size, shared by every backend row: the
-        # seed pipeline has no kernel and re-measuring it would only add
-        # noise to the seed-relative speedups.
-        seed_s, seed_opts, seed_rec = run_seed(
-            stats, partition, statements, transitions
-        )
+        # One seed-baseline measurement per size, shared by every backend
+        # row: the seed pipeline has no kernel and re-measuring it would
+        # only add noise to the seed-relative speedups. Each repeat runs
+        # the seed and then every backend, so the medians of both sides
+        # of a speedup span the same stretch of wall time.
+        seed_runs = []
+        kernel_runs: Dict[str, list] = {backend: [] for backend in backends}
+        obs_deltas = {}
+        for repeat in range(repeats):
+            seed_runs.append(run_seed(stats, partition, statements, transitions))
+            for backend in backends:
+                # Registry delta around the first timed run (snapshots
+                # taken outside the timer): perf_gate can gate on
+                # counters, not just st/s.
+                obs_before = obs.default_registry().snapshot()
+                run = run_kernel(
+                    stats, partition, statements, transitions, backend=backend
+                )
+                if repeat == 0:
+                    obs_deltas[backend] = obs.diff_snapshots(obs_before, run[3])
+                kernel_runs[backend].append(run)
+        seed_s = statistics.median(run[0] for run in seed_runs)
+        _, seed_opts, seed_rec = seed_runs[0]
         for backend in backends:
-            # Registry delta around the timed run (snapshots taken outside
-            # the timer): perf_gate can gate on counters, not just st/s.
-            obs_before = obs.default_registry().snapshot()
-            kernel_s, kernel_opts, kernel_rec, obs_after = run_kernel(
-                stats, partition, statements, transitions, backend=backend
-            )
-            obs_delta = obs.diff_snapshots(obs_before, obs_after)
+            kernel_s = statistics.median(run[0] for run in kernel_runs[backend])
+            _, kernel_opts, kernel_rec, _ = kernel_runs[backend][0]
+            obs_delta = obs_deltas[backend]
             row = {
                 "part_size": part_size,
                 "backend": backend,
@@ -307,6 +328,7 @@ def main(argv=None) -> int:
             "per_phase": per_phase,
             "seed": args.seed,
             "quick": args.quick,
+            "repeats": repeats,
             "obs_enabled": obs.enabled(),
             "rows": rows,
         }
