@@ -1,7 +1,8 @@
-"""Ablations for the reproduction's calibration choices (see DESIGN.md).
+"""Ablations for the reproduction's calibration choices.
 
-Three design decisions deviate from or refine the paper's letter, and each
-gets an ablation that regenerates the evidence for it:
+Three design decisions deviate from or refine the paper's letter (see
+README.md, "Calibration choices"), and each gets an ablation that
+regenerates the evidence for it:
 
 1. **Amortized creation charge in topIndices** — the paper subtracts the raw
    δ⁺ from a per-statement benefit average; in this cost model that locks

@@ -7,7 +7,8 @@ workloads served two ways:
 * **shared** — one :class:`~repro.service.engine.TuningEngine` (one WFIT
   core, one what-if optimizer) multiplexing all N sessions through the
   micro-batched ingest queue. Overlap means each client's statements hit
-  the shared statement/IBG caches warmed by the other clients.
+  the shared statement memo and plan templates warmed by the other
+  clients.
 * **independent** — N single-client engines, each with its own
   optimizer and tuner, driven through one ``"dba"``
   :class:`~repro.service.engine.ClientSession` apiece (per-statement
@@ -20,7 +21,7 @@ stable partition. The shared engine wins because each plan derivation
 is structurally smaller since ISSUE 4's batched plan templates: both modes
 pay identical per-statement WFA work, and the optimizer work that sharing
 amortizes collapsed from full re-planning to a menu argmin — the shared
-engine now wins 1.76x (pinned in ``benchmarks/results/bench_service.json``)
+engine now wins 1.43x (pinned in ``benchmarks/results/bench_service.json``)
 rather than the pre-template ~3.5x, because the *absolute* per-statement
 cost dropped ~5x for everyone. The full run enforces a recalibrated 1.25x
 floor.

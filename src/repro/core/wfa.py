@@ -329,8 +329,8 @@ class WFA:
         """Phase 1 of :meth:`analyze_statement`: fetch the statement's costs.
 
         This is the half of the update that touches *shared* state — the
-        what-if optimizer's memo, template, and IBG caches (and their
-        accounting counters). After it returns, the part's cost vector is
+        what-if optimizer's statement memo and plan-template cache (and
+        their accounting counters). After it returns, the part's cost vector is
         fully populated and :meth:`relax` needs nothing outside this
         instance.
         """
