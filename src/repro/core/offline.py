@@ -70,7 +70,7 @@ def compute_fixed_partition(
     n_statements = max(len(workload), 1)
 
     for statement in workload:
-        # One graph per table: β and same-table doi read the index's own.
+        # β and same-table doi are read from the index's own table graph.
         graphs = optimizer.statement_ibg(
             statement, universe_frozen, max_nodes=max_ibg_nodes
         )

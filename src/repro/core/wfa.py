@@ -330,9 +330,9 @@ class WFA:
 
         This is the half of the update that touches *shared* state — the
         what-if optimizer's statement memo and plan-template cache (and
-        their accounting counters). After it returns, the part's cost vector is
-        fully populated and :meth:`relax` needs nothing outside this
-        instance.
+        their accounting counters). After it returns, the part's cost
+        vector is fully populated and :meth:`relax` needs nothing outside
+        this instance.
         """
         self._fill_costs(statement)
 

@@ -11,6 +11,8 @@ vectors the statistics read, lives and dies with its graph.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,15 +137,17 @@ def test_write_statements_charge_maintenance_through_the_memo(catalog):
 def test_rebuilt_graph_starts_with_an_empty_memo(catalog):
     catalog_, stats = catalog
     optimizer = WhatIfOptimizer(stats)
-    statement = next(
-        s for s in generate_workload(
+    # A statement with two or more candidates on one table: that
+    # table's graph can grow.
+    statement, table = next(
+        (s, a.table)
+        for s in generate_workload(
             catalog_, stats, scaled_phases(2), seed=99
         ).statements
-        if len({ix.table for ix in extract_indices(s)}) < len(extract_indices(s))
+        for a, b in itertools.pairwise(sorted(extract_indices(s)))
+        if a.table == b.table
     )
-    indices = sorted(extract_indices(statement))
-    table = next(a.table for a, b in zip(indices, indices[1:]) if a.table == b.table)
-    indices = [ix for ix in indices if ix.table == table]
+    indices = sorted(ix for ix in extract_indices(statement) if ix.table == table)
     small = optimizer.statement_ibg(statement, frozenset(indices[:1]))[table]
     for config_mask in iter_submasks(small.candidates_mask):
         small.cost_mask(config_mask)
