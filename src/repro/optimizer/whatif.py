@@ -440,10 +440,11 @@ class WhatIfOptimizer:
         derivations, and ``template_mask_costs`` the memo misses priced by
         a template menu walk. Hit rates are derived; they are 0.0 while no
         requests have been observed. Counters are cumulative since
-        construction or the last reset; with ``reset=True`` the returned values cover the window since the
-        previous reset and the counters restart at zero (the caches
-        themselves are untouched), which is how the bench harnesses report
-        per-section counts instead of run totals.
+        construction or the last reset; with ``reset=True`` the returned
+        values cover the window since the previous reset and the counters
+        restart at zero (the caches themselves are untouched), which is
+        how the bench harnesses report per-section counts instead of run
+        totals.
         """
         stmt_lookups = self._stmt_hits + self._stmt_misses
         template_requests = self._template_hits + self._template_builds
