@@ -2,11 +2,12 @@
 """Bitset-kernel throughput benchmark: statements/sec for WFA⁺.
 
 Measures the per-statement analysis throughput of the kernel-backed WFA⁺
-against the retained seed implementation (``ReferenceWFA`` + a faithful
-replica of the seed's frozenset-keyed what-if memo table) at partition
-sizes 4, 8, and 12 over the figure-8 style benchmark workload, plus the
-total number of actual what-if plan optimizations each run performed (the
-machine-independent overhead metric of §6.2).
+against the seed implementation (``ReferenceWFA`` + a faithful replica of
+the seed's frozenset-keyed what-if memo table over the scalar plan search,
+both from ``tests/reference.py``) at partition sizes 4, 8, and 12 over the
+figure-8 style benchmark workload, plus the total number of actual what-if
+plan optimizations each run performed (the machine-independent overhead
+metric of §6.2).
 
 Both pipelines execute the same algorithm over the same workload with a
 cold cache, so they pay for the same set of plan optimizations; the ratio
@@ -39,17 +40,18 @@ import time
 from collections import Counter
 from typing import Dict, FrozenSet, List, Sequence
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the seed rows' reference module
 
 from repro import obs
 from repro.ioutil import atomic_write_json
 from repro.core import wfa_kernel
 from repro.core.wfa_plus import WFAPlus
-from repro.core.wfa_reference import ReferenceWFA
 from repro.db import Index, StatsTransitionCosts, build_catalog
 from repro.optimizer import WhatIfOptimizer, extract_indices
-from repro.optimizer.cost_model import CostModel
 from repro.workload import generate_workload, scaled_phases
+from reference import ReferenceCostModel, ReferenceWFA
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -70,7 +72,7 @@ class SeedWhatIfCache:
     """
 
     def __init__(self, stats) -> None:
-        self._model = CostModel(stats)
+        self._model = ReferenceCostModel(stats)
         self._cache: Dict[object, float] = {}
         self.whatif_calls = 0
         self.optimizations = 0

@@ -15,8 +15,8 @@ per-index create/drop costs. Transition costs come from a precomputed
 when the cost provider speaks masks (the
 :class:`~repro.optimizer.whatif.WhatIfOptimizer` contract) statement costs
 are fetched through the bitset kernel without constructing a single
-frozenset; a pure-``frozenset`` twin is retained in
-:mod:`repro.core.wfa_reference` as the equivalence oracle.
+frozenset; the tests keep a pure-``frozenset`` twin (``ReferenceWFA`` in
+``tests/reference.py``) as the equivalence oracle.
 
 The numerical state itself — the ``w`` vector, the per-statement cost
 vector, and the relaxation/scan/feedback loops over them — lives in an

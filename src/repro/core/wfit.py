@@ -207,11 +207,6 @@ class WFIT:
         return self._feedback_count
 
     @property
-    def last_feedback_position(self) -> Optional[int]:
-        """Statements analyzed when feedback last arrived (None: never)."""
-        return self._last_feedback_position
-
-    @property
     def feedback_lag(self) -> Optional[int]:
         """Statements analyzed since the last feedback (None: never any)."""
         if self._last_feedback_position is None:
@@ -456,8 +451,12 @@ class WFIT:
         Every part's costs are fetched first, then every part is relaxed,
         both in fixed part order. The statement counts as analyzed once
         its costs are fetched: a statement the optimizer cannot price
-        raises before the count, U or any statistic changes.
+        raises before the count, U or any statistic changes. A table or
+        column unknown to the optimizer's statistics raises
+        :class:`~repro.db.schema.SchemaError` before anything runs, the
+        partition search's random draws included.
         """
+        self._optimizer.stats.bind(statement)
         position = self._n + 1
         with obs.span("wfit.analyze"):
             if self._auto:

@@ -10,9 +10,12 @@ all the selectivity estimation in :mod:`repro.optimizer.cost_model` needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional
 
 from .schema import Catalog, SchemaError, Table
+
+if TYPE_CHECKING:
+    from ..query.ast import Statement
 
 __all__ = ["PAGE_SIZE", "ColumnStats", "TableStats", "StatsRepository"]
 
@@ -159,3 +162,15 @@ class StatsRepository:
 
     def column_stats(self, qualified_name: str, column: str) -> ColumnStats:
         return self.table_stats(qualified_name).column_stats(column)
+
+    def bind(self, statement: "Statement") -> None:
+        """Check ``statement`` against these statistics and their schema.
+
+        Raises :class:`SchemaError` when a table it references has no
+        statistics, or a column it reads, writes, joins or sorts on is not
+        in that table's schema.
+        """
+        for table in statement.tables_referenced():
+            schema = self.table_stats(table).table
+            for column in sorted(statement.columns_needed(table)):
+                schema.column(column)

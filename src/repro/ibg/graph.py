@@ -143,10 +143,6 @@ class IndexBenefitGraph:
         return len(self._nodes)
 
     @property
-    def root(self) -> IBGNode:
-        return self._nodes[self._root_mask]
-
-    @property
     def maintained_indices(self) -> FrozenSet[Index]:
         """Indices that charge maintenance under this (write) statement."""
         return frozenset(self._maintenance)

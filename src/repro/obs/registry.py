@@ -236,10 +236,6 @@ class Histogram:
         self._sum = 0.0  # guarded-by: _lock
         self._count = 0  # guarded-by: _lock
 
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        return self._bounds
-
     def observe(self, value: float) -> None:
         slot = bisect.bisect_left(self._bounds, float(value))
         with self._lock:

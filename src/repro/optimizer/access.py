@@ -50,9 +50,10 @@ class AccessPath:
 
     @property
     def selection_key(self) -> Tuple[float, str, List[str]]:
-        """The deterministic ordering :meth:`AccessCostModel.best_path` and
-        the batched :class:`~repro.optimizer.template.PlanTemplate` menus
-        share: cheapest first, then kind, then index names."""
+        """The deterministic order of a
+        :class:`~repro.optimizer.template.PlanTemplate` menu: cheapest
+        first, then kind, then index names. The first path a configuration
+        provides is the one its plan uses."""
         return (self.cost, self.kind, [ix.name for ix in self.indexes])
 
     def describe(self) -> str:
@@ -248,20 +249,6 @@ class AccessCostModel:
             ))
         paths.extend(self._intersection_paths(table, on_table, col_sel, residual))
         return paths
-
-    def best_path(
-        self,
-        table: str,
-        col_sel: Mapping[str, Tuple[float, bool]],
-        needed_columns: FrozenSet[str],
-        indices: AbstractSet[Index],
-        allow_index_only: bool = True,
-    ) -> AccessPath:
-        """Cheapest access path, with deterministic tie-breaking."""
-        paths = self.enumerate_paths(
-            table, col_sel, needed_columns, indices, allow_index_only
-        )
-        return min(paths, key=lambda p: p.selection_key)
 
     # -- update maintenance --------------------------------------------------
 

@@ -1,10 +1,12 @@
 # reprolint: zone=deterministic
 """Whole-statement costing: the analytical stand-in for DB2's optimizer.
 
-``CostModel.statement_cost(stmt, X)`` prices the best physical plan for a
-statement under hypothetical index configuration ``X`` — the ``cost(q, X)``
-primitive of the paper (§2). ``explain`` returns the chosen plan for
-inspection.
+:class:`CostModel` holds the statistics, the cost constants and the
+per-table access-path enumerator that
+:class:`~repro.optimizer.template.PlanTemplate` compiles a statement's plan
+space from; the template's search prices ``cost(q, X)``, the primitive of
+the paper (§2), and renders the chosen plan as a :class:`QueryPlan`.
+Maintenance charges for write statements are priced here directly.
 
 Design constraints inherited from the paper:
 
@@ -19,9 +21,8 @@ Design constraints inherited from the paper:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Tuple
 
 from ..db.index import Index, IndexSizer
 from ..db.stats import StatsRepository
@@ -34,7 +35,7 @@ from ..query.ast import (
     UpdateStatement,
 )
 from .access import AccessCostModel, AccessCosts, AccessPath
-from .selectivity import join_selectivity, selectivity_by_column
+from .selectivity import selectivity_by_column
 
 __all__ = ["CostModel", "CostModelConfig", "QueryPlan", "JoinStep", "MaintenanceItem"]
 
@@ -116,7 +117,7 @@ class QueryPlan:
 
 
 class CostModel:
-    """Prices statements against a :class:`~repro.db.stats.StatsRepository`."""
+    """The costing inputs for a :class:`~repro.db.stats.StatsRepository`."""
 
     def __init__(
         self,
@@ -141,138 +142,15 @@ class CostModel:
         """The per-table access-path enumerator (shared with plan templates)."""
         return self._access
 
-    # -- select ------------------------------------------------------------
-
-    def _select_plan(self, query: SelectQuery, config: AbstractSet[Index]) -> QueryPlan:
-        col_sel: Dict[str, Dict] = {}
-        access_paths: List[Tuple[str, AccessPath]] = []
-        path_by_table: Dict[str, AccessPath] = {}
-        for table in query.tables:
-            sels = selectivity_by_column(self._stats, query.predicates_on(table))
-            col_sel[table] = dict(sels)
-            path = self._access.best_path(
-                table,
-                sels,
-                query.columns_needed(table),
-                config,
-            )
-            path_by_table[table] = path
-
-        join_steps: List[JoinStep] = []
-        if len(query.tables) == 1:
-            table = query.tables[0]
-            access_paths.append((table, path_by_table[table]))
-            current_rows = path_by_table[table].output_rows
-        else:
-            current_rows, access_paths, join_steps = self._order_joins(
-                query, path_by_table, config
-            )
-
-        sort_cost = self._sort_cost(query, path_by_table, current_rows)
-        return QueryPlan(
-            statement=query,
-            access_paths=tuple(access_paths),
-            join_steps=tuple(join_steps),
-            sort_cost=sort_cost,
-        )
-
-    def _order_joins(
-        self,
-        query: SelectQuery,
-        path_by_table: Dict[str, AccessPath],
-        config: AbstractSet[Index],
-    ) -> Tuple[float, List[Tuple[str, AccessPath]], List[JoinStep]]:
-        """Greedy left-deep join order, smallest estimated input first.
-
-        The join *order* depends only on cardinalities (never on available
-        indices), which keeps cost contributions of different tables additive
-        under hash joins.
-        """
-        remaining = set(query.tables)
-        first = min(
-            remaining,
-            key=lambda t: (path_by_table[t].output_rows, t),
-        )
-        remaining.remove(first)
-        joined = {first}
-        current_rows = path_by_table[first].output_rows
-        access_paths: List[Tuple[str, AccessPath]] = [(first, path_by_table[first])]
-        join_steps: List[JoinStep] = []
-
-        while remaining:
-            best: Optional[Tuple[float, str, Optional[JoinPredicate]]] = None
-            for table in sorted(remaining):
-                join_pred = self.connecting_join(query, joined, table)
-                if join_pred is None:
-                    out = current_rows * path_by_table[table].output_rows
-                else:
-                    inner_col = join_pred.column_on(table)
-                    outer_col = (
-                        join_pred.left
-                        if join_pred.right.table == table
-                        else join_pred.right
-                    )
-                    sel = join_selectivity(
-                        self._stats,
-                        outer_col.table, outer_col.column,
-                        table, inner_col.column,
-                    )
-                    out = current_rows * path_by_table[table].output_rows * sel
-                key = (out, table)
-                if best is None or key < (best[0], best[1]):
-                    best = (out, table, join_pred)
-            if best is None:
-                raise RuntimeError("join enumeration found no next table")
-            out_rows, table, join_pred = best
-            remaining.remove(table)
-            joined.add(table)
-
-            inner_path = path_by_table[table]
-            hash_cost = (
-                inner_path.cost
-                + (current_rows + inner_path.output_rows) * self.config.hash_cpu_per_row
-                + out_rows * self.config.output_cpu_per_row
-            )
-            step_cost = hash_cost
-            method = "hash"
-            used_index: Optional[Index] = None
-            scan_inner = True
-            if self.config.enable_inlj and join_pred is not None:
-                inner_col = join_pred.column_on(table).column
-                for index in sorted(ix for ix in config if ix.table == table):
-                    if index.leading_column != inner_col:
-                        continue
-                    lookup = current_rows * (
-                        self._sizer.height(index) + self.config.inlj_lookup_cost
-                    )
-                    inlj_cost = lookup + out_rows * self.config.output_cpu_per_row
-                    if inlj_cost < step_cost:
-                        step_cost = inlj_cost
-                        method = "index-nested-loop"
-                        used_index = index
-                        scan_inner = False
-            if scan_inner:
-                access_paths.append((table, inner_path))
-                step_cost -= inner_path.cost if method == "hash" else 0.0
-            join_steps.append(JoinStep(
-                inner_table=table,
-                method=method,
-                cost=step_cost,
-                output_rows=out_rows,
-                index=used_index,
-            ))
-            current_rows = out_rows
-        return current_rows, access_paths, join_steps
-
     @staticmethod
     def connecting_join(
         query: SelectQuery, joined: AbstractSet[str], table: str
     ) -> Optional[JoinPredicate]:
         """The join predicate linking ``table`` to the already-joined set.
 
-        Public because :mod:`repro.optimizer.template` replays the same
-        greedy join-order construction when building a plan template; both
-        must agree on which predicate connects each step.
+        Public because :mod:`repro.optimizer.template` builds the greedy
+        join order with it, and the tests' scalar reference search must
+        agree on which predicate connects each step.
         """
         for join in query.joins:
             if join.touches(table):
@@ -280,111 +158,6 @@ class CostModel:
                 if other in joined:
                     return join
         return None
-
-    def _sort_cost(
-        self,
-        query: SelectQuery,
-        path_by_table: Dict[str, AccessPath],
-        output_rows: float,
-    ) -> float:
-        if query.order_by is None:
-            return 0.0
-        wanted = tuple(c.column for c in query.order_by.columns)
-        if len(query.tables) == 1:
-            path = path_by_table[query.tables[0]]
-            if path.sorted_columns[: len(wanted)] == wanted:
-                return 0.0  # index delivers the order
-        rows = max(output_rows, 1.0)
-        return rows * math.log2(rows + 2.0) * self.config.sort_cpu_per_row
-
-    # -- updates -------------------------------------------------------------
-
-    def _update_plan(self, stmt: UpdateStatement, config: AbstractSet[Index]) -> QueryPlan:
-        sels = selectivity_by_column(self._stats, stmt.predicates)
-        path = self._access.best_path(
-            stmt.table,
-            sels,
-            stmt.columns_needed(stmt.table),
-            config,
-            allow_index_only=False,  # must fetch heap rows to modify them
-        )
-        affected = path.output_rows
-        write_cost = affected * self.config.access.write_per_row
-        maintenance: List[MaintenanceItem] = []
-        set_columns = set(stmt.set_columns)
-        for index in sorted(ix for ix in config if ix.table == stmt.table):
-            key_change = bool(set_columns.intersection(index.columns))
-            cost = self._access.index_maintenance_cost(index, affected, key_change)
-            if cost > 0:
-                maintenance.append(MaintenanceItem(index, cost))
-        return QueryPlan(
-            statement=stmt,
-            access_paths=((stmt.table, path),),
-            write_cost=write_cost,
-            maintenance=tuple(maintenance),
-        )
-
-    def _delete_plan(self, stmt: DeleteStatement, config: AbstractSet[Index]) -> QueryPlan:
-        sels = selectivity_by_column(self._stats, stmt.predicates)
-        path = self._access.best_path(
-            stmt.table,
-            sels,
-            stmt.columns_needed(stmt.table),
-            config,
-            allow_index_only=False,
-        )
-        affected = path.output_rows
-        write_cost = affected * self.config.access.write_per_row
-        maintenance = [
-            MaintenanceItem(
-                index,
-                self._access.index_maintenance_cost(index, affected, key_change=True),
-            )
-            for index in sorted(ix for ix in config if ix.table == stmt.table)
-        ]
-        maintenance = [m for m in maintenance if m.cost > 0]
-        return QueryPlan(
-            statement=stmt,
-            access_paths=((stmt.table, path),),
-            write_cost=write_cost,
-            maintenance=tuple(maintenance),
-        )
-
-    def _insert_plan(self, stmt: InsertStatement, config: AbstractSet[Index]) -> QueryPlan:
-        rows = float(stmt.row_count)
-        write_cost = rows * self.config.access.write_per_row
-        maintenance = [
-            MaintenanceItem(
-                index,
-                self._access.index_maintenance_cost(index, rows, key_change=True),
-            )
-            for index in sorted(ix for ix in config if ix.table == stmt.table)
-        ]
-        maintenance = [m for m in maintenance if m.cost > 0]
-        return QueryPlan(
-            statement=stmt,
-            access_paths=(),
-            write_cost=write_cost,
-            maintenance=tuple(maintenance),
-        )
-
-    # -- public API ----------------------------------------------------------
-
-    def explain(self, statement: Statement, config: AbstractSet[Index]) -> QueryPlan:
-        """The best plan for ``statement`` under hypothetical config ``config``."""
-        if isinstance(statement, SelectQuery):
-            return self._select_plan(statement, config)
-        if isinstance(statement, UpdateStatement):
-            return self._update_plan(statement, config)
-        if isinstance(statement, DeleteStatement):
-            return self._delete_plan(statement, config)
-        if isinstance(statement, InsertStatement):
-            return self._insert_plan(statement, config)
-        raise TypeError(f"cannot cost statement of type {type(statement).__name__}")
-
-    def statement_cost(self, statement: Statement, config: AbstractSet[Index]) -> float:
-        """``cost(q, X)``: cost of the best plan under configuration ``config``."""
-        return self.explain(statement, config).total_cost
 
     def maintenance_cost(self, statement: Statement, index: Index) -> float:
         """Maintenance charge ``index`` adds to ``statement`` if materialized.

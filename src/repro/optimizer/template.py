@@ -1,19 +1,17 @@
 # reprolint: zone=deterministic
-"""Per-statement plan templates: batched what-if costing (ISSUE 4).
+"""Per-statement plan templates: the what-if optimizer's plan search.
 
-The scalar :class:`~repro.optimizer.cost_model.CostModel` re-derives
-selectivities, the greedy join order, and the per-table access-path menu on
-*every* plan optimization, even though — by the paper's own design (§2, §5)
-— none of those depend on the hypothetical configuration: the join order is
-fixed by cardinalities, selectivities by the predicates, and the candidate
-access paths by the statement's sargable columns. Only the *argmin over the
-menu* changes with the configuration.
+Selectivities, the greedy join order and the per-table access-path menu do
+not depend on the hypothetical configuration — by the paper's own design
+(§2, §5) the join order is fixed by cardinalities, selectivities by the
+predicates, and the candidate access paths by the statement's sargable
+columns. Only the *argmin over the menu* changes with the configuration.
 
 A :class:`PlanTemplate` performs that statement-local work once and compiles
 it into flat per-table *menus*:
 
 * every candidate access path of every referenced table, priced and sorted
-  by the scalar path's deterministic ``selection_key``, each tagged with the
+  by the deterministic ``AccessPath.selection_key``, each tagged with the
   mask of index bits it requires;
 * the (configuration-independent) join skeleton — greedy join order, hash
   build/probe and output CPU constants per step, and the per-index
@@ -24,12 +22,13 @@ it into flat per-table *menus*:
   for single-table queries).
 
 :meth:`PlanTemplate.entry` then prices *any* configuration mask with one
-first-available scan per table menu plus a handful of float additions that
-replay the scalar plan's summation order **exactly** — the same costs to the
-last bit (``tests/optimizer/test_template_property.py`` is the oracle), with
+first-available scan per table menu plus a handful of float additions, with
 used/plan-used masks included, and no plan objects, frozensets, or path
-re-enumeration. The scalar ``CostModel.explain``/``statement_cost`` path is
-retained untouched as the equivalence oracle and for plan inspection.
+re-enumeration. :meth:`PlanTemplate.explain` makes the same choices and
+renders them as a :class:`~repro.optimizer.cost_model.QueryPlan`. The costs
+are those of a scalar search that enumerates every path per configuration,
+to the last bit: ``tests/reference.py`` keeps that search as the oracle and
+``tests/optimizer/test_template_property.py`` compares with ``==``.
 
 Menu-entry availability is a single mask test (``entry.mask & ~config ==
 0``), so pricing the ``2^k`` configurations a WFA part requests costs
@@ -40,9 +39,10 @@ optimizer bottleneck from small-part (high-part-count) deployments.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from ..core.bitset import IndexUniverse
+from ..db.index import Index
 from ..query.ast import (
     DeleteStatement,
     InsertStatement,
@@ -50,15 +50,16 @@ from ..query.ast import (
     Statement,
     UpdateStatement,
 )
-from .cost_model import CostModel
+from .access import AccessPath
+from .cost_model import CostModel, JoinStep, MaintenanceItem, QueryPlan
 from .selectivity import join_selectivity, selectivity_by_column
 
 __all__ = ["PlanTemplate", "build_plan_template"]
 
 #: A priced access-path alternative: (required index bits, path cost,
-#: delivers-the-ORDER-BY flag). Menus are sorted by the scalar path's
-#: ``AccessPath.selection_key``, so "first available entry" is exactly
-#: ``AccessCostModel.best_path`` restricted to the configuration.
+#: delivers-the-ORDER-BY flag). Menus are sorted by
+#: ``AccessPath.selection_key``, so the first available entry is the
+#: cheapest path the configuration provides, ties broken deterministically.
 _MenuEntry = Tuple[int, float, bool]
 
 #: One table of the join pipeline: (menu, c1, c2, inlj). ``c1 is None``
@@ -76,7 +77,9 @@ class PlanTemplate:
     statement by :class:`~repro.optimizer.whatif.WhatIfOptimizer`;
     ``covered_mask`` records the candidate bits the menus were enumerated
     over — a request mentioning bits outside it means new indices appeared
-    on the statement's tables and the owner must rebuild.
+    on the statement's tables and the owner must rebuild. ``tables`` names
+    each slot's table, in join order, and ``step_rows`` holds each join
+    step's output-row estimate; only :meth:`explain` reads them.
     """
 
     __slots__ = (
@@ -87,6 +90,8 @@ class PlanTemplate:
         "_sort_default",
         "_write_cost",
         "_maintenance",
+        "_tables",
+        "_step_rows",
     )
 
     def __init__(
@@ -98,6 +103,8 @@ class PlanTemplate:
         sort_default: float,
         write_cost: float,
         maintenance: Sequence[Tuple[int, float]],
+        tables: Sequence[str],
+        step_rows: Sequence[float] = (),
     ) -> None:
         self.kind = kind
         self.covered_mask = covered_mask
@@ -106,13 +113,16 @@ class PlanTemplate:
         self._sort_default = sort_default
         self._write_cost = write_cost
         self._maintenance = tuple(maintenance)
+        self._tables = tuple(tables)
+        self._step_rows = tuple(step_rows)
 
     def entry(self, config_mask: int) -> Tuple[float, int, int]:
         """``(cost, used mask, plan-used mask)`` under ``config_mask``.
 
         ``config_mask`` must be relevance-reduced and within
-        :attr:`covered_mask`; the result triple is bit-identical to what the
-        scalar optimize-and-extract path produces for the same mask.
+        :attr:`covered_mask`; the result triple is bit-identical to the
+        scalar reference search's plan cost and used sets for the same
+        mask.
         """
         kind = self.kind
         if kind == "select":
@@ -168,22 +178,108 @@ class PlanTemplate:
         total = (cost + self._write_cost) + msum
         return total, e_mask | maint_used, e_mask
 
+    def explain(
+        self,
+        model: CostModel,
+        universe: IndexUniverse,
+        statement: Statement,
+        config_mask: int,
+    ) -> QueryPlan:
+        """The plan :meth:`entry` prices under ``config_mask``.
 
-def _menu(
+        Makes :meth:`entry`'s choices — each table's first available menu
+        entry, each join step's cheaper of hash and index-nested-loop —
+        and renders them with the template's sort, heap-write and
+        maintenance terms. ``QueryPlan.total_cost`` adds the terms in
+        :meth:`entry`'s order, so it equals ``entry(config_mask)[0]``.
+        Menus hold no :class:`~repro.optimizer.access.AccessPath`, so the
+        chosen tables' paths are enumerated again, in menu order, over the
+        candidates the template covers. ``model`` and ``universe`` are the
+        ones the template was built with.
+        """
+        candidates = universe.decode(self.covered_mask)
+
+        def access(number: int) -> Tuple[Tuple[str, AccessPath], float, bool]:
+            """Slot ``number``'s ``(table, path)``, path cost and sort flag."""
+            for position, (e_mask, cost, sort_ok) in enumerate(
+                self._slots[number][0]
+            ):
+                if not e_mask & ~config_mask:
+                    break
+            table = self._tables[number]
+            path = _table_paths(model, statement, table, candidates)[position]
+            return (table, path), cost, sort_ok
+
+        if self.kind != "select":
+            return QueryPlan(
+                statement,
+                (access(0)[0],) if self._slots else (),
+                write_cost=self._write_cost,
+                maintenance=tuple(
+                    MaintenanceItem(universe.index_at(bit), charge)
+                    for bit, charge in self._maintenance if bit & config_mask
+                ),
+            )
+        first, _, sort_ok = access(0)
+        if len(self._slots) == 1:
+            return QueryPlan(
+                statement, (first,),
+                sort_cost=0.0 if sort_ok else self._sort_default,
+            )
+        paths = [first]
+        steps: List[JoinStep] = []
+        for number in range(1, len(self._slots)):
+            _, c1, c2, inlj = self._slots[number]
+            inner, cost, _ = access(number)
+            rows = self._step_rows[number - 1]
+            hash_cost = (cost + c1) + c2
+            best = hash_cost
+            best_ix = 0
+            for inlj_cost, ix_bit in inlj:
+                if ix_bit & config_mask and inlj_cost < best:
+                    best = inlj_cost
+                    best_ix = ix_bit
+            if best_ix:
+                steps.append(JoinStep(
+                    inner[0], "index-nested-loop", best, rows,
+                    universe.index_at(best_ix),
+                ))
+            else:
+                paths.append(inner)
+                steps.append(JoinStep(inner[0], "hash", hash_cost - cost, rows))
+        return QueryPlan(
+            statement, tuple(paths), tuple(steps), sort_cost=self._sort_const
+        )
+
+
+def _table_paths(
     model: CostModel,
-    universe: IndexUniverse,
+    statement: Statement,
     table: str,
-    col_sel,
-    needed_columns,
-    candidates,
-    wanted_order: Tuple[str, ...],
-    allow_index_only: bool = True,
-) -> List[_MenuEntry]:
-    """The priced, deterministically sorted access-path menu of one table."""
+    candidates: AbstractSet[Index],
+) -> List[AccessPath]:
+    """Every access path of ``table`` over ``candidates``, in menu order.
+
+    Write statements must fetch the heap rows they modify, so they get no
+    index-only paths.
+    """
     paths = model.access_model.enumerate_paths(
-        table, col_sel, needed_columns, candidates, allow_index_only
+        table,
+        selectivity_by_column(model.stats, statement.predicates_on(table)),
+        statement.columns_needed(table),
+        candidates,
+        allow_index_only=isinstance(statement, SelectQuery),
     )
     paths.sort(key=lambda p: p.selection_key)
+    return paths
+
+
+def _menu(
+    universe: IndexUniverse,
+    paths: Sequence[AccessPath],
+    wanted_order: Tuple[str, ...],
+) -> List[_MenuEntry]:
+    """The priced menu of one table's paths (from :func:`_table_paths`)."""
     entries: List[_MenuEntry] = []
     for path in paths:
         mask = 0
@@ -213,20 +309,13 @@ def _select_template(
     menus = {}
     out_rows = {}
     for table in query.tables:
-        sels = selectivity_by_column(stats, query.predicates_on(table))
         order = wanted_order if query.order_by is not None and (
             query.order_by.table == table and len(query.tables) == 1
         ) else ()
-        menus[table] = _menu(
-            model, universe, table, sels, query.columns_needed(table),
-            candidates, order,
-        )
-        # Every path of a table produces the same qualifying-row estimate;
-        # the table scan (always first in enumeration) supplies it.
-        residual = 1.0
-        for sel, _ in sels.values():
-            residual *= sel
-        out_rows[table] = stats.table_stats(table).row_count * residual
+        paths = _table_paths(model, query, table, candidates)
+        menus[table] = _menu(universe, paths, order)
+        # Every path of a table produces the same qualifying-row estimate.
+        out_rows[table] = paths[0].output_rows
 
     if len(query.tables) == 1:
         table = query.tables[0]
@@ -240,18 +329,20 @@ def _select_template(
             "select", covered_mask,
             slots=((menus[table], None, 0.0, ()),),
             sort_const=0.0, sort_default=sort_default,
-            write_cost=0.0, maintenance=(),
+            write_cost=0.0, maintenance=(), tables=(table,),
         )
 
-    # Greedy left-deep join skeleton — the same walk as
-    # ``CostModel._order_joins`` with the (configuration-independent)
-    # cardinalities substituted for concrete access paths.
+    # Greedy left-deep join skeleton: the join order depends only on
+    # cardinalities, never on the configuration, which keeps the
+    # contributions of different tables additive under hash joins.
     remaining = set(query.tables)
     first = min(remaining, key=lambda t: (out_rows[t], t))
     remaining.remove(first)
     joined = {first}
     current_rows = out_rows[first]
     slots: List[_Slot] = [(menus[first], None, 0.0, ())]
+    tables = [first]
+    join_rows: List[float] = []
     sorted_candidates = sorted(ix for ix in candidates)
     while remaining:
         best = None
@@ -293,6 +384,8 @@ def _select_template(
                 )
                 inlj.append((lookup + c2, universe.bit_of(index)))
         slots.append((menus[table], c1, c2, tuple(inlj)))
+        tables.append(table)
+        join_rows.append(step_rows)
         current_rows = step_rows
 
     sort_const = 0.0
@@ -302,7 +395,7 @@ def _select_template(
     return PlanTemplate(
         "select", covered_mask, slots=slots,
         sort_const=sort_const, sort_default=0.0,
-        write_cost=0.0, maintenance=(),
+        write_cost=0.0, maintenance=(), tables=tables, step_rows=join_rows,
     )
 
 
@@ -312,7 +405,6 @@ def _write_template(
     statement: Statement,
     covered_mask: int,
 ) -> PlanTemplate:
-    stats = model.stats
     config = model.config
     candidates = universe.decode(covered_mask)
     table = statement.table
@@ -322,18 +414,13 @@ def _write_template(
     if isinstance(statement, InsertStatement):
         affected = float(statement.row_count)
         slots: Tuple[_Slot, ...] = ()
+        tables: Tuple[str, ...] = ()
         kind = "insert"
     else:
-        sels = selectivity_by_column(stats, statement.predicates)
-        menu = _menu(
-            model, universe, table, sels, statement.columns_needed(table),
-            candidates, (), allow_index_only=False,
-        )
-        residual = 1.0
-        for sel, _ in sels.values():
-            residual *= sel
-        affected = stats.table_stats(table).row_count * residual
-        slots = ((menu, None, 0.0, ()),)
+        paths = _table_paths(model, statement, table, candidates)
+        affected = paths[0].output_rows
+        slots = ((_menu(universe, paths, ()), None, 0.0, ()),)
+        tables = (table,)
         kind = "delete" if isinstance(statement, DeleteStatement) else "update"
 
     set_columns = (
@@ -353,7 +440,7 @@ def _write_template(
         kind, covered_mask, slots=slots,
         sort_const=0.0, sort_default=0.0,
         write_cost=affected * config.access.write_per_row,
-        maintenance=maintenance,
+        maintenance=maintenance, tables=tables,
     )
 
 

@@ -7,9 +7,9 @@ over the analytical :class:`~repro.optimizer.cost_model.CostModel`, plus:
 
 * **Relevance reduction** — only indices on the statement's tables affect
   its plan, so the cache key is the relevant sub-configuration.
-* **Used-set extraction** — ``optimize()`` returns the plan cost together
-  with the set of indices the plan depends on, which is exactly what the
-  Index Benefit Graph of [16] needs.
+* **Used-set extraction** — ``plan_usage_masks()`` returns the plan cost
+  together with the indices the plan depends on, which is exactly what
+  the Index Benefit Graph of [16] needs.
 * **Memoization with call accounting** — ``whatif_calls`` counts every
   costing request; ``optimizations`` counts actual (cache-missing) plan
   optimizations, the expensive quantity the paper reports in §6.2.
@@ -20,11 +20,11 @@ Configurations are interned into a shared
 :class:`~repro.core.bitset.IndexUniverse` and the memo table keys on
 ``(statement, relevant-mask)`` ints: relevance reduction is one ``&``
 against the statement's table mask and a hit costs one int-dict probe
-instead of hashing a frozenset. The frozenset API (``cost``, ``optimize``,
-``plan_usage``) is preserved as a thin encode/decode shim at the module
-boundary; hot loops use the mask API: ``cost_mask``, the IBG's
-``plan_usage_masks`` waves, and :meth:`WhatIfOptimizer.costs_into`, which
-is what WFA's work-function update drives.
+instead of hashing a frozenset. ``cost`` and ``explain`` take frozensets
+and encode them at the module boundary; hot loops use the mask API:
+``cost_mask``, the IBG's ``plan_usage_masks`` waves, and
+:meth:`WhatIfOptimizer.costs_into`, which is what WFA's work-function
+update drives.
 
 One memo routine
 ----------------
@@ -36,9 +36,9 @@ the batch's first miss, price the miss, install it, and count. Memo
 :class:`~repro.optimizer.template.PlanTemplate` — selectivities, the greedy
 join order, and every candidate access path are computed once per statement,
 after which any configuration mask is a pure table-local menu argmin plus
-precomputed join/sort/maintenance terms, bit-identical to the scalar
-:class:`CostModel` path (retained as the equivalence oracle and for
-:meth:`WhatIfOptimizer.explain`). The ``optimizations`` counter therefore
+precomputed join/sort/maintenance terms. The template is the optimizer's
+only plan search: :meth:`WhatIfOptimizer.explain` renders the plan it
+picked for a configuration. The ``optimizations`` counter therefore
 counts *template builds*: the number of times genuine plan derivation ran,
 which is the machine-independent overhead quantity of §6.2.
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import (
-    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Tuple,
 )
 
 try:  # Optional: the deduplicating costs_into() branch. Pure-Python callers
@@ -171,43 +171,10 @@ class WhatIfOptimizer:
     def _statement_tables_mask(self, statement: Statement) -> int:
         return self._universe.tables_mask(statement.tables_referenced())
 
-    def relevant_subset(
-        self, statement: Statement, config: AbstractSet[Index]
-    ) -> FrozenSet[Index]:
-        """Indices of ``config`` that can influence ``statement``'s plan."""
-        tables = set(statement.tables_referenced())
-        return frozenset(ix for ix in config if ix.table in tables)
-
     def relevant_mask(self, statement: Statement, config_mask: int) -> int:
-        """Mask analogue of :meth:`relevant_subset` (one ``&``)."""
+        """The bits of ``config_mask`` on the statement's tables, the only
+        indices that can influence its plan (one ``&``)."""
         return config_mask & self._statement_tables_mask(statement)
-
-    # -- plan inspection helpers ----------------------------------------------
-
-    @staticmethod
-    def _plan_indices(plan: QueryPlan) -> FrozenSet[Index]:
-        """Indices the chosen *plan* depends on (access paths and joins)."""
-        used = set()
-        for _, path in plan.access_paths:
-            used.update(path.indexes)
-        for step in plan.join_steps:
-            if step.index is not None:
-                used.add(step.index)
-        return frozenset(used)
-
-    @staticmethod
-    def _used_indices(plan: QueryPlan) -> FrozenSet[Index]:
-        """Indices the plan's cost actually depends on.
-
-        Access-path and join indices lower the cost; maintenance-paying
-        indices raise it. Either way, removing any other index from the
-        configuration leaves the cost unchanged — the property the IBG
-        traversal relies on.
-        """
-        used = set(WhatIfOptimizer._plan_indices(plan))
-        for item in plan.maintenance:
-            used.add(item.index)
-        return frozenset(used)
 
     # -- the memo table -------------------------------------------------------
 
@@ -377,22 +344,7 @@ class WhatIfOptimizer:
         ):
             out[i] = entry[0]
 
-    # -- frozenset interface (module-boundary shim) ----------------------------
-
-    def optimize(
-        self, statement: Statement, config: AbstractSet[Index]
-    ) -> Tuple[float, FrozenSet[Index]]:
-        """``(cost(q, X), used(q, X))`` with caching on the relevant subset."""
-        entry = self._lookup_mask(statement, self._universe.encode(config))
-        return entry[0], self._universe.decode(entry[1])
-
-    def plan_usage(
-        self, statement: Statement, config: AbstractSet[Index]
-    ) -> Tuple[float, FrozenSet[Index]]:
-        """``(cost, plan-used)`` — used indices excluding maintenance-only
-        ones (those affect the cost additively; see ``maintenance_cost``)."""
-        entry = self._lookup_mask(statement, self._universe.encode(config))
-        return entry[0], self._universe.decode(entry[2])
+    # -- frozenset interface (module boundary) ---------------------------------
 
     def cost(self, statement: Statement, config: AbstractSet[Index]) -> float:
         """``cost(q, X)``: cost of the best plan under configuration ``config``."""
@@ -407,25 +359,16 @@ class WhatIfOptimizer:
         return self._model.maintenance_cost(statement, index)
 
     def explain(self, statement: Statement, config: AbstractSet[Index]) -> QueryPlan:
-        """The chosen plan (not cached; used for inspection and examples)."""
-        return self._model.explain(
-            statement, self.relevant_subset(statement, config)
-        )
+        """The plan ``cost(statement, config)`` prices, as the statement's
+        plan template picks and renders it.
 
-    def benefit(
-        self,
-        statement: Statement,
-        extra: AbstractSet[Index],
-        base: AbstractSet[Index],
-    ) -> float:
-        """``benefit_q(Y, X) = cost(q, X) − cost(q, Y ∪ X)`` (§2).
-
-        Negative for update statements when ``extra`` incurs maintenance.
+        Fetching the template counts in :meth:`cache_stats` like a costing
+        batch's first miss (a template hit, or a build); the memo and
+        ``whatif_calls`` are untouched.
         """
-        base_mask = self._universe.encode(base)
-        extra_mask = self._universe.encode(extra)
-        return self.cost_mask(statement, base_mask) - self.cost_mask(
-            statement, base_mask | extra_mask
+        relevant = self.relevant_mask(statement, self._universe.encode(config))
+        return self._statement_template(statement).explain(
+            self._model, self._universe, statement, relevant
         )
 
     def cache_stats(self, reset: bool = False) -> Dict[str, float]:

@@ -504,15 +504,14 @@ class TuningEngine:
 
     def _parse_and_bind(self, statement: Union[str, Statement]) -> Statement:
         """``statement`` parsed (SQL text) or as given (an AST), with every
-        referenced table bound against the optimizer's statistics: an
-        unknown table raises :class:`~repro.db.schema.SchemaError` before
-        anything is admitted, logged or enqueued."""
+        referenced table and column bound against the optimizer's
+        statistics and schema: an unknown one raises
+        :class:`~repro.db.schema.SchemaError` before anything is admitted,
+        logged or enqueued."""
         parsed = (
             parse_statement(statement) if isinstance(statement, str) else statement
         )
-        stats = self._optimizer.stats
-        for table in parsed.tables_referenced():
-            stats.table_stats(table)
+        self._optimizer.stats.bind(parsed)
         return parsed
 
     def submit(
@@ -532,8 +531,8 @@ class TuningEngine:
         session behind. The statement is analyzed at the next
         :meth:`pump` (or by the background drain thread when
         :meth:`start` is active). A statement that names a table the
-        optimizer has no statistics for raises
-        :class:`~repro.db.schema.SchemaError` before admission.
+        optimizer has no statistics for, or a column not in its table,
+        raises :class:`~repro.db.schema.SchemaError` before admission.
         """
         parsed = self._parse_and_bind(statement)
         if priority is not None:
@@ -573,7 +572,8 @@ class TuningEngine:
         would be exceeded, :class:`QueueFull` is raised and *nothing* —
         no WAL record, no queue entry, no session — happens for any
         element; the same holds when any element names an unknown table
-        (:class:`~repro.db.schema.SchemaError`, raised while parsing).
+        or column (:class:`~repro.db.schema.SchemaError`, raised while
+        parsing).
         """
         batch: List[Tuple[str, Statement, Optional[str]]] = []
         for entry in entries:

@@ -8,20 +8,20 @@ that container, with deterministic constructors:
 * :meth:`MultiClientTrace.split` deals one workload's statements across N
   clients (round-robin or seeded-random assignment) *preserving the global
   statement order* — the shape of one traffic stream observed at a proxy.
-* :meth:`MultiClientTrace.round_robin` / :meth:`MultiClientTrace.shuffled`
-  merge independent per-client streams into one interleaving, preserving
-  each client's internal order (the shape of N independent connections).
+* :meth:`MultiClientTrace.round_robin` merges independent per-client
+  streams into one interleaving, preserving each client's internal order
+  (the shape of N independent connections).
 
 Because the shared engine analyzes statements in arrival order, feeding a
-trace through ``TuningEngine.pump()`` is equivalent to feeding
-``merged_statements()`` to a single WFIT — the determinism property the
-service tests pin down.
+trace through ``TuningEngine.pump()`` is equivalent to feeding its
+statements, in trace order, to a single WFIT — the determinism property
+the service tests pin down.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ..query.ast import Statement
 
@@ -91,31 +91,6 @@ class MultiClientTrace:
             position += 1
         return cls(entries)
 
-    @classmethod
-    def shuffled(
-        cls, streams: Mapping[str, Sequence[Statement]], seed: int = 0
-    ) -> "MultiClientTrace":
-        """Deterministic random interleave preserving per-client order.
-
-        At each step the next client is drawn weighted by its remaining
-        statement count, so long streams do not starve short ones.
-        """
-        rng = random.Random(seed)
-        remaining = {
-            client: list(stream)
-            for client, stream in sorted(streams.items())
-            if stream
-        }
-        entries: List[Tuple[str, Statement]] = []
-        while remaining:
-            clients = sorted(remaining)
-            weights = [len(remaining[c]) for c in clients]
-            client = rng.choices(clients, weights=weights)[0]
-            entries.append((client, remaining[client].pop(0)))
-            if not remaining[client]:
-                del remaining[client]
-        return cls(entries)
-
     # -- views ---------------------------------------------------------------
 
     @property
@@ -125,24 +100,6 @@ class MultiClientTrace:
     @property
     def clients(self) -> Tuple[str, ...]:
         return tuple(sorted({client for client, _ in self._entries}))
-
-    def merged_statements(self) -> Tuple[Statement, ...]:
-        """The trace's statements in arrival order, without client tags."""
-        return tuple(statement for _, statement in self._entries)
-
-    def per_client(self) -> Dict[str, List[Statement]]:
-        """Each client's stream in its own order."""
-        out: Dict[str, List[Statement]] = {}
-        for client, statement in self._entries:
-            out.setdefault(client, []).append(statement)
-        return out
-
-    def prefix(self, n: int) -> "MultiClientTrace":
-        return MultiClientTrace(self._entries[:n])
-
-    def suffix(self, n: int) -> "MultiClientTrace":
-        """The entries from position ``n`` on (for checkpoint resume)."""
-        return MultiClientTrace(self._entries[n:])
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -19,8 +19,9 @@ class _PhaseBoundary:
 class Workload:
     """An immutable statement stream ``Q`` with phase metadata.
 
-    Supports the operations the experiments need: iteration, slicing into
-    prefixes ``Q_n``, and a human-readable summary.
+    Supports the operations the experiments need: iteration, contiguous
+    slicing (``workload[:n]`` is the prefix ``Q_n``), and a human-readable
+    summary.
     """
 
     def __init__(
@@ -65,10 +66,6 @@ class Workload:
     @property
     def phase_boundaries(self) -> Tuple[Tuple[str, int], ...]:
         return tuple((b.name, b.start) for b in self._boundaries)
-
-    def prefix(self, n: int) -> "Workload":
-        """The prefix ``Q_n`` of the first ``n`` statements."""
-        return self[:n]
 
     @property
     def update_count(self) -> int:

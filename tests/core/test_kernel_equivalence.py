@@ -2,7 +2,7 @@
 retained frozenset reference implementation.
 
 For random workloads and partitions of ≤ 4 candidates, the kernel-backed
-:class:`repro.core.wfa.WFA` and :class:`repro.core.wfa_reference.ReferenceWFA`
+:class:`repro.core.wfa.WFA` and ``ReferenceWFA`` (``tests/reference.py``)
 must produce the same recommendation and the same work-function value for
 every configuration after every statement (and after every feedback event).
 Synthetic costs are integer-valued, so both implementations perform exact
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.wfa import WFA
-from repro.core.wfa_reference import ReferenceWFA
 from repro.optimizer import WhatIfOptimizer, extract_indices
 from repro.query import select
+from reference import ReferenceWFA
 from synth import make_synthetic_instance
 
 #: Work-function values are sums of exact integer-valued floats in both

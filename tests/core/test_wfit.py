@@ -7,7 +7,11 @@ import pytest
 from repro.core.wfit import WFIT
 from repro.db import Index, StatsTransitionCosts
 from repro.query import select, update
-from statements import SIX_TABLE_JOIN_SQL, UNKNOWN_TABLE_SQL
+from statements import (
+    SIX_TABLE_JOIN_SQL,
+    UNKNOWN_TABLE_NO_CANDIDATE_SQL,
+    UNKNOWN_TABLE_SQL,
+)
 
 SALES = "shop.sales"
 CUSTOMERS = "shop.customers"
@@ -292,7 +296,7 @@ class TestAtomicAnalysis:
         ).statements[:60]
 
     @staticmethod
-    def _assert_rejected_unchanged(tuner):
+    def _assert_rejected_unchanged(tuner, sql=UNKNOWN_TABLE_SQL):
         from repro.db.schema import SchemaError
         from repro.query.parser import parse_statement
 
@@ -300,7 +304,7 @@ class TestAtomicAnalysis:
             tuner.statements_analyzed, tuner.universe, tuner.export_state()
         )
         with pytest.raises(SchemaError):
-            tuner.analyze_statement(parse_statement(UNKNOWN_TABLE_SQL))
+            tuner.analyze_statement(parse_statement(sql))
         after = (
             tuner.statements_analyzed, tuner.universe, tuner.export_state()
         )
@@ -314,6 +318,20 @@ class TestAtomicAnalysis:
         tuner.analyze_statement(statements[0])
         self._assert_rejected_unchanged(tuner)
         assert tuner.statements_analyzed == 1
+
+    def test_unknown_table_rejected_before_the_partition_search(self, stream):
+        """Position 10 refreshes the partition, whose search draws from the
+        RNG; a statement with no candidate would reach that draw before
+        any costing. It is rejected first, so ``rng_state`` stays too."""
+        from repro.optimizer import WhatIfOptimizer
+
+        stats, statements = stream
+        tuner = WFIT(WhatIfOptimizer(stats), StatsTransitionCosts(stats))
+        for statement in statements[:9]:
+            tuner.analyze_statement(statement)
+        assert 10 % tuner.partition_refresh_period == 0
+        self._assert_rejected_unchanged(tuner, UNKNOWN_TABLE_NO_CANDIDATE_SQL)
+        assert tuner.statements_analyzed == 9
 
     def test_fixed_partition_tuner_unchanged_by_unknown_table(self, stream):
         from repro.optimizer import WhatIfOptimizer

@@ -71,8 +71,10 @@ class TestIBGConstruction:
         candidates = extract_indices(query)
         ibg = build_ibg(toy_optimizer, query, candidates)
         index = sorted(candidates)[0]
-        expected = toy_optimizer.benefit(query, {index}, frozenset())
         bit = toy_optimizer.mask_universe.bit_of(index)
+        expected = toy_optimizer.cost_mask(query, 0) - toy_optimizer.cost_mask(
+            query, bit
+        )
         assert ibg.cost_mask(0) - ibg.cost_mask(bit) == pytest.approx(expected)
 
     def test_update_statement_ibg(self, toy_optimizer, toy_stats):

@@ -4,8 +4,8 @@ For randomly generated statements (reads *and* writes with maintenance
 charges), the cost read off the IBG must equal a direct what-if
 ``cost(q, X)`` for **every** ``X ⊆ U`` with ``|U| ≤ 6`` — the guarantee
 that lets WFIT answer exponentially many configuration questions from a
-handful of optimizer calls. ``used(X)`` must agree with the used set the
-what-if optimizer reports for ``X``.
+handful of optimizer calls. ``used(X)`` must agree with the indices the
+plan ``WhatIfOptimizer.explain`` renders for ``X`` uses or maintains.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.core.bitset import iter_submasks, popcount
 from repro.ibg.graph import build_ibg
 from repro.optimizer import WhatIfOptimizer, extract_indices
 from repro.workload import generate_workload, scaled_phases
+from reference import used_indices
 
 #: |U| cap: 2^6 = 64 exhaustive configurations per statement.
 _MAX_UNIVERSE = 6
@@ -70,10 +71,10 @@ class TestLemma1:
             for config_mask in iter_submasks(full):
                 used_mask = ibg.used_mask(config_mask)
                 assert used_mask & ~config_mask == 0
-                _, used = optimizer.optimize(
+                plan = optimizer.explain(
                     statement, mask_universe.decode(config_mask)
                 )
-                assert mask_universe.encode(used) == used_mask
+                assert mask_universe.encode(used_indices(plan)) == used_mask
 
     def test_lemma1_removal_invariance(self, bench_stats, lemma_workload):
         """cost(X) is unchanged by removing any index outside used(X)."""

@@ -1,4 +1,9 @@
-"""Tests for whole-statement costing: monotonicity, joins, updates."""
+"""Tests for whole-statement costing: monotonicity, joins, updates.
+
+Every case prices through the production path, ``WhatIfOptimizer.cost``
+and ``explain``; ``tests/optimizer/test_template_property.py`` checks that
+path against the scalar reference search.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import itertools
 import pytest
 
 from repro.db import Index
-from repro.optimizer.cost_model import CostModel, CostModelConfig
+from repro.optimizer import CostModelConfig, WhatIfOptimizer
 from repro.query import delete, select, update
 from repro.query.ast import InsertStatement
 
@@ -16,8 +21,8 @@ CUSTOMERS = "shop.customers"
 
 
 @pytest.fixture()
-def model(toy_stats):
-    return CostModel(toy_stats)
+def optimizer(toy_stats):
+    return WhatIfOptimizer(toy_stats)
 
 
 @pytest.fixture()
@@ -48,21 +53,21 @@ def join_query(toy_stats):
 
 
 class TestSelectCosting:
-    def test_index_reduces_cost(self, model, range_query):
-        empty = model.statement_cost(range_query, frozenset())
-        indexed = model.statement_cost(
+    def test_index_reduces_cost(self, optimizer, range_query):
+        empty = optimizer.cost(range_query, frozenset())
+        indexed = optimizer.cost(
             range_query, frozenset({Index(SALES, ("amount",))})
         )
         assert indexed < empty
 
-    def test_irrelevant_index_is_noop(self, model, range_query):
-        empty = model.statement_cost(range_query, frozenset())
-        other = model.statement_cost(
+    def test_irrelevant_index_is_noop(self, optimizer, range_query):
+        empty = optimizer.cost(range_query, frozenset())
+        other = optimizer.cost(
             range_query, frozenset({Index(CUSTOMERS, ("region",))})
         )
         assert other == pytest.approx(empty)
 
-    def test_query_cost_monotone_in_config(self, model, range_query):
+    def test_query_cost_monotone_in_config(self, optimizer, range_query):
         """Adding indices never increases a (read-only) query's cost."""
         indices = [
             Index(SALES, ("amount",)),
@@ -71,31 +76,31 @@ class TestSelectCosting:
         ]
         for r in range(len(indices)):
             for combo in itertools.combinations(indices, r):
-                base = model.statement_cost(range_query, frozenset(combo))
+                base = optimizer.cost(range_query, frozenset(combo))
                 for extra in indices:
-                    bigger = model.statement_cost(
+                    bigger = optimizer.cost(
                         range_query, frozenset(combo) | {extra}
                     )
                     assert bigger <= base + 1e-9
 
-    def test_join_query_uses_both_tables(self, model, join_query):
-        plan = model.explain(join_query, frozenset())
+    def test_join_query_uses_both_tables(self, optimizer, join_query):
+        plan = optimizer.explain(join_query, frozenset())
         tables = {t for t, _ in plan.access_paths}
         assert tables == {SALES, CUSTOMERS}
         assert len(plan.join_steps) == 1
         assert plan.join_steps[0].method == "hash"
 
-    def test_join_additivity_under_hash_joins(self, model, join_query):
+    def test_join_additivity_under_hash_joins(self, optimizer, join_query):
         """Eq (2.1): with hash joins only, per-table benefits are additive."""
         sales_ix = Index(SALES, ("sale_date",))
         cust_ix = Index(CUSTOMERS, ("region",))
-        c_empty = model.statement_cost(join_query, frozenset())
-        c_s = model.statement_cost(join_query, frozenset({sales_ix}))
-        c_c = model.statement_cost(join_query, frozenset({cust_ix}))
-        c_both = model.statement_cost(join_query, frozenset({sales_ix, cust_ix}))
+        c_empty = optimizer.cost(join_query, frozenset())
+        c_s = optimizer.cost(join_query, frozenset({sales_ix}))
+        c_c = optimizer.cost(join_query, frozenset({cust_ix}))
+        c_both = optimizer.cost(join_query, frozenset({sales_ix, cust_ix}))
         assert c_both == pytest.approx(c_s + c_c - c_empty, rel=1e-9)
 
-    def test_order_by_sort_avoided_by_index(self, model, toy_stats):
+    def test_order_by_sort_avoided_by_index(self, optimizer, toy_stats):
         date = toy_stats.column_stats(SALES, "sale_date")
         width = (date.max_value - date.min_value) * 0.2
         query = (
@@ -105,9 +110,9 @@ class TestSelectCosting:
             .order_by("sale_date")
             .build()
         )
-        no_index = model.explain(query, frozenset())
+        no_index = optimizer.explain(query, frozenset())
         assert no_index.sort_cost > 0
-        indexed = model.explain(query, frozenset({Index(SALES, ("sale_date",))}))
+        indexed = optimizer.explain(query, frozenset({Index(SALES, ("sale_date",))}))
         assert indexed.sort_cost == 0.0
 
 
@@ -124,25 +129,25 @@ class TestInljMode:
         )
 
     def test_inlj_chosen_for_selective_outer(self, toy_stats, lookup_join_query):
-        model = CostModel(toy_stats, CostModelConfig(enable_inlj=True))
+        optimizer = WhatIfOptimizer(toy_stats, CostModelConfig(enable_inlj=True))
         join_ix = Index(SALES, ("customer_id",))
-        plan = model.explain(lookup_join_query, frozenset({join_ix}))
+        plan = optimizer.explain(lookup_join_query, frozenset({join_ix}))
         methods = {step.method for step in plan.join_steps}
         assert "index-nested-loop" in methods
         # The inner table is reached through lookups, not a scan.
         assert SALES not in {t for t, _ in plan.access_paths}
 
     def test_inlj_never_worse_than_hash(self, toy_stats, lookup_join_query):
-        plain = CostModel(toy_stats)
-        inlj = CostModel(toy_stats, CostModelConfig(enable_inlj=True))
+        plain = WhatIfOptimizer(toy_stats)
+        inlj = WhatIfOptimizer(toy_stats, CostModelConfig(enable_inlj=True))
         config = frozenset({Index(SALES, ("customer_id",))})
-        assert inlj.statement_cost(lookup_join_query, config) <= (
-            plain.statement_cost(lookup_join_query, config) + 1e-9
+        assert inlj.cost(lookup_join_query, config) <= (
+            plain.cost(lookup_join_query, config) + 1e-9
         )
 
 
 class TestUpdateCosting:
-    def test_update_charges_maintenance_on_set_column_index(self, model, toy_stats):
+    def test_update_charges_maintenance_on_set_column_index(self, optimizer, toy_stats):
         stmt = (
             update(SALES)
             .set("amount")
@@ -150,11 +155,11 @@ class TestUpdateCosting:
             .build()
         )
         tax_ix = Index(SALES, ("amount",))
-        base = model.statement_cost(stmt, frozenset())
-        with_ix = model.statement_cost(stmt, frozenset({tax_ix}))
+        base = optimizer.cost(stmt, frozenset())
+        with_ix = optimizer.cost(stmt, frozenset({tax_ix}))
         assert with_ix > base
 
-    def test_update_where_index_helps(self, model, toy_stats):
+    def test_update_where_index_helps(self, optimizer, toy_stats):
         stmt = (
             update(SALES)
             .set("amount")
@@ -162,11 +167,11 @@ class TestUpdateCosting:
             .build()
         )
         where_ix = Index(SALES, ("sale_date",))
-        base = model.statement_cost(stmt, frozenset())
-        with_ix = model.statement_cost(stmt, frozenset({where_ix}))
+        base = optimizer.cost(stmt, frozenset())
+        with_ix = optimizer.cost(stmt, frozenset({where_ix}))
         assert with_ix < base
 
-    def test_update_never_uses_index_only_scan(self, model):
+    def test_update_never_uses_index_only_scan(self, optimizer):
         stmt = (
             update(SALES)
             .set("amount")
@@ -174,32 +179,32 @@ class TestUpdateCosting:
             .build()
         )
         config = frozenset({Index(SALES, ("sale_date", "amount"))})
-        plan = model.explain(stmt, config)
+        plan = optimizer.explain(stmt, config)
         kinds = {path.kind for _, path in plan.access_paths}
         assert "index-only-scan" not in kinds
 
-    def test_insert_charges_all_indices(self, model):
+    def test_insert_charges_all_indices(self, optimizer):
         stmt = InsertStatement(SALES, row_count=1000)
-        none = model.statement_cost(stmt, frozenset())
-        one = model.statement_cost(stmt, frozenset({Index(SALES, ("amount",))}))
-        two = model.statement_cost(stmt, frozenset({
+        none = optimizer.cost(stmt, frozenset())
+        one = optimizer.cost(stmt, frozenset({Index(SALES, ("amount",))}))
+        two = optimizer.cost(stmt, frozenset({
             Index(SALES, ("amount",)), Index(SALES, ("sale_date",))
         }))
         assert none < one < two
 
-    def test_insert_cost_scales_with_rows(self, model):
+    def test_insert_cost_scales_with_rows(self, optimizer):
         config = frozenset({Index(SALES, ("amount",))})
-        small = model.statement_cost(InsertStatement(SALES, row_count=10), config)
-        large = model.statement_cost(InsertStatement(SALES, row_count=10_000), config)
+        small = optimizer.cost(InsertStatement(SALES, row_count=10), config)
+        large = optimizer.cost(InsertStatement(SALES, row_count=10_000), config)
         assert large > 100 * small
 
-    def test_delete_charges_all_indices(self, model):
+    def test_delete_charges_all_indices(self, optimizer):
         stmt = delete(SALES).where_between("sale_date", 17000, 17010).build()
-        base = model.statement_cost(stmt, frozenset())
+        base = optimizer.cost(stmt, frozenset())
         config = frozenset({Index(SALES, ("amount",))})
-        assert model.statement_cost(stmt, config) > base
+        assert optimizer.cost(stmt, config) > base
 
-    def test_plan_describe_smoke(self, model, join_query):
-        text = model.explain(join_query, frozenset()).describe()
+    def test_plan_describe_smoke(self, optimizer, join_query):
+        text = optimizer.explain(join_query, frozenset()).describe()
         assert "total=" in text
         assert "access" in text

@@ -8,9 +8,11 @@ import weakref
 import pytest
 
 from repro.db import Index
+from repro.ibg import build_ibg
 from repro.optimizer import WhatIfOptimizer
 from repro.optimizer import whatif as whatif_module
 from repro.query import select, update
+from reference import ReferenceCostModel, plan_indices
 
 SALES = "shop.sales"
 CUSTOMERS = "shop.customers"
@@ -56,15 +58,15 @@ class TestCaching:
 class TestUsedSets:
     def test_used_contains_access_index(self, toy_stats, query):
         optimizer = WhatIfOptimizer(toy_stats)
-        index = Index(SALES, ("amount",))
-        _, used = optimizer.optimize(query, frozenset({index}))
-        assert index in used
+        bit = optimizer.mask_universe.encode({Index(SALES, ("amount",))})
+        [(_, used)] = optimizer.plan_usage_masks(query, [bit])
+        assert used == bit
 
     def test_unused_index_not_in_used(self, toy_stats, query):
         optimizer = WhatIfOptimizer(toy_stats)
-        useless = Index(SALES, ("sale_date",))
-        _, used = optimizer.optimize(query, frozenset({useless}))
-        assert useless not in used
+        bit = optimizer.mask_universe.encode({Index(SALES, ("sale_date",))})
+        [(_, used)] = optimizer.plan_usage_masks(query, [bit])
+        assert used == 0
 
     def test_maintenance_index_counts_as_used(self, toy_stats):
         optimizer = WhatIfOptimizer(toy_stats)
@@ -76,8 +78,8 @@ class TestUsedSets:
             .build()
         )
         index = Index(SALES, ("amount",))
-        _, used = optimizer.optimize(stmt, frozenset({index}))
-        assert index in used
+        bit = optimizer.mask_universe.encode({index})
+        assert build_ibg(optimizer, stmt, {index}).used_mask(bit) == bit
 
 
 class TestMaintenanceCache:
@@ -108,10 +110,12 @@ class TestMaintenanceCache:
 
 
 class TestBenefit:
+    """``benefit_q(Y, X) = cost(q, X) − cost(q, Y ∪ X)`` (§2)."""
+
     def test_positive_for_useful_index(self, toy_stats, query):
         optimizer = WhatIfOptimizer(toy_stats)
-        index = Index(SALES, ("amount",))
-        assert optimizer.benefit(query, {index}, frozenset()) > 0
+        bit = optimizer.mask_universe.encode({Index(SALES, ("amount",))})
+        assert optimizer.cost_mask(query, 0) - optimizer.cost_mask(query, bit) > 0
 
     def test_negative_for_update_maintenance(self, toy_stats):
         optimizer = WhatIfOptimizer(toy_stats)
@@ -122,8 +126,8 @@ class TestBenefit:
             .where_between("sale_date", col.min_value, col.min_value + 100)
             .build()
         )
-        index = Index(SALES, ("amount",))
-        assert optimizer.benefit(stmt, {index}, frozenset()) < 0
+        bit = optimizer.mask_universe.encode({Index(SALES, ("amount",))})
+        assert optimizer.cost_mask(stmt, 0) - optimizer.cost_mask(stmt, bit) < 0
 
     def test_explain_does_not_pollute_counters(self, toy_stats, query):
         optimizer = WhatIfOptimizer(toy_stats)
@@ -276,16 +280,15 @@ class TestPlanTemplates:
             .build()
         )
         optimizer = WhatIfOptimizer(toy_stats)
+        reference = ReferenceCostModel(toy_stats)
         universe = optimizer.mask_universe
         full = universe.encode(extract_indices(stmt))
         masks = [full, 0, full & -full]
         batched = optimizer.plan_usage_masks(stmt, masks)
         for mask, (cost, plan_used) in zip(masks, batched):
-            scalar_cost, scalar_used = optimizer.plan_usage(
-                stmt, universe.decode(mask)
-            )
-            assert cost == scalar_cost
-            assert plan_used == universe.encode(scalar_used)
+            plan = reference.explain(stmt, universe.decode(mask))
+            assert cost == plan.total_cost
+            assert plan_used == universe.encode(plan_indices(plan))
 
     def test_cache_stats_exposes_template_counters(self, toy_optimizer):
         stats = toy_optimizer.cache_stats()

@@ -7,7 +7,7 @@ import pytest
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.service import QueueFull, TuningEngine, WriteAheadLog, read_wal
-from statements import SIX_TABLE_JOIN_SQL, UNKNOWN_TABLE_SQL
+from statements import SIX_TABLE_JOIN_SQL, UNKNOWN_COLUMN_SQL, UNKNOWN_TABLE_SQL
 
 SALES = "shop.sales"
 
@@ -329,9 +329,10 @@ class TestCheckpointWithPendingSubmissions:
 
 
 class TestUnknownTables:
-    """A statement naming a table without statistics is rejected at
-    submit, before admission, the WAL append, the queue push or session
-    creation — so it can neither stop the drain nor poison recovery."""
+    """A statement naming a table without statistics, or a column its
+    table does not have, is rejected at submit, before admission, the WAL
+    append, the queue push or session creation — so it can neither stop
+    the drain nor poison recovery."""
 
     @staticmethod
     def _observable(engine, wal):
@@ -372,6 +373,27 @@ class TestUnknownTables:
                 ("c", narrow_sql(toy_stats, offset=0.1)),
             ])
         assert self._observable(engine, wal) == before
+        wal.close()
+        assert not read_wal(tmp_path / "wal.log").records
+
+    def test_unknown_column_rejected_by_submit_and_submit_many(
+        self, bench_stats, tmp_path
+    ):
+        from repro.db.schema import SchemaError
+
+        engine = TuningEngine(
+            WhatIfOptimizer(bench_stats), StatsTransitionCosts(bench_stats),
+            idx_cnt=8, state_cnt=64,
+        )
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        engine.attach_wal(wal)
+        before = self._observable(engine, wal)
+        with pytest.raises(SchemaError, match="nosuch"):
+            engine.submit("a", UNKNOWN_COLUMN_SQL)
+        with pytest.raises(SchemaError, match="nosuch"):
+            engine.submit_many([("b", UNKNOWN_COLUMN_SQL)])
+        assert self._observable(engine, wal) == before
+        assert engine.queue_depth == 0
         wal.close()
         assert not read_wal(tmp_path / "wal.log").records
 

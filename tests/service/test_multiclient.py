@@ -22,7 +22,7 @@ class TestTraceConstruction:
     def test_split_round_robin_preserves_order(self, small_workload):
         _, statements = small_workload
         trace = MultiClientTrace.split(statements, ["a", "b", "c"])
-        assert trace.merged_statements() == tuple(statements)
+        assert [statement for _, statement in trace] == statements
         assert trace.clients == ("a", "b", "c")
         assert [client for client, _ in trace][:6] == ["a", "b", "c"] * 2
 
@@ -31,34 +31,18 @@ class TestTraceConstruction:
         first = MultiClientTrace.split(statements, ["a", "b"], "random", seed=3)
         second = MultiClientTrace.split(statements, ["a", "b"], "random", seed=3)
         assert first.entries == second.entries
-        assert first.merged_statements() == tuple(statements)
+        assert [statement for _, statement in first] == statements
 
     def test_round_robin_merge_preserves_client_order(self, small_workload):
         _, statements = small_workload
         streams = {"a": statements[:5], "b": statements[5:8]}
         trace = MultiClientTrace.round_robin(streams)
         assert len(trace) == 8
-        per_client = trace.per_client()
-        assert per_client["a"] == statements[:5]
-        assert per_client["b"] == statements[5:8]
+        assert [s for c, s in trace if c == "a"] == statements[:5]
+        assert [s for c, s in trace if c == "b"] == statements[5:8]
         # Alternates while both streams have statements.
         assert [c for c, _ in trace][:6] == ["a", "b", "a", "b", "a", "b"]
         assert [c for c, _ in trace][6:] == ["a", "a"]
-
-    def test_shuffled_merge_is_seeded_and_order_preserving(self, small_workload):
-        _, statements = small_workload
-        streams = {"a": statements[:6], "b": statements[6:12]}
-        first = MultiClientTrace.shuffled(streams, seed=9)
-        second = MultiClientTrace.shuffled(streams, seed=9)
-        assert first.entries == second.entries
-        per_client = first.per_client()
-        assert per_client["a"] == statements[:6]
-        assert per_client["b"] == statements[6:12]
-
-    def test_prefix_suffix_partition(self, small_workload):
-        _, statements = small_workload
-        trace = MultiClientTrace.split(statements[:10], ["a", "b"])
-        assert trace.prefix(4).entries + trace.suffix(4).entries == trace.entries
 
 
 class TestEngineDeterminism:
@@ -84,8 +68,7 @@ class TestEngineDeterminism:
             WhatIfOptimizer(stats), StatsTransitionCosts(stats), **options
         )
         single_recs = [
-            single.analyze_statement(statement)
-            for statement in trace.merged_statements()
+            single.analyze_statement(statement) for _, statement in trace
         ]
         assert engine_recs == single_recs
         assert len(engine.tuner.partition) == len(single.partition)

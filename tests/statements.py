@@ -3,6 +3,13 @@
 #: A statement on a table the optimizer has no statistics for.
 UNKNOWN_TABLE_SQL = "SELECT nosuch.a FROM tpch.nosuch WHERE nosuch.a = 1"
 
+#: The same table with no predicate, so no candidate index: nothing is
+#: priced for it before the work-function update.
+UNKNOWN_TABLE_NO_CANDIDATE_SQL = "SELECT nosuch.a FROM tpch.nosuch"
+
+#: A column that is not in a table the optimizer knows.
+UNKNOWN_COLUMN_SQL = "SELECT l.nosuch FROM tpch.lineitem l WHERE l.nosuch = 1"
+
 #: A 6-table TPC-H join with 13 local predicates over
 #: ``build_catalog(scale=0.05)``: one benefit graph over every table
 #: exceeds 4,096 nodes, the per-table graphs total 31.

@@ -28,12 +28,12 @@ class TestWorkload:
         assert workload.query_count == 9
 
     def test_prefix_preserves_boundaries(self, workload):
-        prefix = workload.prefix(7)
+        prefix = workload[:7]
         assert len(prefix) == 7
         assert prefix.phase_boundaries == (("alpha", 0), ("beta", 5))
 
     def test_prefix_drops_later_boundaries(self, workload):
-        prefix = workload.prefix(3)
+        prefix = workload[:3]
         assert prefix.phase_boundaries == (("alpha", 0),)
 
     def test_slice_requires_contiguity(self, workload):
