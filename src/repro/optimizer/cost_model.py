@@ -117,7 +117,8 @@ class QueryPlan:
 
 
 class CostModel:
-    """The costing inputs for a :class:`~repro.db.stats.StatsRepository`."""
+    """The statistics, cost constants and access-path enumerator that a
+    :class:`~repro.optimizer.template.PlanTemplate` prices plans from."""
 
     def __init__(
         self,
