@@ -11,12 +11,15 @@ Configurations are bitmasks over the part's (deterministically sorted)
 indices. The recurrence is evaluated in ``O(2^k · k)`` per statement by
 per-dimension relaxation, exploiting that δ decomposes into independent
 per-index create/drop costs. Transition costs come from a precomputed
-:class:`~repro.core.bitset.MaskDeltaTable` (two array reads per δ), and
-when the cost provider speaks masks (the
-:class:`~repro.optimizer.whatif.WhatIfOptimizer` contract) statement costs
-are fetched through the bitset kernel without constructing a single
-frozenset; the tests keep a pure-``frozenset`` twin (``ReferenceWFA`` in
-``tests/reference.py``) as the equivalence oracle.
+:class:`~repro.core.bitset.MaskDeltaTable` (two array reads per δ). When
+the cost provider speaks masks (the
+:class:`~repro.optimizer.whatif.WhatIfOptimizer` contract), the part hands
+it one global bit per index and gets all ``2^k`` statement costs back in
+the kernel's cost vector, without constructing a single frozenset: the
+provider prices only the configurations of the indices on the
+statement's tables and spreads them over the rest. The tests keep a
+pure-``frozenset`` twin (``ReferenceWFA`` in ``tests/reference.py``) as
+the equivalence oracle.
 
 The numerical state itself — the ``w`` vector, the per-statement cost
 vector, and the relaxation/scan/feedback loops over them — lives in an
@@ -140,29 +143,21 @@ class WFA:
         self._size = 1 << len(self._indices)
         # Bitset kernel state: precomputed δ prefix sums (shared with the
         # work-function kernel as contiguous arrays) and (when the cost
-        # provider speaks masks) each local mask re-encoded in the
-        # provider's global IndexUniverse. The per-mask subset table is
-        # only materialized when the slow path first needs it — there every
-        # statement decodes all 2^k configurations anyway.
+        # provider speaks masks) each index's bit in the provider's global
+        # IndexUniverse, which never moves for the life of the universe.
+        # The per-mask subset table is only materialized when the slow path
+        # first needs it — there every statement decodes all 2^k
+        # configurations anyway.
         self._delta_table = MaskDeltaTable(self._create, self._drop)
         self._kernel = make_kernel(self._delta_table)
         self._mask_provider = self._detect_mask_provider(cost_fn)
         self._subsets: Optional[List[FrozenSet[Index]]] = None
+        self._position_bits: Optional[List[int]] = None
         if self._mask_provider is not None:
             universe = self._mask_provider.mask_universe
-            bit_masks = [1 << universe.ensure(ix) for ix in self._indices]
-            global_masks = [0] * self._size
-            for mask in range(1, self._size):
-                low = mask & -mask
-                global_masks[mask] = (
-                    global_masks[mask ^ low] | bit_masks[low.bit_length() - 1]
-                )
-            # The kernel-preferred container (an int64 vector for numpy
-            # when the universe fits a machine word) — computed once: bit
-            # positions never move for the life of the universe.
-            self._global_masks = self._kernel.mask_array(global_masks)
-        else:
-            self._global_masks = None
+            self._position_bits = [
+                1 << universe.ensure(ix) for ix in self._indices
+            ]
 
         initial_mask = self._mask_of(initial_config)
         if work_values is not None:
@@ -309,8 +304,8 @@ class WFA:
         """Fetch ``cost(q, S)`` for all 2^k configurations into the kernel's
         cost vector (no intermediate list on the mask-provider path)."""
         out = self._kernel.costs
-        if self._global_masks is not None:
-            self._mask_provider.costs_into(statement, self._global_masks, out)
+        if self._position_bits is not None:
+            self._mask_provider.costs_into(statement, self._position_bits, out)
             return
         subsets = self._subsets
         if subsets is None:

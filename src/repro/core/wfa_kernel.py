@@ -56,7 +56,9 @@ from __future__ import annotations
 import contextlib
 import os
 from array import array
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .bitset import MaskDeltaTable
 
@@ -256,10 +258,6 @@ class PurePythonWFKernel:
     def min_work(self) -> float:
         return min(self._w)
 
-    def mask_array(self, masks: Sequence[int]) -> List[int]:
-        """Backend-preferred container for a fixed global-mask vector."""
-        return list(masks)
-
     # -- the three kernel operations ----------------------------------------
 
     def analyze(self, rec: int) -> int:
@@ -367,22 +365,22 @@ class NumpyWFKernel:
     backend = "numpy"
 
     __slots__ = (
-        "_table", "_size", "_k", "_create", "_drop",
+        "_table", "_size", "_k",
         "_cs", "_ds", "_masks", "_not_masks",
         "_w", "costs", "_base", "_i1", "_i2", "_f1", "_f2", "_f3",
+        "_wt", "_to_wt", "_from_wt", "_low_steps", "_high_steps",
+        "_delta_rec", "_rec_create", "_rec_drop",
     )
 
     def __init__(self, table: MaskDeltaTable) -> None:
         self._table = table
         size = table.size
         self._size = size
-        self._k = size.bit_length() - 1
+        k = self._k = size.bit_length() - 1
         # Zero-copy views over the shared array('d') prefix sums: the
         # scalar delta() reads and these gathers see the same memory.
         self._cs = _np.frombuffer(table.create_sum, dtype=_np.float64)
         self._ds = _np.frombuffer(table.drop_sum, dtype=_np.float64)
-        self._create = [float(self._cs[1 << i]) for i in range(self._k)]
-        self._drop = [float(self._ds[1 << i]) for i in range(self._k)]
         self._masks = _np.arange(size, dtype=_np.int64)
         self._not_masks = _np.bitwise_not(self._masks)
         self._w = _np.zeros(size, dtype=_np.float64)
@@ -395,6 +393,38 @@ class NumpyWFKernel:
         self._f1 = _np.empty(size, dtype=_np.float64)
         self._f2 = _np.empty(size, dtype=_np.float64)
         self._f3 = _np.empty(size, dtype=_np.float64)
+
+        # Stage 1's layout. Viewed as (high bits, low bits), w has rows of
+        # 2^low doubles; the low ⌊k/2⌋ dimensions relax on a transposed
+        # copy _wt, laid out (low bits, high bits), and the rest on w
+        # itself, so each dimension's halves are runs of at least
+        # 2^⌊k/2⌋ contiguous doubles. A step is (the pairs view, its
+        # pair-reversed view, the (drop, create) column, the scratch the
+        # sum goes to), all built here once.
+        low = k // 2
+        high = k - low
+        self._wt = _np.empty(size, dtype=_np.float64)
+        wt_grid = self._wt.reshape(1 << low, 1 << high)
+        self._to_wt = (wt_grid, self._base.reshape(1 << high, 1 << low).T)
+        self._from_wt = (self._w.reshape(1 << high, 1 << low), wt_grid.T)
+        steps: List[Tuple[Any, Any, Any, Any]] = []
+        for i in range(k):
+            # Bit i of S is bit i + high of its position in _wt.
+            buffer, shift = (self._wt, i + high) if i < low else (self._w, i)
+            pairs = buffer.reshape(-1, 2, 1 << shift)
+            costs = _np.array(
+                [self._ds[1 << i], self._cs[1 << i]], dtype=_np.float64
+            ).reshape(1, 2, 1)
+            steps.append(
+                (pairs, pairs[:, ::-1, :], costs, self._f1.reshape(pairs.shape))
+            )
+        self._low_steps = steps[:low]
+        self._high_steps = steps[low:]
+
+        # δ(S, rec)'s two gathers, kept for the rec they were taken for.
+        self._delta_rec = -1
+        self._rec_create = _np.empty(size, dtype=_np.float64)
+        self._rec_drop = _np.empty(size, dtype=_np.float64)
 
     # -- state ---------------------------------------------------------------
 
@@ -423,53 +453,47 @@ class NumpyWFKernel:
     def min_work(self) -> float:
         return float(self._w.min())
 
-    def mask_array(self, masks: Sequence[int]) -> Any:
-        """int64 vector of the part's global masks when they fit, else the
-        plain list (universes beyond 63 bits fall back to int-loop costing)."""
-        if masks and (max(masks) >> 62):
-            return list(masks)
-        return _np.asarray(masks, dtype=_np.int64)
-
     # -- the three kernel operations ----------------------------------------
 
-    def _scores_into(
-        self, values: Any, rec: int, out: Any, scratch: Any
-    ) -> None:
+    def _scores_into(self, values: Any, rec: int, out: Any) -> None:
         """``score(S) = value(S) + δ(S, rec)`` with the scalar's summation
         order: (value + create_sum[rec \\ S]) + drop_sum[S \\ rec].
 
-        ``out`` and ``scratch`` must be distinct full-size float buffers,
-        both distinct from ``values``.
+        The two δ gathers are reused until ``rec`` changes. ``out`` must
+        be a full-size float buffer distinct from ``values``.
         """
-        _np.bitwise_and(self._not_masks, rec, out=self._i1)
-        _np.bitwise_and(self._masks, ~rec, out=self._i2)
-        _np.take(self._cs, self._i1, out=out)
-        out += values
-        _np.take(self._ds, self._i2, out=scratch)
-        out += scratch
+        if rec != self._delta_rec:
+            _np.bitwise_and(self._not_masks, rec, out=self._i1)
+            _np.bitwise_and(self._masks, ~rec, out=self._i2)
+            _np.take(self._cs, self._i1, out=self._rec_create)
+            _np.take(self._ds, self._i2, out=self._rec_drop)
+            self._delta_rec = rec
+        _np.add(self._rec_create, values, out=out)
+        out += self._rec_drop
 
     def analyze(self, rec: int) -> int:
         size = self._size
         w = self._w
         base = self._base
         _np.add(w, self.costs, out=base)
-        _np.copyto(w, base)
 
-        # Stage 1: one reshape per dimension puts S (axis value 0) and
-        # S ∪ {a_i} (axis value 1) side by side; the two relaxations read
-        # the pre-dimension pair values exactly like the scalar loop.
-        scratch = self._f1
-        for i in range(self._k):
-            half = 1 << i
-            pairs = w.reshape(-1, 2, half)
-            lo = pairs[:, 0, :]
-            hi = pairs[:, 1, :]
-            alt_hi = scratch[: size >> 1].reshape(lo.shape)
-            _np.add(lo, self._create[i], out=alt_hi)
-            alt_lo = self._f2[: size >> 1].reshape(lo.shape)
-            _np.add(hi, self._drop[i], out=alt_lo)
-            _np.minimum(hi, alt_hi, out=hi)
-            _np.minimum(lo, alt_lo, out=lo)
+        # Stage 1: per dimension, one add puts S ∪ {a_i} + drop and
+        # S + create (the pair-reversed view plus the (drop, create)
+        # column) in the scratch, and one minimum relaxes both halves in
+        # place. Both alternatives read the pre-dimension pair values and
+        # the dimensions run in order 0 … k−1, exactly like the scalar
+        # loop. The low dimensions start from base transposed into _wt.
+        if self._low_steps:
+            _np.copyto(*self._to_wt)
+            for pairs, swapped, costs, alt in self._low_steps:
+                _np.add(swapped, costs, out=alt)
+                _np.minimum(pairs, alt, out=pairs)
+            _np.copyto(*self._from_wt)
+        else:
+            _np.copyto(w, base)
+        for pairs, swapped, costs, alt in self._high_steps:
+            _np.add(swapped, costs, out=alt)
+            _np.minimum(pairs, alt, out=pairs)
 
         # Stage 2, vectorized: eligibility (the p[S] membership test) and
         # scores for all masks, then the exact sequential tie-break scan
@@ -485,10 +509,8 @@ class NumpyWFKernel:
         _np.abs(gap, out=gap)
         eligible = gap <= tol
 
-        # tol (_f1) and gap (_f2) are consumed once `eligible` exists, so
-        # both are free to serve as score output and scratch.
         scores = self._f3
-        self._scores_into(w, rec, scores, self._f1)
+        self._scores_into(w, rec, scores)
 
         if eligible.any():
             s_min = float(scores[eligible].min())
@@ -525,10 +547,9 @@ class NumpyWFKernel:
         min_diff += self._f2
 
         # diff = ((w + create_sum[rec' \ S]) + drop_sum[S \ rec']) − w[rec'],
-        # replaying the scalar summation order. _f2 is free again once
-        # min_diff has absorbed it.
+        # replaying the scalar summation order.
         diff = self._f3
-        self._scores_into(w, new_rec, diff, self._f2)
+        self._scores_into(w, new_rec, diff)
         diff -= rec_value
 
         raise_by = self._f2

@@ -30,8 +30,13 @@ One memo routine
 ----------------
 Every costing request — a single lookup, an IBG wave, a WFA part vector
 on either kernel — goes through one private routine: reduce each mask to
-its relevant bits, probe the statement's memo, fetch the plan template on
-the batch's first miss, price the miss, install it, and count. Memo
+its relevant bits, probe the statement's memo, fetch the plan template
+if the batch missed, price the misses, install them, and count. The
+template is fetched before anything is counted or installed, and a
+template build binds the statement first
+(:meth:`~repro.db.stats.StatsRepository.bind`), so a statement naming an
+unknown table or column raises :class:`~repro.db.schema.SchemaError`
+with every counter, memo entry and LRU slot as it was. Memo
 *misses* are priced by a cached per-statement
 :class:`~repro.optimizer.template.PlanTemplate` — selectivities, the greedy
 join order, and every candidate access path are computed once per statement,
@@ -41,6 +46,12 @@ only plan search: :meth:`WhatIfOptimizer.explain` renders the plan it
 picked for a configuration. The ``optimizations`` counter therefore
 counts *template builds*: the number of times genuine plan derivation ran,
 which is the machine-independent overhead quantity of §6.2.
+
+A WFA part's vector (:meth:`WhatIfOptimizer.costs_into`) is priced from
+the part's per-position global bits: only the positions on the
+statement's tables can change its plan, so the ``2^|L|`` submasks of
+those positions ``L`` are priced, counted as the part's ``2^k`` requests,
+and spread over the ``2^k`` local masks by ``m & L``.
 
 Benefit graphs
 --------------
@@ -59,8 +70,8 @@ from typing import (
     TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Tuple,
 )
 
-try:  # Optional: the deduplicating costs_into() branch. Pure-Python callers
-    import numpy as _np  # (and the no-numpy CI lane) use the int loop.
+try:  # Optional: costs_into() spreads into a numpy vector with one gather;
+    import numpy as _np  # other outputs (and the no-numpy CI lane) loop.
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
@@ -178,21 +189,15 @@ class WhatIfOptimizer:
 
     # -- the memo table -------------------------------------------------------
 
-    def _statement_cache(self, statement: Statement) -> Dict[int, _Entry]:
-        cache = self._cache.get(statement)
-        if cache is None:
-            cache = self._cache[statement] = {}
-            while len(self._cache) > _STMT_CACHE_LIMIT:
-                self._cache.popitem(last=False)
-                self._stmt_evictions += 1
-        return cache
-
     def _statement_template(self, statement: Statement) -> PlanTemplate:
         """The statement's compiled :class:`PlanTemplate` (built on demand).
 
         A cached template is reused while it covers every candidate index
         registered on the statement's tables; new relevant candidates
         trigger a rebuild (old memo entries stay valid — menus only grow).
+        A build binds the statement first: an unknown table or column
+        raises :class:`~repro.db.schema.SchemaError` before any counter or
+        cache changes.
         """
         tables_mask = self._statement_tables_mask(statement)
         template = self._template_cache.get(statement)
@@ -200,6 +205,7 @@ class WhatIfOptimizer:
             self._template_cache.move_to_end(statement)
             self._template_hits += 1
             return template
+        self._model.stats.bind(statement)
         template = build_plan_template(
             self._model, self._universe, statement, tables_mask
         )
@@ -222,18 +228,33 @@ class WhatIfOptimizer:
         routine.
 
         Each mask is reduced to its relevant bits and probed in the
-        statement's memo; a miss is priced by the statement's plan
-        template — fetched once, on the batch's first miss — and
-        installed. ``requests`` is how many costing requests the batch
-        answers (more than ``len(config_masks)`` when the caller
-        deduplicated): each counts as a what-if call, and every request
-        not priced here counts as a memo hit.
+        statement's memo. A batch with a miss fetches the statement's plan
+        template once, before anything is counted or installed (a build
+        may raise :class:`~repro.db.schema.SchemaError`), then prices each
+        miss and installs it. ``requests`` is how many costing requests
+        the batch answers (more than ``len(config_masks)`` when the caller
+        priced a part's relevant submasks only): each counts as a what-if
+        call, and every request not priced here counts as a memo hit.
         """
-        self.whatif_calls += requests
         tables_mask = self._statement_tables_mask(statement)
-        cache = self._statement_cache(statement)
-        cache_get = cache.get
+        cache = self._cache.get(statement)
+        if cache is not None:
+            probe = cache.get
+            hits = [probe(mask & tables_mask) for mask in config_masks]
+            if None not in hits:
+                self.whatif_calls += requests
+                self._stmt_hits += requests
+                return hits
         template = None
+        if config_masks:  # the batch misses
+            template = self._statement_template(statement)
+        self.whatif_calls += requests
+        if cache is None:
+            cache = self._cache[statement] = {}
+            while len(self._cache) > _STMT_CACHE_LIMIT:
+                self._cache.popitem(last=False)
+                self._stmt_evictions += 1
+        cache_get = cache.get
         misses = 0
         entries: List[_Entry] = []
         append = entries.append
@@ -241,8 +262,6 @@ class WhatIfOptimizer:
             relevant = mask & tables_mask
             entry = cache_get(relevant)
             if entry is None:
-                if template is None:
-                    template = self._statement_template(statement)
                 entry = cache[relevant] = template.entry(relevant)
                 misses += 1
             append(entry)
@@ -308,41 +327,49 @@ class WhatIfOptimizer:
             )
         ]
 
-    def costs_into(self, statement: Statement, config_masks, out) -> None:
-        """``cost(q, X)`` for each configuration mask, written into ``out``.
+    def costs_into(
+        self, statement: Statement, position_bits: Sequence[int], out
+    ) -> None:
+        """``cost(q, X)`` for every configuration of a WFA part, into ``out``.
 
-        ``out`` is any float container supporting ``__setitem__`` — the
-        WFA part's kernel cost vector (``array('d')`` or a numpy vector),
-        or a list. This is how a part fetches all ``2^k`` statement costs
-        without building a Python list per statement.
+        ``position_bits[i]`` is the global bit (``1 << position`` in
+        :attr:`mask_universe`) of the part's ``i``-th index, and ``out[m]``
+        receives the cost of local mask ``m``: the configuration of the
+        indices whose positions ``m`` sets. ``out`` has ``2^k`` slots and
+        is any float container supporting ``__setitem__`` — the part's
+        kernel cost vector (``array('d')`` or a numpy vector), or a list.
 
-        When ``config_masks`` and ``out`` are both numpy vectors (the
-        numpy-kernel hot path), relevance reduction runs vectorized: the
-        batch collapses to its *distinct* relevant masks (one ``&`` plus
-        one ``unique`` over int64), only those reach the memo, and the
-        answers broadcast back with one gather. Cache accounting is the
-        same either way: a request answered without pricing work is a hit
-        whether it was deduplicated or individually probed.
+        Only the positions ``L`` on the statement's tables can change its
+        plan, so ``m`` costs what ``m & L`` costs: the ``2^|L|`` submasks
+        of ``L`` go through the memo as one batch counted as ``2^k``
+        requests (every :meth:`cache_stats` counter moves exactly as if
+        each of the ``2^k`` configurations were probed), and their costs
+        are spread over ``out`` with one ``&`` and one gather (numpy) or
+        one lookup loop.
         """
-        requests = len(config_masks)
-        if _np is not None and isinstance(config_masks, _np.ndarray):
-            tables_mask = self._statement_tables_mask(statement)
-            if isinstance(out, _np.ndarray) and tables_mask < (1 << 63):
-                relevant = _np.bitwise_and(config_masks, tables_mask)
-                uniq, inverse = _np.unique(relevant, return_inverse=True)
-                entries = self._memo_entries(statement, uniq.tolist(), requests)
-                values = _np.array(
-                    [entry[0] for entry in entries], dtype=_np.float64
-                )
-                _np.take(values, inverse.reshape(-1), out=out)
-                return
-            # Universe beyond 63 bits: the int64 vector cannot carry the
-            # table mask — rewiden to Python ints and take the int loop.
-            config_masks = config_masks.tolist()
-        for i, entry in enumerate(
-            self._memo_entries(statement, config_masks, requests)
-        ):
-            out[i] = entry[0]
+        tables_mask = self._statement_tables_mask(statement)
+        relevant = 0  # the local mask L
+        local_subs = [0]  # the submasks of L, as a binary counter over L
+        global_subs = [0]  # and their configurations' global masks
+        for pos, bit in enumerate(position_bits):
+            if bit & tables_mask:
+                relevant |= 1 << pos
+                local_subs += [sub | (1 << pos) for sub in local_subs]
+                global_subs += [sub | bit for sub in global_subs]
+        size = 1 << len(position_bits)
+        entries = self._memo_entries(statement, global_subs, size)
+        if _np is not None and isinstance(out, _np.ndarray):
+            values = _np.empty(relevant + 1, dtype=_np.float64)
+            values[local_subs] = [entry[0] for entry in entries]
+            spread = _np.arange(size, dtype=_np.int64)
+            spread &= relevant
+            _np.take(values, spread, out=out)
+            return
+        values = [0.0] * (relevant + 1)
+        for sub, entry in zip(local_subs, entries):
+            values[sub] = entry[0]
+        for mask in range(size):
+            out[mask] = values[mask & relevant]
 
     # -- frozenset interface (module boundary) ---------------------------------
 

@@ -582,7 +582,9 @@ class Durability:
             extra=extra, drain=drain, snapshot_id=snapshot_id
         )
         path = self.snapshot_path(snapshot_id)
-        atomic_write_json(path, document, io=self._io)
+        # Compact (no indent): json.dumps then runs its C encoder, and
+        # the file drops the indentation's whitespace.
+        atomic_write_json(path, document, indent=None, io=self._io)
         self._next_snapshot_id = snapshot_id + 1
         self._wal.reset(note={"snapshot_id": snapshot_id})
         return path

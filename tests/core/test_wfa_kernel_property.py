@@ -6,12 +6,15 @@ vectorized numpy implementation and the retained ``array``-module twin —
 that are *by construction* the same float program: every addition,
 comparison, and minimum replays the scalar loop's operations in the same
 order on IEEE-754 doubles. These tests enforce the consequence: over
-random parts (k ≤ 6), random workloads, and random DBA votes, both
-backends must produce **exactly equal** (``==``, no tolerance) ``w``
-vectors, recommendations, and feedback adjustments — including under the
-reversed-δ asymmetry of footnote 4 (create ≫ drop, drop ≫ create, and
-zero-cost directions), which is where a transposed prefix-sum gather
-would betray itself.
+random parts (k ≤ 12, so the numpy stage 1 runs every split of its low
+⌊k/2⌋ dimensions onto the transposed copy, 0 through 6), random
+workloads, and random DBA votes, both backends must produce **exactly
+equal** (``==``, no tolerance) ``w`` vectors, recommendations, and
+feedback adjustments — including under the reversed-δ asymmetry of
+footnote 4 (create ≫ drop, drop ≫ create, and zero-cost directions),
+which is where a transposed prefix-sum gather would betray itself, and
+while the recommendation holds still and then moves (the numpy stage 2
+keeps its δ(S, rec) gathers until rec changes).
 
 Numpy cases skip automatically when numpy is not importable (the
 pure-Python twin is then the only backend and trivially agrees with
@@ -23,7 +26,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import wfa_kernel
 from repro.core.wfa import WFA, TransitionCosts
@@ -34,6 +37,11 @@ requires_numpy = pytest.mark.skipif(
     "numpy" not in wfa_kernel.available_backends(),
     reason="numpy backend not importable in this interpreter",
 )
+
+#: Part sizes 1–12: every ⌊k/2⌋ split of the numpy stage 1, 0 through 6
+#: (each test also pins k = 12). A statement costs the Python twin
+#: 2^k·k steps, so parts of 7 or more are drawn half as often.
+_PART_SIZES = st.integers(1, 6) | st.integers(1, 12)
 
 
 def _twin_wfas(part, initial, cost_fn, transitions):
@@ -57,10 +65,11 @@ def _assert_identical(np_wfa: WFA, py_wfa: WFA, step: object) -> None:
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    part_size=st.integers(1, 6),
+    part_size=_PART_SIZES,
     n_statements=st.integers(1, 12),
-    initial_bits=st.integers(0, 63),
+    initial_bits=st.integers(0, 4095),
 )
+@example(seed=12, part_size=12, n_statements=6, initial_bits=0b100100001010)
 def test_backends_identical_on_random_workloads(
     seed, part_size, n_statements, initial_bits
 ):
@@ -84,9 +93,10 @@ def test_backends_identical_on_random_workloads(
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    part_size=st.integers(1, 6),
+    part_size=_PART_SIZES,
     n_statements=st.integers(2, 10),
 )
+@example(seed=12, part_size=12, n_statements=6)
 def test_backends_identical_under_feedback(seed, part_size, n_statements):
     """Random DBA votes interleaved with statements: the Figure-4 raise
     (the masked vector update) must adjust both backends identically."""
@@ -152,6 +162,54 @@ def test_backends_identical_under_delta_asymmetry(seed, part_size, direction):
         np_wfa.analyze_statement(step)
         py_wfa.analyze_statement(step)
         _assert_identical(np_wfa, py_wfa, step)
+
+
+@requires_numpy
+def test_backends_identical_while_rec_holds_then_moves():
+    """Equal-cost statements hold the recommendation fixed, so the numpy
+    kernel reuses its δ(S, rec) gathers; a vote, then a ``load_state``
+    from another instance, move it, and random statements follow each
+    move. Both backends stay ``==`` throughout."""
+    rng = random.Random(5)
+    workload, transitions = make_synthetic_instance(rng, [8], 12)
+    part = sorted(workload.partition[0])
+
+    def cost_fn(statement, config):
+        if statement.startswith("flat"):
+            return 10.0
+        return workload.cost(statement, config)
+
+    initial = frozenset(part[:2])
+    np_wfa, py_wfa = _twin_wfas(part, initial, cost_fn, transitions)
+    twins = (np_wfa, py_wfa)
+    for step in range(4):
+        for wfa in twins:
+            wfa.analyze_statement(f"flat{step}")
+        assert np_wfa.recommend() == initial
+        _assert_identical(np_wfa, py_wfa, f"flat{step}")
+
+    for wfa in twins:
+        wfa.apply_feedback(frozenset(part[5:7]), frozenset(part[:1]))
+    assert np_wfa.recommend() != initial
+    for statement in workload.statements[:6]:
+        for wfa in twins:
+            wfa.analyze_statement(statement)
+        _assert_identical(np_wfa, py_wfa, statement)
+
+    with wfa_kernel.force_backend("python"):
+        source = WFA(part, frozenset(part[3:6]), cost_fn, transitions)
+    for statement in workload.statements[6:]:
+        source.analyze_statement(statement)
+    state = source.export_state()
+    assert state["recommendation_mask"] != np_wfa.export_state()[
+        "recommendation_mask"
+    ]
+    for wfa in twins:
+        wfa.load_state(state)
+    for statement in workload.statements:
+        for wfa in twins:
+            wfa.analyze_statement(statement)
+        _assert_identical(np_wfa, py_wfa, statement)
 
 
 @requires_numpy

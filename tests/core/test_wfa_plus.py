@@ -117,3 +117,39 @@ class TestLemmaB1:
                 assert value == pytest.approx(
                     decomposed - (k - 1) * empty_total, rel=1e-9
                 )
+
+
+class TestBinding:
+    def test_unknown_column_leaves_every_part_unchanged(self, bench_stats):
+        """The what-if optimizer binds the statement before the first
+        part's costs are fetched, so no part relaxes or counts it."""
+        from repro.db import StatsTransitionCosts
+        from repro.db.schema import SchemaError
+        from repro.optimizer import WhatIfOptimizer
+        from repro.query.parser import parse_statement
+        from statements import UNKNOWN_COLUMN_SQL
+
+        optimizer = WhatIfOptimizer(bench_stats)
+        partition = [
+            {Index("tpch.lineitem", ("l_quantity",)),
+             Index("tpch.lineitem", ("l_shipdate",))},
+            {Index("tpch.orders", ("o_orderdate",))},
+        ]
+        plus = WFAPlus(
+            partition, frozenset(), optimizer.cost,
+            StatsTransitionCosts(bench_stats),
+        )
+        plus.analyze_statement(parse_statement(
+            "SELECT l.l_orderkey FROM tpch.lineitem l WHERE l.l_quantity = 3"
+        ))
+
+        def state():
+            return plus.statements_analyzed, [
+                (part.export_state(), part.statements_analyzed)
+                for part in plus.instances
+            ]
+
+        before = state()
+        with pytest.raises(SchemaError, match="nosuch"):
+            plus.analyze_statement(parse_statement(UNKNOWN_COLUMN_SQL))
+        assert state() == before

@@ -1,16 +1,19 @@
-"""Property test: every batch form of ``costs_into`` prices and counts alike.
+"""Property test: every output form of ``costs_into`` prices and counts alike.
 
-:meth:`~repro.optimizer.WhatIfOptimizer.costs_into` takes a WFA part's
-configuration masks as a list (the pure-Python kernel: one memo probe per
-mask) or as an int64 numpy vector with a float64 output (the numpy kernel:
-the batch collapses to its distinct relevant masks first). For random
-batches of masks, repeats included, fresh optimizers fed each form must
-give the same costs, the same memo entries and the same ``cache_stats()``;
-the costs must also equal one ``cost_mask`` lookup per mask.
+:meth:`~repro.optimizer.WhatIfOptimizer.costs_into` takes a WFA part as
+one global bit per position and fills ``out[m]`` for every local mask
+``m`` of the part: it prices only the submasks of the positions on the
+statement's tables and spreads them over ``out`` — with one gather into a
+numpy vector (the numpy kernel) or one lookup loop into an ``array('d')``
+(the pure-Python kernel) or a list. For random parts of 1–12 positions,
+on and off the statement's tables, every entry must equal ``cost_mask``
+of that local mask's global configuration (``==``), and the memo and
+``cache_stats()`` must equal those of one per-mask probe of all ``2^k``
+configurations (``plan_usage_masks``), a repeat of the part included.
 
 A universe of 64 or more indices on the statement's tables puts its table
-mask past ``2^63``: there the numpy input cannot carry the reduction and
-falls back to the int loop, which long auto-mode runs reach.
+mask past ``2^63``, which long auto-mode runs reach; the wide cases draw
+parts with a position there.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None
-
-#: Bits the batch masks draw from: an int64 vector carries them all.
-_MASK_BITS = 62
 
 
 def _all_indices(stats, tables, max_width=3):
@@ -65,6 +65,8 @@ def _instance(rng: random.Random, wide: bool):
             indices = list(dict.fromkeys(
                 _random_candidates(rng, stats, statement) + noise
             ))
+            if not indices:
+                continue
             rng.shuffle(indices)
             return stats, statement, indices
         pool = _all_indices(stats, statement.tables_referenced())
@@ -73,10 +75,12 @@ def _instance(rng: random.Random, wide: bool):
             return stats, statement, pool[: rng.randint(64, 72)]
 
 
-def _batch(rng: random.Random, width: int):
-    """Masks over the first ``width`` bits, with repeats."""
-    distinct = [rng.getrandbits(width) for _ in range(rng.randint(1, 12))]
-    return [rng.choice(distinct) for _ in range(rng.randint(1, 48))]
+def _part(rng: random.Random, n_indices: int, wide: bool):
+    """Universe positions of a part of 1–12 indices, in local order."""
+    positions = rng.sample(range(n_indices), rng.randint(1, min(12, n_indices)))
+    if wide and max(positions) < 63:
+        positions[0] = rng.randrange(63, n_indices)
+    return positions
 
 
 def _optimizer(stats, indices):
@@ -86,43 +90,44 @@ def _optimizer(stats, indices):
     return optimizer
 
 
-def _price(optimizer, statement, batch, form):
+def _price(optimizer, statement, bits, form):
+    size = 1 << len(bits)
     if form == "list":
-        out = [0.0] * len(batch)
-        optimizer.costs_into(statement, list(batch), out)
+        out = [0.0] * size
+        optimizer.costs_into(statement, bits, out)
         return list(out)
     if form == "array":
-        out = array("d", bytes(8 * len(batch)))
-        optimizer.costs_into(statement, list(batch), out)
+        out = array("d", bytes(8 * size))
+        optimizer.costs_into(statement, bits, out)
         return out.tolist()
-    out = np.empty(len(batch), dtype=np.float64)
-    optimizer.costs_into(statement, np.asarray(batch, dtype=np.int64), out)
+    out = np.empty(size, dtype=np.float64)
+    optimizer.costs_into(statement, bits, out)
     return out.tolist()
 
 
 def _check_forms_agree(seed: int, wide: bool, forms) -> None:
     rng = random.Random(seed)
     stats, statement, indices = _instance(rng, wide)
-    width = min(len(indices), _MASK_BITS)
-    batches = [_batch(rng, width) for _ in range(2)]  # the 2nd hits the memo
+    bits = [1 << pos for pos in _part(rng, len(indices), wide)]
+    configs = [
+        sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
+        for mask in range(1 << len(bits))
+    ]
 
     lookups = _optimizer(stats, indices)
-    expected = [
-        [lookups.cost_mask(statement, mask) for mask in batch] for batch in batches
-    ]
-    results = {}
+    expected = [lookups.cost_mask(statement, config) for config in configs]
+    probes = _optimizer(stats, indices)
+    for _ in range(2):  # the repeat hits the memo
+        probes.plan_usage_masks(statement, configs)
+    if wide:
+        tables_mask = probes.relevant_mask(statement, (1 << len(indices)) - 1)
+        assert tables_mask >> 63, "the wide universe must pass 2^63"
     for form in forms:
         optimizer = _optimizer(stats, indices)
-        if wide:
-            tables_mask = optimizer.relevant_mask(statement, (1 << len(indices)) - 1)
-            assert tables_mask >> 63, "the wide universe must pass 2^63"
-        costs = [_price(optimizer, statement, batch, form) for batch in batches]
-        assert costs == expected, form
-        results[form] = (optimizer._cache[statement], optimizer.cache_stats())
-    first, *rest = forms
-    for form in rest:
-        assert results[form][0] == results[first][0], f"memo: {form} != {first}"
-        assert results[form][1] == results[first][1], f"stats: {form} != {first}"
+        for _ in range(2):
+            assert _price(optimizer, statement, bits, form) == expected, form
+        assert optimizer._cache[statement] == probes._cache[statement], form
+        assert optimizer.cache_stats() == probes.cache_stats(), form
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,6 +140,6 @@ def test_list_and_array_outputs_agree(seed, wide):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), wide=st.booleans())
 def test_numpy_and_list_batches_agree(seed, wide):
-    """The numpy vector form (the dedupe, or the int-loop fallback past
-    ``2^63``) prices and counts exactly like the list form."""
+    """The numpy vector form (one ``&`` and one gather) prices and counts
+    exactly like the list form, past ``2^63`` too."""
     _check_forms_agree(seed, wide, ("list", "numpy"))

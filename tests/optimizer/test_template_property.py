@@ -230,14 +230,16 @@ def test_whatif_mask_costs_match_scalar_cost_model(seed):
     half = candidates[: len(candidates) // 2]
 
     for pool in (half, candidates):  # second round grows the universe
-        full = optimizer.mask_universe.encode(pool)
-        masks = list(iter_submasks(full))
-        if len(masks) > 16:
-            masks = [full, 0] + rng.sample(masks, 14)
-        batched = [0.0] * len(masks)
-        optimizer.costs_into(statement, masks, batched)
-        for mask, got in zip(masks, batched):
-            expected = model.statement_cost(
-                statement, optimizer.mask_universe.decode(mask)
+        universe = optimizer.mask_universe
+        bits = [1 << universe.ensure(index) for index in pool]
+        batched = [0.0] * (1 << len(bits))
+        optimizer.costs_into(statement, bits, batched)
+        local_masks = list(range(len(batched)))
+        if len(local_masks) > 16:
+            local_masks = [len(batched) - 1, 0] + rng.sample(local_masks, 14)
+        for local in local_masks:
+            config = frozenset(
+                index for i, index in enumerate(pool) if local >> i & 1
             )
-            assert got == expected
+            expected = model.statement_cost(statement, config)
+            assert batched[local] == expected

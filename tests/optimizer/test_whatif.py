@@ -296,3 +296,49 @@ class TestPlanTemplates:
                     "template_hit_rate", "template_mask_costs"):
             assert key in stats
         assert stats["template_hit_rate"] == 0.0
+
+
+class TestBinding:
+    """Every costing path binds a statement before its first template
+    build: an unknown table or column raises before any counter, memo
+    entry or LRU slot changes."""
+
+    def test_unknown_column_raises_with_counters_and_memo_unchanged(
+        self, bench_stats
+    ):
+        from repro.db.schema import SchemaError
+        from repro.query.parser import parse_statement
+        from statements import UNKNOWN_COLUMN_SQL
+
+        optimizer = WhatIfOptimizer(bench_stats)
+        lineitem = Index("tpch.lineitem", ("l_quantity",))
+        good = parse_statement(
+            "SELECT l.l_orderkey FROM tpch.lineitem l WHERE l.l_quantity = 3"
+        )
+        optimizer.cost(good, frozenset({lineitem}))
+        bad = parse_statement(UNKNOWN_COLUMN_SQL)
+        bit = 1 << optimizer.mask_universe.ensure(lineitem)
+        attempts = {
+            "cost": lambda: optimizer.cost(bad, frozenset()),
+            "explain": lambda: optimizer.explain(bad, frozenset({lineitem})),
+            "costs_into": lambda: optimizer.costs_into(bad, [bit], [0.0, 0.0]),
+            "plan_usage_masks": lambda: optimizer.plan_usage_masks(bad, [0, bit]),
+            "statement_ibg": lambda: optimizer.statement_ibg(
+                bad, frozenset({lineitem})
+            ),
+        }
+        for name, attempt in attempts.items():
+            before = (
+                optimizer.cache_stats(),
+                {q: dict(memo) for q, memo in optimizer._cache.items()},
+                list(optimizer._template_cache),
+            )
+            with pytest.raises(SchemaError, match="nosuch"):
+                attempt()
+            after = (
+                optimizer.cache_stats(),
+                {q: dict(memo) for q, memo in optimizer._cache.items()},
+                list(optimizer._template_cache),
+            )
+            assert after == before, name
+        assert bad not in optimizer._cache
