@@ -18,11 +18,17 @@ Two interchangeable backends implement the same kernel interface:
 
 :class:`NumpyWFKernel`
     Whole-vector operations with **no per-mask Python loop**. Stage 1
-    relaxes dimension ``i`` by reshaping ``w`` to ``(size/2^{i+1}, 2,
-    2^i)`` so the middle axis separates ``S`` from ``S ∪ {a_i}``; stage 2
-    computes eligibility and scores vectorized, then replays the exact
-    sequential tie-break scan over the (tiny) set of near-minimal
-    candidates; the Figure-4 feedback raise is a masked vector update.
+    views a buffer as ``(blocks, 2, run)`` pairs so the middle axis
+    separates ``S`` from ``S ∪ {a_i}``. The low ``⌊k/2⌋`` dimensions run
+    on a transposed copy of ``w`` and the rest on ``w`` itself, so every
+    run holds at least ``2^⌊k/2⌋`` contiguous doubles instead of the
+    ``2^i`` of a plain reshape; each dimension is one ``add`` of the
+    (drop, create) column to the pair-reversed view and one ``minimum``,
+    in the scalar loop's dimension order. Stage 2 computes eligibility
+    and scores vectorized, reusing its two δ(S, rec) gathers until
+    ``rec`` changes, then replays the exact sequential tie-break scan
+    over the (tiny) set of near-minimal candidates; the Figure-4 feedback
+    raise is a masked vector update.
 
 :class:`PurePythonWFKernel`
     An ``array``-module twin with the original per-mask loops, kept
@@ -40,10 +46,13 @@ backend with :func:`force_backend`.
 
 **Buffer ownership.** Every kernel instance *owns* its buffers: the ``w``
 vector, the cost vector, and all integer/float scratch are allocated per
-instance in ``__init__`` and never aliased by another instance — there
-is no module-level scratch, and the only module-level mutable state
-(:data:`_forced_backend`) is a configuration switch read at construction
-time, not during :meth:`analyze`. The δ prefix-sum arrays come from the
+instance in ``__init__`` and never aliased by another instance. On the
+numpy backend that includes stage 1's transposed copy of ``w`` and the
+views over it and ``w``, and stage 2's two δ(S, rec) vectors with the
+``rec`` they hold. There is no module-level scratch, and the only
+module-level mutable state (:data:`_forced_backend`) is a configuration
+switch read at construction time, not during :meth:`analyze`. The δ
+prefix-sum arrays come from the
 :class:`~repro.core.bitset.MaskDeltaTable` the kernel was built over
 (per-WFA-instance as well) and are only ever *read* after construction.
 A kernel instance is not reentrant: never run two operations on the same

@@ -348,26 +348,31 @@ class WhatIfOptimizer:
         one lookup loop.
         """
         tables_mask = self._statement_tables_mask(statement)
-        relevant = 0  # the local mask L
-        local_subs = [0]  # the submasks of L, as a binary counter over L
-        global_subs = [0]  # and their configurations' global masks
+        relevant = 0  # L, as a local mask
+        # The configurations of L's submasks: doubling over L's positions
+        # in increasing order lists the submasks in increasing order.
+        configs = [0]
         for pos, bit in enumerate(position_bits):
             if bit & tables_mask:
                 relevant |= 1 << pos
-                local_subs += [sub | (1 << pos) for sub in local_subs]
-                global_subs += [sub | bit for sub in global_subs]
+                configs += [config | bit for config in configs]
         size = 1 << len(position_bits)
-        entries = self._memo_entries(statement, global_subs, size)
+        entries = self._memo_entries(statement, configs, size)
+        # values[s] is the cost of submask s of L.
         if _np is not None and isinstance(out, _np.ndarray):
+            local = _np.arange(size, dtype=_np.int64)
             values = _np.empty(relevant + 1, dtype=_np.float64)
-            values[local_subs] = [entry[0] for entry in entries]
-            spread = _np.arange(size, dtype=_np.int64)
-            spread &= relevant
-            _np.take(values, spread, out=out)
+            values[(local[: relevant + 1] & ~relevant) == 0] = [
+                entry[0] for entry in entries
+            ]
+            local &= relevant
+            _np.take(values, local, out=out)
             return
         values = [0.0] * (relevant + 1)
-        for sub, entry in zip(local_subs, entries):
+        sub = 0
+        for entry in entries:
             values[sub] = entry[0]
+            sub = (sub - relevant) & relevant  # the next submask of L
         for mask in range(size):
             out[mask] = values[mask & relevant]
 
