@@ -492,14 +492,11 @@ class NumpyWFKernel:
         # place. Both alternatives read the pre-dimension pair values and
         # the dimensions run in order 0 … k−1, exactly like the scalar
         # loop. The low dimensions start from base transposed into _wt.
-        if self._low_steps:
-            _np.copyto(*self._to_wt)
-            for pairs, swapped, costs, alt in self._low_steps:
-                _np.add(swapped, costs, out=alt)
-                _np.minimum(pairs, alt, out=pairs)
-            _np.copyto(*self._from_wt)
-        else:
-            _np.copyto(w, base)
+        _np.copyto(*self._to_wt)
+        for pairs, swapped, costs, alt in self._low_steps:
+            _np.add(swapped, costs, out=alt)
+            _np.minimum(pairs, alt, out=pairs)
+        _np.copyto(*self._from_wt)
         for pairs, swapped, costs, alt in self._high_steps:
             _np.add(swapped, costs, out=alt)
             _np.minimum(pairs, alt, out=pairs)

@@ -3,15 +3,16 @@
 Every costing request of the default pipeline crosses
 :class:`~repro.optimizer.WhatIfOptimizer`: single lookups (``cost``), IBG
 waves (``plan_usage_masks``) and the WFA part vectors (``costs_into``,
-through the int loop or the numpy dedupe). Refactors of that memo path
+spread over an ``array('d')`` by a lookup loop or over a numpy vector by
+a gather). Refactors of that memo path
 must leave ``cache_stats()`` unchanged, so three engine runs compare it
 with ``==`` against the checked-in ``tests/golden/whatif_counters_small.json``:
 
 * ``auto`` — a default ``TuningEngine`` (automatic candidate maintenance)
-  over the ``auto_small`` stream: single lookups, IBG waves and int-loop
-  part vectors all run;
+  over the ``auto_small`` stream: single lookups, IBG waves and
+  lookup-loop part vectors all run;
 * ``fixed`` — a fixed-partition engine over the same stream with a part of
-  6 indices (64 states), which the numpy kernel prices through the dedupe;
+  6 indices (64 states), whose costs the numpy kernel gets by the gather;
 * ``fixed`` again under ``force_backend("python")``: memo accounting does
   not depend on the work-function kernel, so it must equal the golden too.
 
