@@ -47,9 +47,10 @@ backend with :func:`force_backend`.
 **Buffer ownership.** Every kernel instance *owns* its buffers: the ``w``
 vector, the cost vector, and all integer/float scratch are allocated per
 instance in ``__init__`` and never aliased by another instance. On the
-numpy backend that includes stage 1's transposed copy of ``w`` and the
-views over it and ``w``, and stage 2's two δ(S, rec) vectors with the
-``rec`` they hold. There is no module-level scratch, and the only
+numpy backend that includes the views stage 1 relaxes through (over
+``w`` and over a float scratch that holds its transposed copy until
+stage 2 reuses it), and stage 2's two δ(S, rec) vectors with the ``rec``
+they hold. There is no module-level scratch, and the only
 module-level mutable state (:data:`_forced_backend`) is a configuration
 switch read at construction time, not during :meth:`analyze`. The δ
 prefix-sum arrays come from the
@@ -377,7 +378,7 @@ class NumpyWFKernel:
         "_table", "_size", "_k",
         "_cs", "_ds", "_masks", "_not_masks",
         "_w", "costs", "_base", "_i1", "_i2", "_f1", "_f2", "_f3",
-        "_wt", "_to_wt", "_from_wt", "_low_steps", "_high_steps",
+        "_to_wt", "_from_wt", "_low_steps", "_high_steps",
         "_delta_rec", "_rec_create", "_rec_drop",
     )
 
@@ -405,21 +406,21 @@ class NumpyWFKernel:
 
         # Stage 1's layout. Viewed as (high bits, low bits), w has rows of
         # 2^low doubles; the low ⌊k/2⌋ dimensions relax on a transposed
-        # copy _wt, laid out (low bits, high bits), and the rest on w
-        # itself, so each dimension's halves are runs of at least
-        # 2^⌊k/2⌋ contiguous doubles. A step is (the pairs view, its
-        # pair-reversed view, the (drop, create) column, the scratch the
-        # sum goes to), all built here once.
+        # copy held in _f3, laid out (low bits, high bits), and the rest
+        # on w itself, so each dimension's halves are runs of at least
+        # 2^⌊k/2⌋ contiguous doubles. _f3 is free until stage 2 and
+        # feedback write it. A step is (the pairs view, its pair-reversed
+        # view, the (drop, create) column, the scratch the sum goes to),
+        # all built here once.
         low = k // 2
         high = k - low
-        self._wt = _np.empty(size, dtype=_np.float64)
-        wt_grid = self._wt.reshape(1 << low, 1 << high)
+        wt_grid = self._f3.reshape(1 << low, 1 << high)
         self._to_wt = (wt_grid, self._base.reshape(1 << high, 1 << low).T)
         self._from_wt = (self._w.reshape(1 << high, 1 << low), wt_grid.T)
         steps: List[Tuple[Any, Any, Any, Any]] = []
         for i in range(k):
-            # Bit i of S is bit i + high of its position in _wt.
-            buffer, shift = (self._wt, i + high) if i < low else (self._w, i)
+            # Bit i of S is bit i + high of its position in the copy.
+            buffer, shift = (self._f3, i + high) if i < low else (self._w, i)
             pairs = buffer.reshape(-1, 2, 1 << shift)
             costs = _np.array(
                 [self._ds[1 << i], self._cs[1 << i]], dtype=_np.float64
@@ -491,7 +492,7 @@ class NumpyWFKernel:
         # column) in the scratch, and one minimum relaxes both halves in
         # place. Both alternatives read the pre-dimension pair values and
         # the dimensions run in order 0 … k−1, exactly like the scalar
-        # loop. The low dimensions start from base transposed into _wt.
+        # loop. The low dimensions start from base transposed into _f3.
         _np.copyto(*self._to_wt)
         for pairs, swapped, costs, alt in self._low_steps:
             _np.add(swapped, costs, out=alt)

@@ -30,13 +30,14 @@ One memo routine
 ----------------
 Every costing request — a single lookup, an IBG wave, a WFA part vector
 on either kernel — goes through one private routine: reduce each mask to
-its relevant bits, probe the statement's memo, fetch the plan template
-if the batch missed, price the misses, install them, and count. The
-template is fetched before anything is counted or installed, and a
-template build binds the statement first
-(:meth:`~repro.db.stats.StatsRepository.bind`), so a statement naming an
-unknown table or column raises :class:`~repro.db.schema.SchemaError`
-with every counter, memo entry and LRU slot as it was. Memo
+its relevant bits, probe the statement's memo, fetch the plan template on
+the batch's first miss, price the misses, install them, and count. The
+fetch comes before any install, the counters and a new statement's memo
+dict are published after the loop, and a template build binds the
+statement first (:meth:`~repro.db.stats.StatsRepository.bind`), so a
+statement naming an unknown table or column raises
+:class:`~repro.db.schema.SchemaError` with every counter, memo entry and
+LRU slot as it was. Memo
 *misses* are priced by a cached per-statement
 :class:`~repro.optimizer.template.PlanTemplate` — selectivities, the greedy
 join order, and every candidate access path are computed once per statement,
@@ -228,33 +229,24 @@ class WhatIfOptimizer:
         routine.
 
         Each mask is reduced to its relevant bits and probed in the
-        statement's memo. A batch with a miss fetches the statement's plan
-        template once, before anything is counted or installed (a build
-        may raise :class:`~repro.db.schema.SchemaError`), then prices each
-        miss and installs it. ``requests`` is how many costing requests
-        the batch answers (more than ``len(config_masks)`` when the caller
+        statement's memo; a miss is priced by the statement's plan
+        template — fetched once, on the batch's first miss — and
+        installed. Only that fetch can raise (a build binds the statement
+        and may raise :class:`~repro.db.schema.SchemaError`), and it comes
+        before any install; a new statement's memo dict, its LRU eviction
+        and every counter are published after the loop, so a raise leaves
+        them as they were. ``requests`` is how many costing requests the
+        batch answers (more than ``len(config_masks)`` when the caller
         priced a part's relevant submasks only): each counts as a what-if
         call, and every request not priced here counts as a memo hit.
         """
         tables_mask = self._statement_tables_mask(statement)
         cache = self._cache.get(statement)
-        if cache is not None:
-            probe = cache.get
-            hits = [probe(mask & tables_mask) for mask in config_masks]
-            if None not in hits:
-                self.whatif_calls += requests
-                self._stmt_hits += requests
-                return hits
-        template = None
-        if config_masks:  # the batch misses
-            template = self._statement_template(statement)
-        self.whatif_calls += requests
-        if cache is None:
-            cache = self._cache[statement] = {}
-            while len(self._cache) > _STMT_CACHE_LIMIT:
-                self._cache.popitem(last=False)
-                self._stmt_evictions += 1
+        new_cache = cache is None
+        if new_cache:
+            cache = {}
         cache_get = cache.get
+        template = None
         misses = 0
         entries: List[_Entry] = []
         append = entries.append
@@ -262,9 +254,17 @@ class WhatIfOptimizer:
             relevant = mask & tables_mask
             entry = cache_get(relevant)
             if entry is None:
+                if template is None:
+                    template = self._statement_template(statement)
                 entry = cache[relevant] = template.entry(relevant)
                 misses += 1
             append(entry)
+        if new_cache:
+            self._cache[statement] = cache
+            while len(self._cache) > _STMT_CACHE_LIMIT:
+                self._cache.popitem(last=False)
+                self._stmt_evictions += 1
+        self.whatif_calls += requests
         self._stmt_hits += requests - misses
         self._stmt_misses += misses
         self._template_mask_costs += misses
@@ -367,6 +367,10 @@ class WhatIfOptimizer:
             ]
             local &= relevant
             _np.take(values, local, out=out)
+            return
+        if relevant == size - 1:  # every position: submask s is local mask s
+            for mask, entry in enumerate(entries):
+                out[mask] = entry[0]
             return
         values = [0.0] * (relevant + 1)
         sub = 0

@@ -245,7 +245,7 @@ def test_kernel_buffers_are_per_instance(backend):
         import numpy as np
 
         for name in ("_w", "costs", "_base", "_i1", "_i2", "_f1", "_f2", "_f3",
-                     "_wt", "_rec_create", "_rec_drop"):
+                     "_rec_create", "_rec_drop"):
             assert not np.shares_memory(getattr(ka, name), getattr(kb, name)), name
         for step_a, step_b in zip(ka._low_steps + ka._high_steps,
                                   kb._low_steps + kb._high_steps):
