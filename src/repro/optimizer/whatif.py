@@ -345,7 +345,10 @@ class WhatIfOptimizer:
         requests (every :meth:`cache_stats` counter moves exactly as if
         each of the ``2^k`` configurations were probed), and their costs
         are spread over ``out`` with one ``&`` and one gather (numpy) or
-        one lookup loop.
+        one lookup loop. When ``L`` is empty (most parts on most
+        statements) the one cost fills ``out``; when ``L`` is every
+        position the submask order is the local order and the costs are
+        written straight in.
         """
         tables_mask = self._statement_tables_mask(statement)
         relevant = 0  # L, as a local mask
@@ -358,8 +361,17 @@ class WhatIfOptimizer:
                 configs += [config | bit for config in configs]
         size = 1 << len(position_bits)
         entries = self._memo_entries(statement, configs, size)
+        numpy_out = _np is not None and isinstance(out, _np.ndarray)
+        if not relevant:  # one configuration prices every mask
+            cost = entries[0][0]
+            if numpy_out:
+                out.fill(cost)
+            else:
+                for mask in range(size):
+                    out[mask] = cost
+            return
         # values[s] is the cost of submask s of L.
-        if _np is not None and isinstance(out, _np.ndarray):
+        if numpy_out:
             local = _np.arange(size, dtype=_np.int64)
             values = _np.empty(relevant + 1, dtype=_np.float64)
             values[(local[: relevant + 1] & ~relevant) == 0] = [

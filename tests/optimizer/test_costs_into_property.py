@@ -6,10 +6,11 @@ one global bit per position and fills ``out[m]`` for every local mask
 statement's tables and spreads them over ``out`` — with one gather into a
 numpy vector (the numpy kernel) or one lookup loop into an ``array('d')``
 (the pure-Python kernel) or a list. For random parts of 1–12 positions,
-on and off the statement's tables, every entry must equal ``cost_mask``
-of that local mask's global configuration (``==``), and the memo and
-``cache_stats()`` must equal those of one per-mask probe of all ``2^k``
-configurations (``plan_usage_masks``), a repeat of the part included.
+all off the statement's tables, all on them, or mixed, every entry must
+equal ``cost_mask`` of that local mask's global configuration (``==``),
+and the memo and ``cache_stats()`` must equal those of one per-mask probe
+of all ``2^k`` configurations (``plan_usage_masks``), a repeat of the
+part included.
 
 A universe of 64 or more indices on the statement's tables puts its table
 mask past ``2^63``, which long auto-mode runs reach; the wide cases draw
@@ -75,11 +76,19 @@ def _instance(rng: random.Random, wide: bool):
             return stats, statement, pool[: rng.randint(64, 72)]
 
 
-def _part(rng: random.Random, n_indices: int, wide: bool):
-    """Universe positions of a part of 1–12 indices, in local order."""
-    positions = rng.sample(range(n_indices), rng.randint(1, min(12, n_indices)))
+def _part(rng: random.Random, statement, indices, wide: bool):
+    """Universe positions of a part of 1–12 indices, in local order: all
+    off the statement's tables, all on them, or drawn from every index."""
+    tables = set(statement.tables_referenced())
+    pools = [
+        [pos for pos, ix in enumerate(indices) if ix.table not in tables],
+        [pos for pos, ix in enumerate(indices) if ix.table in tables],
+        list(range(len(indices))),
+    ]
+    pool = rng.choice([pool for pool in pools if pool])
+    positions = rng.sample(pool, rng.randint(1, min(12, len(pool))))
     if wide and max(positions) < 63:
-        positions[0] = rng.randrange(63, n_indices)
+        positions[0] = rng.randrange(63, len(indices))
     return positions
 
 
@@ -108,7 +117,7 @@ def _price(optimizer, statement, bits, form):
 def _check_forms_agree(seed: int, wide: bool, forms) -> None:
     rng = random.Random(seed)
     stats, statement, indices = _instance(rng, wide)
-    bits = [1 << pos for pos in _part(rng, len(indices), wide)]
+    bits = [1 << pos for pos in _part(rng, statement, indices, wide)]
     configs = [
         sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
         for mask in range(1 << len(bits))
