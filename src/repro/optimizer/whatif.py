@@ -37,8 +37,7 @@ dict are published after the loop, and a template build binds the
 statement first (:meth:`~repro.db.stats.StatsRepository.bind`), so a
 statement naming an unknown table or column raises
 :class:`~repro.db.schema.SchemaError` with every counter, memo entry and
-LRU slot as it was. Memo
-*misses* are priced by a cached per-statement
+LRU slot as it was. Memo *misses* are priced by a cached per-statement
 :class:`~repro.optimizer.template.PlanTemplate` — selectivities, the greedy
 join order, and every candidate access path are computed once per statement,
 after which any configuration mask is a pure table-local menu argmin plus
