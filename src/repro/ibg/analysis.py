@@ -27,22 +27,30 @@ reads each table's own graph (see the README's "Candidate maintenance").
 
 The sweeps read one cost vector per pool: the graph lists
 ``C[k] = cost(k)`` for every subset ``k`` of the pool once
-(:meth:`IndexBenefitGraph.subset_costs`); then
+(:meth:`IndexBenefitGraph.subset_costs`), and from it, once per index
+``a``, the benefit vector ``B_a[k] = C[k] − C[k|a]`` over the local masks
+``k ∌ a`` (:meth:`IndexBenefitGraph.benefit_vector`); then
 
-* ``β(a) = max(0, max over k ∌ a of C[k] − C[k|a])``, and
-* ``doi(a, b) = max over k ∌ a, b of
-  |(C[k] − C[k|a]) − (C[k|b] − C[k|a|b])|``.
+* ``β(a) = max(0, max over k of B_a[k])``, and
+* ``doi(a, b) = max(0, max over k ∌ b of |B_a[k] − B_a[k|b]|)``, one pass
+  over ``a``'s vector.
 
 These are the subtractions a per-context sweep makes, so the maxima are
-the same floats; every index and pair of a table reads the same vector.
-Pools above ``_FULL_ENUMERATION_LIMIT`` indices keep the per-context sweep,
-which samples the contexts instead (see :func:`_context_masks`).
+the same floats; every index and pair of a table reads the same cost
+vector, and every partner of ``a`` the same benefit vector. A vector of a
+pool of at least :data:`~repro.ibg.graph.NUMPY_MIN_POOL` indices is a
+numpy array when the work-function kernel's backend switch selects numpy
+(``REPRO_NO_NUMPY``, :func:`~repro.core.wfa_kernel.force_backend`); its
+subtractions, ``abs`` and maximum are the same IEEE operations on the
+same doubles. Pools above ``_FULL_ENUMERATION_LIMIT`` indices keep the
+per-context sweep, which samples the contexts instead (see
+:func:`_context_masks`).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, Iterator, Tuple
 
 from ..core.bitset import iter_submasks
 from ..db.index import Index
@@ -92,19 +100,16 @@ def _local_bit(pool: int, bit: int) -> int:
     return 1 << (pool & (bit - 1)).bit_count()
 
 
-def _differences(values: Sequence[float], local: int) -> List[float]:
-    """``values[k] − values[k | local]`` for every local mask ``k`` without
-    ``local``, in ascending ``k``: a vector over the remaining positions."""
-    return [
-        values[k] - values[k | local]
-        for k in range(len(values)) if not k & local
-    ]
-
-
 def _max_from_zero(values: Iterable[float]) -> float:
     """The largest value, or 0.0 if none is positive — with the per-context
     loop's strict ``>`` (below), so the float kept is the one it keeps."""
     return max(chain((0.0,), values))
+
+
+def _array_max_from_zero(values: Any) -> float:
+    """:func:`_max_from_zero` of a non-empty float64 array."""
+    best = float(values.max())
+    return best if best > 0.0 else 0.0
 
 
 def max_benefit(ibg: IndexBenefitGraph, index: Index) -> float:
@@ -116,9 +121,10 @@ def max_benefit(ibg: IndexBenefitGraph, index: Index) -> float:
         return 0.0
     pool = _pool_mask(ibg, index)
     if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
-        return _max_from_zero(
-            _differences(ibg.subset_costs(pool), _local_bit(pool, bit))
-        )
+        vector = ibg.benefit_vector(pool, bit)
+        if isinstance(vector, list):
+            return _max_from_zero(vector)
+        return _array_max_from_zero(vector)
     best = 0.0
     cost = ibg.cost_mask
     for context in _context_masks(ibg, pool & ~bit):
@@ -150,11 +156,15 @@ def degree_of_interaction(ibg: IndexBenefitGraph, a: Index, b: Index) -> float:
     if pool.bit_count() <= _FULL_ENUMERATION_LIMIT:
         # a's benefit in every context, then the change b makes to it:
         # b's position is counted in the pool without a.
-        benefits = _differences(ibg.subset_costs(pool), _local_bit(pool, a_bit))
-        return _max_from_zero(
-            abs(diff)
-            for diff in _differences(benefits, _local_bit(pool & ~a_bit, b_bit))
-        )
+        vector = ibg.benefit_vector(pool, a_bit)
+        local = _local_bit(pool & ~a_bit, b_bit)
+        if isinstance(vector, list):
+            return _max_from_zero(
+                abs(vector[k] - vector[k | local])
+                for k in range(len(vector)) if not k & local
+            )
+        halves = vector.reshape(-1, 2, local)
+        return _array_max_from_zero(abs(halves[:, 0] - halves[:, 1]))
     worst = 0.0
     cost = ibg.cost_mask
     for context in _context_masks(ibg, pool & ~a_bit & ~b_bit):

@@ -20,7 +20,9 @@ per-statement benefit/interaction sweeps of WFIT affordable. ``cost_mask``
 memoizes its answer per graph: one covering walk and one maintenance sum
 per distinct configuration, for as long as the graph lives. The sweeps
 read whole pools at once through :meth:`IndexBenefitGraph.subset_costs`,
-the cost of every subset of a pool as one list, memoized per pool.
+the cost of every subset of a pool as one list, memoized per pool, and
+through :meth:`IndexBenefitGraph.benefit_vector`, one index's benefit in
+every context of its pool, memoized per pool and index.
 
 **One graph per table.** WFIT asks for one graph per referenced table
 (:meth:`~repro.optimizer.whatif.WhatIfOptimizer.statement_ibg`); this
@@ -38,14 +40,27 @@ This representation is exact.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..core.bitset import IndexUniverse, iter_bits
+from ..core.wfa_kernel import default_backend
 from ..db.index import Index
 from ..query.ast import Statement
 from ..optimizer.whatif import WhatIfOptimizer
 
+try:  # The package must import (and pass tier-1) without numpy.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None  # type: ignore[assignment]
+
 __all__ = ["IBGNode", "IndexBenefitGraph", "build_ibg"]
+
+#: Pools of at least this many indices keep their benefit vectors as numpy
+#: arrays when the work-function kernel's backend switch selects numpy;
+#: smaller pools, and every pool under the pure-Python switch, use lists.
+#: Measured on the 2-core dev container: a doi pass over a list beats the
+#: three numpy calls up to 6 indices (2^5 contexts) and loses from 7 on.
+NUMPY_MIN_POOL = 7
 
 
 def _maintenance_tables(
@@ -123,8 +138,12 @@ class IndexBenefitGraph:
         )
         # cost_mask results (core cost plus maintenance) by config & root.
         self._cost_memo: Dict[int, float] = {}
-        # subset_costs results by pool mask.
+        # subset_costs results by pool mask; the numpy copies of the
+        # vectors of pools at or above NUMPY_MIN_POOL.
         self._subset_costs: Dict[int, List[float]] = {}
+        self._cost_arrays: Dict[int, Any] = {}
+        # benefit_vector results by (pool mask, index bit).
+        self._benefit_vectors: Dict[Tuple[int, int], Any] = {}
         self._all_used_mask: Optional[int] = None
         self._all_used: Optional[FrozenSet[Index]] = None
         self.empty_cost = self.cost_mask(0)
@@ -204,6 +223,37 @@ class IndexBenefitGraph:
             cost = self.cost_mask
             costs = self._subset_costs[pool] = [cost(mask) for mask in masks]
         return costs
+
+    def benefit_vector(self, pool: int, bit: int) -> Any:
+        """``C[k] − C[k | a]`` for every local mask ``k`` of ``pool`` without
+        ``a``, the member of ``pool`` at ``bit``, in ascending ``k``: ``a``'s
+        benefit in every context the pool offers, where ``C`` is
+        :meth:`subset_costs`. Position ``j`` of the vector is the ``j``-th
+        local mask of ``pool`` without ``a``.
+
+        A list, or for a pool of at least :data:`NUMPY_MIN_POOL` indices
+        under the numpy backend a float64 array, with the same
+        subtractions either way. Memoized per ``(pool, bit)``: β of ``a``
+        and doi of ``a`` with every partner read one vector.
+        """
+        key = (pool, bit)
+        vector = self._benefit_vectors.get(key)
+        if vector is None:
+            costs = self.subset_costs(pool)
+            local = 1 << (pool & (bit - 1)).bit_count()
+            if pool.bit_count() >= NUMPY_MIN_POOL and default_backend() == "numpy":
+                array = self._cost_arrays.get(pool)
+                if array is None:
+                    array = self._cost_arrays[pool] = _np.array(costs)
+                halves = array.reshape(-1, 2, local)
+                vector = (halves[:, 0] - halves[:, 1]).ravel()
+            else:
+                vector = [
+                    costs[k] - costs[k | local]
+                    for k in range(len(costs)) if not k & local
+                ]
+            self._benefit_vectors[key] = vector
+        return vector
 
     def used_mask(self, config_mask: int) -> int:
         """``used(q, X)`` as a mask: the cost-relevant indices under ``X``."""

@@ -6,7 +6,7 @@ maintenance), every submask of the root must read the same float from the
 memo — on the first (cold) and on a repeated (warm) lookup — as an uncached
 covering walk plus the maintenance sum, and the benefit/interaction
 statistics must come out unchanged. The memo, like the per-pool cost
-vectors the statistics read, lives and dies with its graph.
+and benefit vectors the statistics read, lives and dies with its graph.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _uncached_cost(ibg, optimizer, config_mask):
 
 
 class _Uncached:
-    """An IBG view whose ``cost_mask`` walks the graph on every call, and
-    whose ``subset_costs`` builds each pool's vector from those walks."""
+    """An IBG view whose ``cost_mask`` walks the graph on every call, whose
+    ``subset_costs`` builds each pool's vector from those walks, and whose
+    ``benefit_vector`` subtracts within that vector."""
 
     def __init__(self, ibg, optimizer):
         self._ibg = ibg
@@ -70,6 +71,14 @@ class _Uncached:
         for bit in iter_bits(pool):
             masks += [mask | bit for mask in masks]
         return [self.cost_mask(mask) for mask in masks]
+
+    def benefit_vector(self, pool, bit):
+        costs = self.subset_costs(pool)
+        local = 1 << (pool & (bit - 1)).bit_count()
+        return [
+            costs[k] - costs[k | local]
+            for k in range(len(costs)) if not k & local
+        ]
 
 
 def _statistics(ibg):
@@ -152,14 +161,15 @@ def test_rebuilt_graph_starts_with_an_empty_memo(catalog):
     for config_mask in iter_submasks(small.candidates_mask):
         small.cost_mask(config_mask)
     _statistics(small)
-    assert small._subset_costs
+    assert small._subset_costs and small._benefit_vectors
     grown = optimizer.statement_ibg(statement, frozenset(indices))[table]
     assert grown is not small
     assert grown.candidates_mask & ~small.candidates_mask
     # Only the empty configuration, priced when the graph was built, and
-    # no pool vector.
+    # no pool or benefit vector.
     assert list(grown._cost_memo) == [0]
     assert grown._subset_costs == {}
+    assert grown._benefit_vectors == {}
     for config_mask in iter_submasks(grown.candidates_mask):
         assert grown.cost_mask(config_mask) == _uncached_cost(
             grown, optimizer, config_mask

@@ -2,14 +2,16 @@
 
 :func:`repro.ibg.analysis.max_benefit` and
 :func:`~repro.ibg.analysis.degree_of_interaction` read one cost vector per
-pool (:meth:`IndexBenefitGraph.subset_costs`); ``sweep_oracles`` keeps the
-original sweeps, which price every context through ``cost_mask`` on its
-own. For random read and write statements (writes charge maintenance,
-which puts every maintained index in the pool) and pools near and above
-``_FULL_ENUMERATION_LIMIT`` (where the per-context sweep, sampling
-included, stays in charge), β of every candidate and doi of every
-same-table pair must come out ``==``, whichever of the two runs first on
-the graph's shared memo.
+pool (:meth:`IndexBenefitGraph.subset_costs`) and one benefit vector per
+index (:meth:`IndexBenefitGraph.benefit_vector`); ``sweep_oracles`` keeps
+the original sweeps, which price every context through ``cost_mask`` on
+its own. For random read and write statements (writes charge
+maintenance, which puts every maintained index in the pool), pools on
+both sides of the numpy crossover (``NUMPY_MIN_POOL``, each case on both
+backends) and pools near and above ``_FULL_ENUMERATION_LIMIT`` (where
+the per-context sweep, sampling included, stays in charge), β of every
+candidate and doi of every same-table pair must come out ``==``,
+whichever of the two runs first on the graph's shared memo.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ import itertools
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from repro.core.bitset import iter_bits, iter_submasks
+from repro.core.wfa_kernel import available_backends, force_backend
 from repro.db import Index
 from repro.ibg.analysis import (
     _FULL_ENUMERATION_LIMIT,
     degree_of_interaction,
     max_benefit,
 )
-from repro.ibg.graph import build_ibg
+from repro.ibg.graph import NUMPY_MIN_POOL, build_ibg
 from repro.optimizer import WhatIfOptimizer, extract_indices
 from repro.query.ast import (
     ColumnRef,
@@ -136,6 +140,22 @@ def _wide_writes(draw):
     )
 
 
+def _maintained_candidates(catalog, statement):
+    """The wide table's indices ``statement`` maintains: an update only
+    those keyed on a column it sets."""
+    catalog_, _ = catalog
+    return sorted(
+        index for index in _table_indices(catalog_, _WIDE)
+        if not isinstance(statement, UpdateStatement)
+        or "l_quantity" in index.columns
+    )
+
+
+def _wide_write_graph(catalog, statement, candidates):
+    _, stats = catalog
+    return build_ibg(WhatIfOptimizer(stats), statement, frozenset(candidates))
+
+
 @pytest.mark.parametrize("size", range(
     _FULL_ENUMERATION_LIMIT - 2, _FULL_ENUMERATION_LIMIT + 3
 ))
@@ -146,18 +166,62 @@ def test_pools_near_and_above_the_enumeration_limit(
 ):
     """Writes charge maintenance, so every maintained candidate is in its
     table's pool: pools of limit − 2 … limit + 2 indices."""
-    catalog_, stats = catalog
-    optimizer = WhatIfOptimizer(stats)
-    # An update maintains only the indices keyed on a column it sets.
-    wanted = sorted(
-        index for index in _table_indices(catalog_, _WIDE)
-        if not isinstance(statement, UpdateStatement)
-        or "l_quantity" in index.columns
-    )
-    candidates = data.draw(st.lists(
-        st.sampled_from(wanted), min_size=size, max_size=size, unique=True
-    ))
-    ibg = build_ibg(optimizer, statement, frozenset(candidates))
+    ibg = _wide_write_graph(catalog, statement, data.draw(st.lists(
+        st.sampled_from(_maintained_candidates(catalog, statement)),
+        min_size=size, max_size=size, unique=True,
+    )))
     assert _largest_pool(ibg) == size
     _assert_matches_oracle(ibg, oracle_first)
 
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("size", range(NUMPY_MIN_POOL - 3, NUMPY_MIN_POOL + 3))
+@settings(max_examples=3, deadline=None)
+@given(statement=_wide_writes(), oracle_first=st.booleans(), data=st.data())
+def test_pools_on_both_sides_of_the_numpy_crossover(
+    catalog, backend, size, statement, oracle_first, data
+):
+    """Every case on each backend, on a fresh graph swept under it: pools
+    below the crossover keep list vectors, pools at or above it numpy
+    arrays when the backend is numpy."""
+    ibg = _wide_write_graph(catalog, statement, data.draw(st.lists(
+        st.sampled_from(_maintained_candidates(catalog, statement)),
+        min_size=size, max_size=size, unique=True,
+    )))
+    assert _largest_pool(ibg) == size
+    with force_backend(backend):
+        _assert_matches_oracle(ibg, oracle_first)
+    on_numpy = backend == "numpy" and size >= NUMPY_MIN_POOL
+    pool = ibg.all_used_mask() & ibg.universe.table_mask(_WIDE)
+    vector = ibg.benefit_vector(pool, pool & -pool)
+    assert isinstance(vector, list) != on_numpy
+
+
+def _oracle_benefit_vector(ibg, pool, bit):
+    """``cost(k) − cost(k ∪ {a})`` for the contexts ``k`` of ``pool`` without
+    ``a``, in ascending local order, each priced through ``cost_mask``."""
+    rest = pool & ~bit
+    contexts = [0]
+    for member in iter_bits(rest):
+        contexts += [context | member for context in contexts]
+    return [ibg.cost_mask(k) - ibg.cost_mask(k | bit) for k in contexts]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("size", [3, NUMPY_MIN_POOL + 1])
+def test_benefit_vectors_are_memoized_per_pool_and_index(catalog, backend, size):
+    """Each ``(pool, index)`` has its own vector: the pool first, then
+    every sub-pool that holds the index, on one graph."""
+    statement = InsertStatement(_WIDE, row_count=10)
+    candidates = _maintained_candidates(catalog, statement)[:size]
+    ibg = _wide_write_graph(catalog, statement, candidates)
+    pool = ibg.all_used_mask() & ibg.universe.table_mask(_WIDE)
+    assert pool.bit_count() == size
+    with force_backend(backend):
+        for bit in iter_bits(pool):
+            for sub_pool in sorted(iter_submasks(pool), reverse=True):
+                if sub_pool & bit:
+                    vector = ibg.benefit_vector(sub_pool, bit)
+                    assert list(vector) == _oracle_benefit_vector(
+                        ibg, sub_pool, bit
+                    )
