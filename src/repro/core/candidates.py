@@ -17,7 +17,8 @@ stays stable (Figure 6, line 5).
 from __future__ import annotations
 
 from collections import deque
-from typing import AbstractSet, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from collections.abc import Sequence
+from typing import AbstractSet, Collection, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..db.index import Index
 
@@ -177,7 +178,7 @@ class IndexStatistics:
 
 
 def top_indices(
-    pool: AbstractSet[Index],
+    pool: Collection[Index],
     limit: int,
     monitored: AbstractSet[Index],
     statistics: IndexStatistics,
@@ -191,6 +192,11 @@ def top_indices(
     charged their creation cost so they need extra evidence to evict a
     monitored index (stability of the candidate set, §5.2.2).
 
+    The result is ordered by ``(−score, index)``. ``pool`` is either a
+    sequence already in index order (WFIT keeps U that way) or any other
+    collection, which is sorted first; a stable sort on ``−score`` alone
+    then keeps tied indices in index order, without comparing indices.
+
     Calibration note: the paper subtracts the raw creation cost. Because
     ``benefit*`` is a *per-statement average* while δ⁺ is a one-time cost —
     and in this cost model δ⁺ always exceeds any single statement's benefit
@@ -203,11 +209,12 @@ def top_indices(
         return []
     if create_penalty_factor is None:
         create_penalty_factor = 1.0 / statistics.hist_size
-    scored: List[Tuple[float, Index]] = []
-    for index in sorted(pool):
+    ordered = pool if isinstance(pool, Sequence) else sorted(pool)
+    negated: List[float] = []
+    for index in ordered:
         score = statistics.current_benefit(index, now)
         if index not in monitored:
             score -= transitions.create_cost(index) * create_penalty_factor
-        scored.append((score, index))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [index for _, index in scored[:limit]]
+        negated.append(-score)
+    ranked = sorted(range(len(ordered)), key=negated.__getitem__)
+    return [ordered[k] for k in ranked[:limit]]

@@ -29,7 +29,8 @@ part's kernel relaxation (:meth:`~repro.core.wfa.WFA.relax`). The
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..db.index import Index
@@ -154,7 +155,10 @@ class WFIT:
         self._feedback_count = 0
         self._last_feedback_position: Optional[int] = None
         self.statistics = IndexStatistics(hist_size)
-        self._universe: set = set(self._initial_config)  # U of Figure 6
+        # U of Figure 6, as a set and in index order (top_indices ranks
+        # it in that order); _grow_universe keeps the two in step.
+        self._universe: set = set(self._initial_config)
+        self._ordered_universe: List[Index] = sorted(self._universe)
         self.repartition_count = 0
 
         if fixed_partition is not None:
@@ -232,6 +236,13 @@ class WFIT:
             out.update(instance.recommend())
         return frozenset(out)
 
+    def _grow_universe(self, indices: Iterable[Index]) -> None:
+        """Add ``indices`` to U, keeping its index order: only the indices
+        new to U are compared, each placed by binary search."""
+        for index in sorted(set(indices) - self._universe):
+            insort(self._ordered_universe, index)
+            self._universe.add(index)
+
     # -- statistics maintenance (updateStats of Figure 6) ------------------------
 
     def _update_statistics(
@@ -246,11 +257,11 @@ class WFIT:
             (extracted | graph.all_used_indices()) & graph.candidates
             for graph in graphs.values()
         ))
-        for index in sorted(relevant):
+        ordered = sorted(relevant)
+        for index in ordered:
             beta = max_benefit(graphs[index.table], index)
             self.statistics.record_benefit(index, position, beta)
         if not self.assume_independence:
-            ordered = sorted(relevant)
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1:]:
                     if a.table != b.table:
@@ -268,14 +279,18 @@ class WFIT:
         # The graphs are built before U grows or anything is recorded, so
         # a statement the optimizer cannot price leaves the tuner as it was.
         graphs = self._optimizer.statement_ibg(
-            statement, frozenset(self._universe) | extracted,
+            statement, self._universe | extracted,
             max_nodes=self._max_ibg_nodes,
         )
-        self._universe.update(extracted)
+        self._grow_universe(extracted)
         self._update_statistics(extracted, graphs, position)
 
         materialized = set(self.recommend())
-        pool = frozenset(self._universe) - materialized
+        # U minus the materialized indices, still in index order.
+        pool = [
+            index for index in self._ordered_universe
+            if index not in materialized
+        ]
         chosen = top_indices(
             pool,
             self.idx_cnt - len(materialized),
@@ -488,7 +503,7 @@ class WFIT:
         minus = frozenset(f_minus)
         if plus & minus:
             raise ValueError("F+ and F- must be disjoint")
-        self._universe.update(plus)
+        self._grow_universe(plus)
         for instance in self._instances:
             instance.apply_feedback(plus, minus)
         self._feedback_count += 1
@@ -535,7 +550,7 @@ class WFIT:
             "initial_config": [
                 ix.to_payload() for ix in sorted(self._initial_config)
             ],
-            "universe": [ix.to_payload() for ix in sorted(self._universe)],
+            "universe": [ix.to_payload() for ix in self._ordered_universe],
             "rng_state": [rng_version, list(rng_internal), rng_gauss],
             "statistics": self.statistics.export_state(),
             "parts": [
@@ -598,6 +613,7 @@ class WFIT:
         tuner._universe = {
             Index.from_payload(p) for p in state["universe"]
         }
+        tuner._ordered_universe = sorted(tuner._universe)
         tuner.statistics = IndexStatistics.from_state(state["statistics"])
         rng_version, rng_internal, rng_gauss = state["rng_state"]
         tuner._rng.setstate(

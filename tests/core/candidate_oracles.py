@@ -1,12 +1,16 @@
 """Set-based reference oracles for WFIT's candidate maintenance.
 
 These are the original, frozenset-level implementations of
-``choosePartition`` (Figure 7) and of the ``repartition`` warm start
-(Figure 5, lines 4–7). Like production, the partition oracle reads doi
-for same-table pairs only and takes every cross-table pair as 0.0. Production code (:mod:`repro.core.partitioning`,
-:meth:`repro.core.wfit.WFIT._repartition`) runs the same computations on
-positions and masks; the property tests assert that both give exactly
-equal (``==``) results and leave the RNG in the same state.
+``choosePartition`` (Figure 7), of the ``repartition`` warm start
+(Figure 5, lines 4–7) and of ``topIndices`` (Figure 6, line 5). Like
+production, the partition oracle reads doi for same-table pairs only and
+takes every cross-table pair as 0.0. Production code
+(:mod:`repro.core.partitioning`,
+:meth:`repro.core.wfit.WFIT._repartition`,
+:func:`repro.core.candidates.top_indices` over WFIT's ordered U) runs the
+same computations on positions, masks and pre-sorted pools; the property
+tests assert that both give exactly equal (``==``) results and leave the
+RNG in the same state.
 """
 
 from __future__ import annotations
@@ -161,6 +165,31 @@ def reference_choose_partition(
     if best is None:
         raise RuntimeError("partition search produced no candidate")
     return sorted(best, key=lambda p: sorted(p))
+
+
+def reference_top_indices(
+    pool: AbstractSet[Index],
+    limit: int,
+    monitored: AbstractSet[Index],
+    statistics,
+    now: int,
+    transitions,
+    create_penalty_factor: Optional[float] = None,
+) -> List[Index]:
+    """``topIndices`` by sorting ``(score, index)`` pairs on
+    ``(−score, index)``, over a freshly sorted pool."""
+    if limit <= 0:
+        return []
+    if create_penalty_factor is None:
+        create_penalty_factor = 1.0 / statistics.hist_size
+    scored: List[Tuple[float, Index]] = []
+    for index in sorted(set(pool)):
+        score = statistics.current_benefit(index, now)
+        if index not in monitored:
+            score -= transitions.create_cost(index) * create_penalty_factor
+        scored.append((score, index))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [index for _, index in scored[:limit]]
 
 
 def reference_warm_start(tuner, new_parts: Sequence[FrozenSet[Index]]) -> List[List[float]]:
