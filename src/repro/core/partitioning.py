@@ -14,15 +14,21 @@ per-part size cap that keeps any single WFA instance tractable.
 The search runs on *positions* in ``sorted(candidates)``: an index is an
 int, a part is a mask of positions, and the interaction data is the list
 of positive ``(i, j, doi)`` pairs, read from the ``doi`` callable once per
-search and only for pairs on one table. :func:`partition_loss` /
-:func:`pairwise_loss` remain the set-level definition of the loss; the
-positional search reproduces their float additions (and every
-``rng.choices`` draw) exactly.
+search and only for pairs on one table. A merge pass keeps the live pair
+losses in slots in pool order and rewrites only the merged parts' slots,
+and it makes each weighted draw inline, with the operations
+``rng.choices`` makes. :func:`partition_loss` / :func:`pairwise_loss`
+remain the set-level definition of the loss; the positional search
+reproduces their float additions, and the set-level search's
+``rng.choices`` draws, exactly (``tests/core/candidate_oracles.py``).
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.index import Index
@@ -125,51 +131,72 @@ def _merge_pass(
 
     Starts from ``size`` singleton parts (part ``k`` holds position ``k``)
     and returns the surviving parts' masks in part-id order. Pair losses
-    are maintained incrementally: merging parts i and j gives
-    ``loss(i∪j, k) = loss(i, k) + loss(j, k)``, so only pairs that started
-    with positive doi ever need tracking. ``pair_loss`` maps
-    ``x * 2·size + y`` to ``(x, y, loss)`` for part ids ``x < y``; its
-    insertion order is the order the pool, the weights and
-    ``rng.choices`` depend on.
+    are maintained incrementally: merging parts i and j into part m gives
+    ``loss(m, k) = loss(i, k) + loss(j, k)``, so only pairs that started
+    with positive doi ever need tracking.
+
+    The live pairs ``(x, y, loss)``, part ids ``x < y``, sit in ``slots``
+    in pool order, the order the weights and the draws follow. A merge
+    rewrites only the slots of i and j, in slot order: the first slot of
+    each other part k becomes ``(k, m, loss)`` and sums k's later slots
+    into its loss, which goes dead (None) like the slot of (i, j). That is
+    the order, and the float sum, of rebuilding the pair map with each
+    merged pair inserted where its first contribution was.
+
+    Each merge draws one pool entry the way ``rng.choices(pool,
+    weights=weights)`` does (CPython 3.10–3.13): the cumulative weights by
+    ``accumulate``, their total ``+ 0.0``, and ``bisect`` of
+    ``rng.random() * total`` over all but the last position. A total that
+    is not positive and finite goes to ``rng.choices`` itself, which
+    raises its own error.
     """
     masks = [1 << k for k in range(size)]  # by part id; 0 once merged away
     sizes = [1] * size
     states = 2 * size  # Σ 2^|P| over live parts
-    stride = 2 * size  # > every part id
-    pair_loss = {i * stride + j: (i, j, loss) for i, j, loss in positive}
-    # Pairs of two singletons, in pair_loss order. Merging two singletons
-    # adds no states, so while any remain they are the whole pool.
+    slots: List[Optional[Tuple[int, int, float]]] = list(positive)
+    live = len(slots)
+    # By part id: the slots that held a pair of the part, ascending (some
+    # may have gone dead since).
+    part_slots: List[List[int]] = [[] for _ in range(size)]
+    for slot, (i, j, _) in enumerate(positive):
+        part_slots[i].append(slot)
+        part_slots[j].append(slot)
+    # Pairs of two singletons, in pool order, and their weights (the
+    # losses). Merging two singletons adds no states, so while any remain
+    # they are the whole pool.
     singles = positive
-    choices = rng.choices
-    while pair_loss:
+    single_weights = [loss for _, _, loss in positive]
+    draw = rng.random
+    while live:
         if singles:
             pool = singles
-            weights = [loss for _, _, loss in pool]
+            weights = single_weights
         else:
             pool = []
-            for entry in pair_loss.values():
-                i, j, _ = entry
+            weights = []
+            for entry in slots:
+                if entry is None:
+                    continue
+                i, j, loss = entry
                 size_i = sizes[i]
                 size_j = sizes[j]
                 merged_size = size_i + size_j
                 if merged_size > MAX_PART_SIZE:
                     continue
-                if states - (1 << size_i) - (1 << size_j) + (1 << merged_size) <= state_cnt:
+                # Weight by loss per additional tracked state: favors
+                # merging small, strongly interacting parts (Figure 7,
+                # line 17).
+                added = (1 << merged_size) - (1 << size_i) - (1 << size_j)
+                if states + added <= state_cnt:
                     pool.append(entry)
+                    weights.append(loss / added)
             if not pool:
                 break
-            # Weight by loss per additional tracked state: favors merging
-            # small, strongly interacting parts (Figure 7, line 17).
-            weights = [
-                loss
-                / (
-                    (1 << (sizes[i] + sizes[j]))
-                    - (1 << sizes[i])
-                    - (1 << sizes[j])
-                )
-                for i, j, loss in pool
-            ]
-        i, j, _ = choices(pool, weights=weights)[0]
+        cumulative = list(accumulate(weights))
+        total = cumulative[-1] + 0.0
+        if not 0.0 < total < math.inf:
+            rng.choices(pool, weights=weights)  # raises its ValueError
+        i, j, _ = pool[bisect(cumulative, draw() * total, 0, len(pool) - 1)]
         merged_id = len(masks)
         size_i = sizes[i]
         size_j = sizes[j]
@@ -177,30 +204,39 @@ def _merge_pass(
         masks.append(masks[i] | masks[j])
         sizes.append(size_i + size_j)
         masks[i] = masks[j] = 0
-        updated: Dict[int, Tuple[int, int, float]] = {}
-        for key, entry in pair_loss.items():
+        merged_slots: List[int] = []
+        first_slot: Dict[int, int] = {}  # other part -> its merged slot
+        for slot in sorted(set(part_slots[i] + part_slots[j])):
+            entry = slots[slot]
+            if entry is None:
+                continue
             x, y, loss = entry
             if x == i or x == j:
                 if y == i or y == j:
-                    continue  # absorbed into the merged part
+                    slots[slot] = None  # absorbed into the merged part
+                    live -= 1
+                    continue
                 other = y
-            elif y == i or y == j:
-                other = x
             else:
-                updated[key] = entry
-                continue
-            merged_key = other * stride + merged_id
-            previous = updated.get(merged_key)
-            # The first contribution is 0.0 + loss, which is loss.
-            total = loss if previous is None else previous[2] + loss
-            updated[merged_key] = (other, merged_id, total)
-        pair_loss = updated
+                other = x
+            kept = first_slot.get(other)
+            if kept is None:
+                # The first contribution is 0.0 + loss, which is loss.
+                first_slot[other] = slot
+                slots[slot] = (other, merged_id, loss)
+                merged_slots.append(slot)
+            else:
+                slots[kept] = (other, merged_id, slots[kept][2] + loss)
+                slots[slot] = None
+                live -= 1
+        part_slots.append(merged_slots)
         if singles:
-            singles = [
-                entry for entry in singles
-                if entry[0] != i and entry[0] != j
-                and entry[1] != i and entry[1] != j
+            kept_singles = [
+                k for k, (x, y, _) in enumerate(singles)
+                if x != i and x != j and y != i and y != j
             ]
+            singles = [singles[k] for k in kept_singles]
+            single_weights = [single_weights[k] for k in kept_singles]
     return [mask for mask in masks if mask]
 
 

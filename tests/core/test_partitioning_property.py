@@ -12,6 +12,11 @@ same partition (``==``, part order included) or raise the same error, call
 ``doi`` with the same pairs in the same order, and leave the RNG in the same
 state. The matrices carry cross-table entries too; both searches must
 ignore them and never ask ``doi`` for a cross-table pair.
+
+Long merge sequences get their own cases: 40 candidates with dense
+interaction, under a tight ``state_cnt`` and under one that lets parts
+grow to ``MAX_PART_SIZE``. There every merge pass is compared on its own
+with the oracle's: the parts, their loss and the RNG state after it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,15 @@ import random
 
 from hypothesis import event, given, settings, strategies as st
 
-from candidate_oracles import reference_choose_partition
-from repro.core.partitioning import MAX_PART_SIZE, choose_partition
+from candidate_oracles import _randomized_merge, reference_choose_partition
+from repro.core.partitioning import (
+    MAX_PART_SIZE,
+    _loss,
+    _merge_pass,
+    _positions,
+    choose_partition,
+    partition_loss,
+)
 from repro.db import Index
 from synth import make_indices
 
@@ -158,3 +170,89 @@ def test_oracle_cases_cover_the_contract():
     assert outcomes[2][0] == "raised" and outcomes[2][1] is RuntimeError
     assert outcomes[3][0] == "ok"
     assert max(len(part) for part in outcomes[4][1]) >= 3
+
+
+#: Candidates of a long merge sequence: the size WFIT monitors by default.
+_LONG = 40
+
+
+#: The value kinds of ``_VALUES``, drawn from a seeded RNG: a long case
+#: has 780 pairs, too many to draw one by one.
+_SEEDED_VALUES = {
+    "tied": lambda rng: rng.choice([1.0, 2.0]),
+    "fractions": lambda rng: rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3]),
+    "integers": lambda rng: float(rng.randint(1, 50)),
+    "tiny": lambda rng: rng.uniform(1e-300, 1e-290),
+    "wide": lambda rng: rng.uniform(1e-300, 1e6),
+}
+
+
+@st.composite
+def long_merge_cases(draw):
+    tables = draw(st.integers(1, 2))
+    candidates = sorted(
+        Index(f"syn.t{k % tables}", (f"c{k:02d}",)) for k in range(_LONG)
+    )
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    value = _SEEDED_VALUES[draw(st.sampled_from(sorted(_SEEDED_VALUES)))]
+    values = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # Same-table pairs only: the merge pass never sees another kind.
+    matrix = {}
+    for i in range(_LONG):
+        for j in range(i + 1, _LONG):
+            a, b = candidates[i], candidates[j]
+            if a.table == b.table and values.random() < density:
+                matrix[(a, b)] = value(values)
+    state_cnt = draw(st.one_of(
+        st.integers(2 * _LONG, 2 * _LONG + 24), st.just(1 << 20)
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return candidates, matrix, state_cnt, seed
+
+
+def _assert_passes_match(case, passes=3):
+    """Run ``passes`` merge passes on each side, each side on its own RNG
+    from one seed; compare parts, loss and RNG state after every pass.
+    Returns the largest part seen."""
+    candidates, matrix, state_cnt, seed = case
+    doi = _recording_doi(matrix, [])
+    positive = [
+        (i, j, doi(a, b))
+        for i, a in enumerate(candidates)
+        for j, b in enumerate(candidates)
+        if i < j and a.table == b.table and doi(a, b) > 0.0
+    ]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    largest = 0
+    for _ in range(passes):
+        masks = _merge_pass(_LONG, positive, state_cnt, ours)
+        expected = _randomized_merge(candidates, state_cnt, doi, theirs)
+        parts = [
+            frozenset(candidates[k] for k in _positions(mask)) for mask in masks
+        ]
+        assert parts == expected
+        assert _loss(masks, positive, _LONG) == partition_loss(expected, doi)
+        assert ours.getstate() == theirs.getstate()
+        largest = max(largest, max(len(part) for part in parts))
+    return largest
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=long_merge_cases())
+def test_long_merge_sequences_match_the_oracle_pass_by_pass(case):
+    largest = _assert_passes_match(case)
+    event("tight budget" if case[2] < 1 << 20 else "loose budget")
+    event(f"largest part: {largest}")
+
+
+def test_long_merge_sequences_reach_the_part_size_cap():
+    """Dense interaction and room to spare: parts grow to MAX_PART_SIZE."""
+    candidates = sorted(
+        Index("syn.t0", (f"c{k:02d}",)) for k in range(_LONG)
+    )
+    matrix = {
+        (a, b): 0.1 + ((3 * i + 7 * j) % 10) / 10
+        for i, a in enumerate(candidates)
+        for j, b in enumerate(candidates) if i < j
+    }
+    assert _assert_passes_match((candidates, matrix, 1 << 20, 11)) == MAX_PART_SIZE
