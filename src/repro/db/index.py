@@ -90,13 +90,23 @@ class Index:
 
 
 class IndexSizer:
-    """Physical size/shape estimates for indices, from catalog statistics."""
+    """Physical size/shape estimates for indices, from catalog statistics.
+
+    Every estimate is a function of the index, its table's schema and its
+    table's statistics, which a :class:`StatsRepository` adds once and
+    never replaces; so the per-index facts the cost model asks for on
+    every plan-template build (entries per page, leaf pages, height) are
+    memoized per index.
+    """
 
     #: Typical B-tree fill factor for freshly built indexes.
     FILL_FACTOR = 0.9
 
     def __init__(self, stats: StatsRepository) -> None:
         self._stats = stats
+        self._entries_per_page: Dict[Index, int] = {}
+        self._leaf_pages: Dict[Index, int] = {}
+        self._height: Dict[Index, int] = {}
 
     def entry_width(self, index: Index) -> int:
         """Bytes per leaf entry: key columns plus a row identifier."""
@@ -105,20 +115,32 @@ class IndexSizer:
         return key_width + RID_WIDTH
 
     def entries_per_page(self, index: Index) -> int:
-        usable = int(PAGE_SIZE * self.FILL_FACTOR)
-        return max(1, usable // self.entry_width(index))
+        found = self._entries_per_page.get(index)
+        if found is None:
+            usable = int(PAGE_SIZE * self.FILL_FACTOR)
+            found = max(1, usable // self.entry_width(index))
+            self._entries_per_page[index] = found
+        return found
 
     def leaf_pages(self, index: Index) -> int:
-        rows = self._stats.row_count(index.table)
-        return max(1, -(-rows // self.entries_per_page(index)))
+        found = self._leaf_pages.get(index)
+        if found is None:
+            rows = self._stats.row_count(index.table)
+            found = max(1, -(-rows // self.entries_per_page(index)))
+            self._leaf_pages[index] = found
+        return found
 
     def height(self, index: Index) -> int:
         """Levels above the leaves (root counts as one level)."""
-        fanout = max(2, self.entries_per_page(index))
-        leaves = self.leaf_pages(index)
-        if leaves <= 1:
-            return 1
-        return max(1, math.ceil(math.log(leaves, fanout)))
+        found = self._height.get(index)
+        if found is None:
+            fanout = max(2, self.entries_per_page(index))
+            leaves = self.leaf_pages(index)
+            found = 1 if leaves <= 1 else max(
+                1, math.ceil(math.log(leaves, fanout))
+            )
+            self._height[index] = found
+        return found
 
     def size_pages(self, index: Index) -> int:
         """Total pages including the (geometrically small) inner levels."""

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
 
-from repro.db import Index, IndexSizer, build_toy_catalog
+from reference import ReferenceIndexSizer
+from repro.db import Index, IndexSizer, build_catalog, build_toy_catalog
 from repro.db.index import RID_WIDTH
 
 
@@ -99,3 +101,25 @@ class TestIndexSizer:
         index = Index("shop.sales", ("sale_id",))
         assert sizer.leaf_pages(index) == 1
         assert sizer.height(index) == 1
+
+    def test_memoized_facts_equal_the_unmemoized_sizer(self):
+        """Every index of the benchmark catalog, asked twice: the memo
+        answers what the seed's per-call computation gives."""
+        catalog, stats = build_catalog(scale=0.02)
+        sizer = IndexSizer(stats)
+        reference = ReferenceIndexSizer(stats)
+        indices = [
+            Index(table.qualified_name, columns)
+            for table in catalog.tables
+            for width in (1, 2)
+            for columns in itertools.permutations(
+                [column.name for column in table.columns], width
+            )
+        ]
+        for _ in range(2):
+            for index in indices:
+                for fact in ("entries_per_page", "leaf_pages", "height",
+                             "size_pages"):
+                    assert getattr(sizer, fact)(index) == getattr(
+                        reference, fact
+                    )(index), (fact, index)

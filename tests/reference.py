@@ -1,6 +1,6 @@
 """Reference implementations the production kernels are checked against.
 
-Two pieces of the pre-kernel code, kept verbatim in their pricing and
+Three pieces of the pre-kernel code, kept verbatim in their pricing and
 arithmetic so equivalence tests can compare with ``==``:
 
 * **The scalar plan search** (:class:`ReferenceCostModel`,
@@ -10,14 +10,19 @@ arithmetic so equivalence tests can compare with ``==``:
   write and maintenance terms. :class:`~repro.optimizer.template.PlanTemplate`
   does the configuration-independent part once per statement and must
   reproduce these plans to the last bit
-  (``tests/optimizer/test_template_property.py``).
+  (``tests/optimizer/test_template_property.py``). It sizes indices with
+  :class:`ReferenceIndexSizer`.
+* **The index sizer without its memo** (:class:`ReferenceIndexSizer`):
+  entries per page, leaf pages and height recomputed on every call.
+  ``tests/db/test_index_model.py`` compares it with the memoized
+  :class:`~repro.db.index.IndexSizer`.
 * **The frozenset Work Function Algorithm** (:class:`ReferenceWFA`), the
   seed WFA before the bitset kernel. ``tests/core/test_kernel_equivalence.py``
   replays workloads through it and the kernel-backed
   :class:`~repro.core.wfa.WFA` and requires identical recommendations and
   work-function values at every step.
 
-``benchmarks/bench_kernel.py`` prices its seed rows with both: every
+``benchmarks/bench_kernel.py`` prices its seed rows with all three: every
 configuration is materialized as a ``frozenset`` per cost lookup and every
 δ is a Python-level walk over the part's indices. Do not "optimize" this
 module; its slowness is the seed baseline.
@@ -31,7 +36,8 @@ from typing import (
 )
 
 from repro.core.wfa import CostFunction
-from repro.db.index import Index
+from repro.db.index import Index, IndexSizer
+from repro.db.stats import PAGE_SIZE
 from repro.optimizer.access import AccessCostModel, AccessPath
 from repro.optimizer.cost_model import (
     CostModel,
@@ -51,6 +57,7 @@ from repro.query.ast import (
 
 __all__ = [
     "ReferenceCostModel",
+    "ReferenceIndexSizer",
     "ReferenceWFA",
     "best_path",
     "plan_indices",
@@ -98,13 +105,39 @@ def used_indices(plan: QueryPlan) -> FrozenSet[Index]:
     return frozenset(used)
 
 
+class ReferenceIndexSizer(IndexSizer):
+    """:class:`IndexSizer` as the seed had it: every per-index fact is
+    computed afresh on every call."""
+
+    def entries_per_page(self, index: Index) -> int:
+        usable = int(PAGE_SIZE * self.FILL_FACTOR)
+        return max(1, usable // self.entry_width(index))
+
+    def leaf_pages(self, index: Index) -> int:
+        rows = self._stats.row_count(index.table)
+        return max(1, -(-rows // self.entries_per_page(index)))
+
+    def height(self, index: Index) -> int:
+        fanout = max(2, self.entries_per_page(index))
+        leaves = self.leaf_pages(index)
+        if leaves <= 1:
+            return 1
+        return max(1, math.ceil(math.log(leaves, fanout)))
+
+
 class ReferenceCostModel(CostModel):
     """:class:`CostModel` plus the scalar plan search over frozensets.
 
     It reads the model's private attributes, as the search did when it was
     part of :class:`CostModel`, so the seed rows of ``bench_kernel.py``
-    time the same code.
+    time the same code, and it sizes indices with
+    :class:`ReferenceIndexSizer`, as the seed did.
     """
+
+    def __init__(self, stats, config=None) -> None:
+        super().__init__(stats, config)
+        self._sizer = ReferenceIndexSizer(stats)
+        self._access = AccessCostModel(stats, self._sizer, self.config.access)
 
     # -- select ------------------------------------------------------------
 
