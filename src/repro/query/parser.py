@@ -6,7 +6,8 @@ Supported statements (case-insensitive keywords):
   WHERE pred AND pred ... [ORDER BY col[, col...]]``
 * ``UPDATE t SET col = expr[, col = expr...] [WHERE pred AND ...]``
 * ``DELETE FROM t [WHERE pred AND ...]``
-* ``INSERT INTO t ...``
+* ``INSERT INTO t [(col, ...)] VALUES (...)[, (...)...]``: one row per
+  parenthesized tuple after ``VALUES`` (one row without a ``VALUES`` list)
 
 Predicates are conjunctive: ``col = literal``, ``col op literal`` for
 ``op ∈ {<, <=, >, >=}``, ``col BETWEEN lit AND lit``, or ``col = col``
@@ -369,11 +370,22 @@ def _parse_delete(stream: _TokenStream) -> DeleteStatement:
 def _parse_insert(stream: _TokenStream) -> InsertStatement:
     stream.expect("into")
     table = _parse_qualified_table(stream)
-    # The remainder (column list / VALUES) does not affect costing.
-    row_count = 1
+    # Of the remainder only the row count affects costing: the top-level
+    # tuples after VALUES (a column list before it is not a row).
+    rows = 0
+    depth = 0
+    after_values = False
     while not stream.exhausted:
-        stream.next()
-    return InsertStatement(table, row_count)
+        token = stream.next()
+        if token == "(":
+            if after_values and depth == 0:
+                rows += 1
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0 and token.lower() == "values":
+            after_values = True
+    return InsertStatement(table, max(rows, 1))
 
 
 def parse_statement(sql: str) -> Statement:
@@ -396,21 +408,39 @@ def _render_column(ref: ColumnRef) -> str:
     return f"{ref.table.split('.', 1)[1]}.{ref.column}"
 
 
-def _format_predicate(pred: TablePredicate) -> str:
+def _exact_bound(value: float) -> str:
+    """A range bound as text that parses back to the same float: the
+    ``:g`` rendering when it does (so text that was already exact keeps
+    its bytes), else ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+def _format_predicate(pred: TablePredicate, lossless: bool) -> str:
     column = _render_column(pred.column)
     if isinstance(pred, EqualityPredicate):
         value = pred.value
         rendered = f"'{value}'" if isinstance(value, str) else repr(value)
         return f"{column} = {rendered}"
+    bound = _exact_bound if lossless else "{:g}".format
     if pred.lo is not None and pred.hi is not None:
-        return f"{column} BETWEEN {pred.lo:g} AND {pred.hi:g}"
+        return f"{column} BETWEEN {bound(pred.lo)} AND {bound(pred.hi)}"
     if pred.lo is not None:
-        return f"{column} >= {pred.lo:g}"
-    return f"{column} <= {pred.hi:g}"
+        return f"{column} >= {bound(pred.lo)}"
+    return f"{column} <= {bound(pred.hi)}"
 
 
-def to_sql(statement: Statement) -> str:
-    """Render a statement back to SQL text (for display and logging)."""
+def to_sql(statement: Statement, *, lossless: bool = False) -> str:
+    """Render a statement back to SQL text (for display and logging).
+
+    By default range bounds render with ``:g`` (six significant digits)
+    and an insert as one row. With ``lossless=True`` the text parses back
+    to an AST ``==`` to ``statement``: a bound whose ``:g`` text reads
+    back as another float renders with ``repr``, and an insert renders
+    one ``VALUES`` tuple per row. The engine logs this form, in the WAL
+    and in checkpoints, so recovery re-analyzes the statements it
+    analyzed.
+    """
     if isinstance(statement, SelectQuery):
         projection = (
             ", ".join(_render_column(c) for c in statement.projection)
@@ -418,7 +448,9 @@ def to_sql(statement: Statement) -> str:
             else "count(*)"
         )
         parts = [f"SELECT {projection}", f"FROM {', '.join(statement.tables)}"]
-        conditions = [_format_predicate(p) for p in statement.predicates]
+        conditions = [
+            _format_predicate(p, lossless) for p in statement.predicates
+        ]
         conditions.extend(
             f"{_render_column(j.left)} = {_render_column(j.right)}"
             for j in statement.joins
@@ -436,16 +468,19 @@ def to_sql(statement: Statement) -> str:
         sql = f"UPDATE {statement.table} SET {sets}"
         if statement.predicates:
             sql += " WHERE " + " AND ".join(
-                _format_predicate(p) for p in statement.predicates
+                _format_predicate(p, lossless) for p in statement.predicates
             )
         return sql
     if isinstance(statement, DeleteStatement):
         sql = f"DELETE FROM {statement.table}"
         if statement.predicates:
             sql += " WHERE " + " AND ".join(
-                _format_predicate(p) for p in statement.predicates
+                _format_predicate(p, lossless) for p in statement.predicates
             )
         return sql
     if isinstance(statement, InsertStatement):
-        return f"INSERT INTO {statement.table} VALUES (...)"
+        rows = statement.row_count if lossless else 1
+        return f"INSERT INTO {statement.table} VALUES " + ", ".join(
+            ["(...)"] * rows
+        )
     raise TypeError(f"unknown statement type: {type(statement).__name__}")

@@ -81,7 +81,7 @@ from ..core.wfit import WFIT
 from ..db.index import Index
 from ..optimizer.whatif import WhatIfOptimizer
 from ..query.ast import Statement
-from ..query.parser import parse_statement, to_sql
+from ..query.parser import ParseError, parse_statement, to_sql
 from .scheduler import (
     BACKGROUND_CLASSES,
     DEFAULT_PRIORITY,
@@ -507,10 +507,28 @@ class TuningEngine:
         referenced table and column bound against the optimizer's
         statistics and schema: an unknown one raises
         :class:`~repro.db.schema.SchemaError` before anything is admitted,
-        logged or enqueued."""
-        parsed = (
-            parse_statement(statement) if isinstance(statement, str) else statement
-        )
+        logged or enqueued.
+
+        The WAL and checkpoints hold ``to_sql(parsed, lossless=True)``,
+        which parses back to ``parsed`` for every parsed statement. An AST
+        it does not reproduce (a string literal with a quote, or one shaped
+        like a timestamp, which parses as a number) raises
+        :class:`~repro.query.parser.ParseError` here: recovery would
+        otherwise fail to parse it, or analyze another statement.
+        """
+        if isinstance(statement, str):
+            parsed = parse_statement(statement)
+        else:
+            parsed = statement
+            try:
+                logged = parse_statement(to_sql(parsed, lossless=True))
+            except ParseError:
+                logged = None
+            if logged != parsed:
+                raise ParseError(
+                    f"statement has no SQL text that parses back to it: "
+                    f"{parsed!r}"
+                )
         self._optimizer.stats.bind(parsed)
         return parsed
 
@@ -542,7 +560,8 @@ class TuningEngine:
             self._scheduler.admit(resolved, 1)
             if self._wal is not None:
                 payload: Dict[str, object] = {
-                    "client_id": client_id, "sql": to_sql(parsed),
+                    "client_id": client_id,
+                    "sql": to_sql(parsed, lossless=True),
                 }
                 if resolved != DEFAULT_PRIORITY:
                     payload["priority"] = resolved
@@ -602,7 +621,8 @@ class TuningEngine:
                 payload_entries: List[Dict[str, object]] = []
                 for client_id, parsed, priority in resolved:
                     item: Dict[str, object] = {
-                        "client_id": client_id, "sql": to_sql(parsed),
+                        "client_id": client_id,
+                        "sql": to_sql(parsed, lossless=True),
                     }
                     if priority != DEFAULT_PRIORITY:
                         item["priority"] = priority

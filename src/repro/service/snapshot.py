@@ -128,7 +128,7 @@ def checkpoint_engine(
             for entry in engine._scheduler.entries():
                 item: Dict[str, object] = {
                     "client_id": entry.client_id,
-                    "sql": to_sql(entry.statement),
+                    "sql": to_sql(entry.statement, lossless=True),
                 }
                 if entry.priority != "normal":
                     item["priority"] = entry.priority
@@ -169,7 +169,9 @@ def checkpoint_engine(
                     if engine._pending_realized is None
                     else {
                         "client_id": engine._pending_realized[0],
-                        "sql": to_sql(engine._pending_realized[1]),
+                        "sql": to_sql(
+                            engine._pending_realized[1], lossless=True
+                        ),
                     }
                 ),
                 "adoption_changes": engine._adoptions,

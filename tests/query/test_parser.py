@@ -151,6 +151,14 @@ class TestOtherStatements:
         assert isinstance(stmt, InsertStatement)
         assert stmt.row_count == 1
 
+    def test_insert_counts_values_tuples(self):
+        stmt = parse_statement(
+            "INSERT INTO tpch.lineitem (l_tax, l_quantity) "
+            "VALUES (0.1, (2)), ('a(', 3), (4, 5)"
+        )
+        assert stmt.row_count == 3
+        assert parse_statement("INSERT INTO tpch.lineitem").row_count == 1
+
     def test_multi_column_update(self):
         stmt = parse_statement(
             "UPDATE tpce.daily_market SET dm_close = 4, dm_vol = dm_vol + 1 "

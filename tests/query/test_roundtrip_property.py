@@ -1,4 +1,9 @@
-"""Property-based round-trip tests: random ASTs → SQL → AST."""
+"""Property-based round-trip tests: random ASTs → SQL → AST.
+
+``to_sql`` renders range bounds with ``:g`` (six significant digits), so
+its round trip is approximate; ``to_sql(…, lossless=True)``, the text the
+engine logs, must parse back to an AST ``==`` to the one rendered.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from repro.query.ast import (
     ColumnRef,
     DeleteStatement,
     EqualityPredicate,
+    InsertStatement,
     RangePredicate,
     SelectQuery,
     UpdateStatement,
@@ -111,3 +117,46 @@ class TestRoundTripProperties:
         assert isinstance(reparsed, DeleteStatement)
         assert reparsed.table == TABLE
         assert reparsed.predicates[0].hi == pytest.approx(hi, rel=1e-4, abs=1e-4)
+
+
+@st.composite
+def statements(draw):
+    """A select, update, delete or (bulk) insert on the test table."""
+    kind = draw(st.sampled_from(["select", "update", "delete", "insert"]))
+    if kind == "select":
+        return draw(select_queries())
+    if kind == "insert":
+        return InsertStatement(TABLE, row_count=draw(st.integers(1, 40)))
+    predicates = tuple(draw(st.lists(range_predicates(), max_size=3)))
+    if kind == "update":
+        return UpdateStatement(TABLE, ("l_discount",), predicates)
+    return DeleteStatement(TABLE, predicates)
+
+
+class TestLosslessRendering:
+    @given(statement=statements())
+    @settings(max_examples=150, deadline=None)
+    def test_parses_back_to_an_equal_ast(self, statement):
+        assert parse_statement(to_sql(statement, lossless=True)) == statement
+
+    def test_default_rendering_is_unchanged(self):
+        """perfbench renders its streams through the default form."""
+        ref = ColumnRef(TABLE, "l_extendedprice")
+        query = SelectQuery(
+            tables=(TABLE,),
+            predicates=(RangePredicate(ref, lo=1000.123456, hi=132769.0),),
+        )
+        assert to_sql(query) == (
+            "SELECT count(*) FROM tpch.lineitem "
+            "WHERE lineitem.l_extendedprice BETWEEN 1000.12 AND 132769"
+        )
+        # Bounds whose :g text is already exact keep it when lossless.
+        assert to_sql(query, lossless=True) == (
+            "SELECT count(*) FROM tpch.lineitem "
+            "WHERE lineitem.l_extendedprice BETWEEN 1000.123456 AND 132769"
+        )
+        bulk = InsertStatement(TABLE, row_count=3)
+        assert to_sql(bulk) == "INSERT INTO tpch.lineitem VALUES (...)"
+        assert to_sql(bulk, lossless=True) == (
+            "INSERT INTO tpch.lineitem VALUES (...), (...), (...)"
+        )
