@@ -38,14 +38,16 @@ quick measurements WARN), and two machine-independent invariants always
 gate — the interactive stream must finish while flood backlog remains,
 and admission control must not reject a flood sized within its limit.
 
-With ``--obs-overhead`` the gate compares two fresh quick runs of the
-same checkout — one with telemetry enabled (the default), one with
-``REPRO_OBS=0`` — row by row against each other and against the pinned
-baseline: the disabled run regressing more than 5% in seed-relative
-throughput vs the baseline **fails** (the no-op telemetry path must stay
-within noise of the pre-telemetry kernel), and the enabled run falling
-more than 2% behind the disabled run's raw st/s (a same-machine
-comparison) **warns**.
+With ``--obs-overhead`` the gate compares fresh quick runs of the same
+checkout — ``REPRO_OBS=0`` runs and telemetry-enabled runs (the default),
+taken in alternation — row by row against each other and against the
+pinned baseline, on the median over the runs: the disabled runs'
+seed-relative throughput falling more than 5% below the baseline's
+**fails** (the no-op telemetry path must stay within noise of the
+pre-telemetry kernel), and the enabled runs' raw st/s falling more than
+2% behind the disabled runs' (a same-machine comparison, run paired with
+run) **warns**. One quick run per side is too short for a 5% margin: its
+seed-relative speedup moves by more than that from run to run.
 
 Usage (what the CI job runs)::
 
@@ -53,10 +55,12 @@ Usage (what the CI job runs)::
     python benchmarks/perf_gate.py --current /tmp/quick.json \
         [--service-current /tmp/service.json --wal-overhead --priority-flood]
 
-    REPRO_OBS=0 python benchmarks/bench_kernel.py --quick --out /tmp/off.json
-    python benchmarks/bench_kernel.py --quick --out /tmp/on.json
+    for run in 1 2 3 4 5; do
+        REPRO_OBS=0 python benchmarks/bench_kernel.py --quick --out /tmp/off$run.json
+        python benchmarks/bench_kernel.py --quick --out /tmp/on$run.json
+    done
     python benchmarks/perf_gate.py --obs-overhead \
-        --obs-disabled /tmp/off.json --obs-enabled /tmp/on.json
+        --obs-disabled /tmp/off*.json --obs-enabled /tmp/on*.json
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -237,10 +242,11 @@ def compare_flood(payload):
                f"(≤ {PRIORITY_FLOOD_FACTOR:.2f}x)")
 
 
-#: --obs-overhead thresholds: the REPRO_OBS=0 run may lose at most this
-#: fraction of seed-relative throughput vs the pinned baseline (FAIL), and
-#: the enabled run at most this fraction of the disabled run's raw st/s
-#: (WARN; same-machine, so raw rates are comparable).
+#: --obs-overhead thresholds, on medians over the runs: the REPRO_OBS=0
+#: runs may lose at most this fraction of seed-relative throughput vs the
+#: pinned baseline (FAIL), and the enabled runs at most this fraction of
+#: the disabled runs' raw st/s (WARN; same-machine, so raw rates are
+#: comparable).
 OBS_DISABLED_MAX_REGRESSION = 0.05
 OBS_ENABLED_MAX_OVERHEAD = 0.02
 
@@ -248,55 +254,73 @@ OBS_ENABLED_MAX_OVERHEAD = 0.02
 def compare_obs_overhead(baseline, disabled, enabled):
     """Gate checks for telemetry overhead; yields (level, message) pairs.
 
-    ``disabled``/``enabled`` are two quick bench_kernel payloads from the
-    *same* checkout and machine; ``baseline`` is the pinned pre-telemetry
-    quick baseline.
+    ``disabled``/``enabled`` are equally long lists of quick bench_kernel
+    payloads from the *same* checkout and machine, run ``k`` of each taken
+    back to back; ``baseline`` is the pinned pre-telemetry quick baseline.
+    Each row is gated on the median over the runs.
     """
-    if disabled.get("obs_enabled", True):
-        yield ("FAIL", "obs-overhead: the --obs-disabled payload was "
+    if len(disabled) != len(enabled) or not disabled:
+        yield ("FAIL", "obs-overhead: give as many --obs-enabled payloads "
+               f"as --obs-disabled ones (got {len(enabled)} and "
+               f"{len(disabled)})")
+        return
+    if any(payload.get("obs_enabled", True) for payload in disabled):
+        yield ("FAIL", "obs-overhead: an --obs-disabled payload was "
                "recorded with telemetry on (rerun it under REPRO_OBS=0)")
         return
-    if not enabled.get("obs_enabled", False):
-        yield ("FAIL", "obs-overhead: the --obs-enabled payload was "
+    if not all(payload.get("obs_enabled", False) for payload in enabled):
+        yield ("FAIL", "obs-overhead: an --obs-enabled payload was "
                "recorded with telemetry off")
         return
-    dis_rows = _rows_by_key(disabled)
-    en_rows = _rows_by_key(enabled)
+    dis_runs = [_rows_by_key(payload) for payload in disabled]
+    en_runs = [_rows_by_key(payload) for payload in enabled]
     base_rows = _rows_by_key(baseline)
-    shared = sorted(set(dis_rows) & set(en_rows))
+    shared = sorted(
+        set.intersection(*(set(rows) for rows in dis_runs + en_runs))
+    )
     if not shared:
         yield ("FAIL", "obs-overhead: no common (part size, backend) rows "
                "between the enabled and disabled runs")
         return
     floor = 1.0 - OBS_DISABLED_MAX_REGRESSION
-    for size, backend in shared:
+    runs = len(disabled)
+    for key in shared:
+        size, backend = key
         label = f"size {size}/{backend}"
-        dis, en = dis_rows[(size, backend)], en_rows[(size, backend)]
-        base = base_rows.get((size, backend))
+        base = base_rows.get(key)
         if base is not None:
             # Machine-independent: the no-op path vs the pinned pre-PR
             # speedup. A >5% drop means the disabled branch is not free.
-            ratio = dis["speedup"] / base["speedup"]
+            speedup = statistics.median(
+                rows[key]["speedup"] for rows in dis_runs
+            )
+            ratio = speedup / base["speedup"]
             if ratio < floor:
                 yield ("FAIL", f"{label}: REPRO_OBS=0 seed-relative "
                        f"throughput at {ratio:.3f}x of the pinned baseline "
-                       f"({dis['speedup']:.2f}x vs {base['speedup']:.2f}x; "
-                       f"floor {floor:.2f}x)")
+                       f"(median of {runs} runs {speedup:.2f}x vs "
+                       f"{base['speedup']:.2f}x; floor {floor:.2f}x)")
             else:
                 yield ("ok", f"{label}: REPRO_OBS=0 at {ratio:.3f}x of the "
-                       f"pinned seed-relative baseline")
+                       f"pinned seed-relative baseline (median of {runs} runs)")
         else:
             yield ("WARN", f"{label}: no pinned baseline row; disabled-path "
                    f"regression not gated")
-        # Same-machine, same-run-pair: enabled vs disabled raw throughput.
-        overhead = 1.0 - en["kernel_stmts_per_sec"] / dis["kernel_stmts_per_sec"]
+        # Same-machine, run paired with run: enabled vs disabled raw
+        # throughput.
+        overhead = statistics.median(
+            1.0 - en[key]["kernel_stmts_per_sec"]
+            / dis[key]["kernel_stmts_per_sec"]
+            for dis, en in zip(dis_runs, en_runs)
+        )
         if overhead > OBS_ENABLED_MAX_OVERHEAD:
-            yield ("WARN", f"{label}: telemetry-enabled run is "
-                   f"{overhead:.1%} slower than REPRO_OBS=0 "
-                   f"(> {OBS_ENABLED_MAX_OVERHEAD:.0%})")
+            yield ("WARN", f"{label}: telemetry-enabled runs are "
+                   f"{overhead:.1%} slower than REPRO_OBS=0 (median of "
+                   f"{runs} pairs; > {OBS_ENABLED_MAX_OVERHEAD:.0%})")
         else:
             yield ("ok", f"{label}: enabled-vs-disabled overhead "
-                   f"{overhead:+.1%} (≤ {OBS_ENABLED_MAX_OVERHEAD:.0%})")
+                   f"{overhead:+.1%} (median of {runs} pairs; "
+                   f"≤ {OBS_ENABLED_MAX_OVERHEAD:.0%})")
 
 
 def main(argv=None) -> int:
@@ -323,12 +347,15 @@ def main(argv=None) -> int:
     parser.add_argument("--obs-overhead", action="store_true",
                         help="gate telemetry overhead: requires "
                         "--obs-disabled and --obs-enabled quick payloads")
-    parser.add_argument("--obs-disabled", type=pathlib.Path, default=None,
-                        help="bench_kernel quick JSON recorded under "
-                        "REPRO_OBS=0")
-    parser.add_argument("--obs-enabled", type=pathlib.Path, default=None,
-                        help="bench_kernel quick JSON recorded with "
-                        "telemetry on (the default)")
+    parser.add_argument("--obs-disabled", type=pathlib.Path, nargs="+",
+                        default=None,
+                        help="bench_kernel quick JSONs recorded under "
+                        "REPRO_OBS=0 (one per run)")
+    parser.add_argument("--obs-enabled", type=pathlib.Path, nargs="+",
+                        default=None,
+                        help="bench_kernel quick JSONs recorded with "
+                        "telemetry on (the default), one per run, in the "
+                        "order of their --obs-disabled partners")
     args = parser.parse_args(argv)
 
     if args.obs_overhead and (args.obs_disabled is None
@@ -352,8 +379,8 @@ def main(argv=None) -> int:
             if level == "FAIL":
                 failures += 1
     if args.obs_overhead:
-        disabled = json.loads(args.obs_disabled.read_text())
-        enabled = json.loads(args.obs_enabled.read_text())
+        disabled = [json.loads(p.read_text()) for p in args.obs_disabled]
+        enabled = [json.loads(p.read_text()) for p in args.obs_enabled]
         for level, message in compare_obs_overhead(
             baseline, disabled, enabled
         ):
