@@ -45,6 +45,18 @@ way for concurrent traffic:
   between the two — zero lag — is charged exactly the recommended cost,
   which is what makes the two series provably equal at lag 0.
   Checkpoint/restore preserves both series.
+* **Durable acknowledgements** — with a write-ahead log attached
+  (:class:`repro.service.wal.Durability`), every acknowledged operation
+  (``submit``, ``submit_many``, ``vote``, ``create_index``,
+  ``drop_index``, ``adopt``) is durable when its call returns. The record
+  is appended in the critical section that applies the effect, and the
+  call waits for its group-committed fsync only after leaving it, so the
+  writer analyzes a statement while its submitter waits for the disk.
+  Readers and the writer may therefore see a statement or vote whose call
+  has not returned yet; such an operation survives a crash only if its
+  record reached disk. A call whose fsync fails raises, its effect may
+  already be visible, and every later write raises
+  :class:`repro.service.wal.WalError`.
 
 Checkpoint/restore lives in :mod:`repro.service.snapshot`;
 :meth:`TuningEngine.checkpoint` and :meth:`TuningEngine.restore` are the
@@ -202,6 +214,19 @@ def _percentile(samples: List[float], fraction: float) -> float:
     return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
+def _await_durable(logged) -> None:
+    """Return once the WAL record ``logged`` names is durable.
+
+    ``logged`` is the ``(wal, seq)`` pair an acknowledged write path
+    appended inside its critical section, or None when no WAL is attached.
+    Callers wait only after leaving that section, so no engine lock is held
+    during the fsync.
+    """
+    if logged is not None:
+        wal, seq = logged
+        wal.sync_to(seq)
+
+
 # Process-wide engine instruments on the default registry, built lazily so
 # importing the service registers nothing. Counters/histograms aggregate
 # across engine instances (a process total); the queue-depth gauges and
@@ -274,13 +299,17 @@ class TuningEngine:
         # _lifecycle_lock serializes start()/stop() transitions (without
         # it two concurrent start() calls can both pass the
         # thread-is-None check and leak a drain thread). Lock order:
-        # _pump_lock → _ingest_lock → IngestScheduler._lock.
+        # _pump_lock → _ingest_lock → IngestScheduler._lock and
+        # WriteAheadLog._lock. No engine lock is held while a WAL fsync
+        # runs.
         self._scheduler = IngestScheduler(limits=queue_limits)
         # Optional write-ahead log (attached by repro.service.wal.Durability).
         # Submissions log under the ingest lock, votes/materializations under
         # the pump lock — always in the same critical section as the in-memory
         # mutation, so WAL order equals effect order. Batch drains log under
-        # both (see _drain_batch).
+        # both (see _drain_batch). A call that logged waits for its record's
+        # fsync only after it leaves that section (_await_durable), so the
+        # writer analyzes while a submitter waits for the disk.
         self._wal = None  # guarded-by: _ingest_lock, _pump_lock
         self._ingest_lock = threading.Lock()
         self._pump_lock = threading.RLock()
@@ -551,10 +580,16 @@ class TuningEngine:
         :meth:`start` is active). A statement that names a table the
         optimizer has no statistics for, or a column not in its table,
         raises :class:`~repro.db.schema.SchemaError` before admission.
+
+        With a WAL attached the record is appended and the statement
+        enqueued under one ingest-lock acquisition; the call then waits,
+        outside the lock, until the record is durable. The writer may
+        analyze the statement before the call returns.
         """
         parsed = self._parse_and_bind(statement)
         if priority is not None:
             priority = normalize_priority(priority)
+        logged = None
         with self._ingest_lock:
             resolved = self._resolve_priority(client_id, priority)
             self._scheduler.admit(resolved, 1)
@@ -565,10 +600,11 @@ class TuningEngine:
                 }
                 if resolved != DEFAULT_PRIORITY:
                     payload["priority"] = resolved
-                self._wal.append("submit", payload)
+                logged = self._wal, self._wal.append("submit", payload)
             self._scheduler.push(resolved, client_id, parsed)
             self._client_locked(client_id).submitted += 1
             self._wakeup.notify()
+        _await_durable(logged)
         return parsed
 
     def submit_many(
@@ -592,7 +628,8 @@ class TuningEngine:
         no WAL record, no queue entry, no session — happens for any
         element; the same holds when any element names an unknown table
         or column (:class:`~repro.db.schema.SchemaError`, raised while
-        parsing).
+        parsing). With a WAL attached the batch is one record, and the
+        call returns once it is durable, as :meth:`submit` does.
         """
         batch: List[Tuple[str, Statement, Optional[str]]] = []
         for entry in entries:
@@ -607,6 +644,7 @@ class TuningEngine:
             batch.append((client_id, parsed, priority))
         if not batch:
             return 0
+        logged = None
         with self._ingest_lock:
             resolved = [
                 (client_id, parsed, self._resolve_priority(client_id, priority))
@@ -627,11 +665,14 @@ class TuningEngine:
                     if priority != DEFAULT_PRIORITY:
                         item["priority"] = priority
                     payload_entries.append(item)
-                self._wal.append("submit_many", {"entries": payload_entries})
+                logged = self._wal, self._wal.append(
+                    "submit_many", {"entries": payload_entries}
+                )
             for client_id, parsed, priority in resolved:
                 self._scheduler.push(priority, client_id, parsed)
                 self._client_locked(client_id).submitted += 1
             self._wakeup.notify()
+        _await_durable(logged)
         return len(batch)
 
     def _analyze(self, client_id: str, statement: Statement) -> None:  # holds: _pump_lock
@@ -709,7 +750,10 @@ class TuningEngine:
         written once a non-default priority has ever been enqueued: an
         all-``normal`` history drains FIFO, replay can reproduce it from
         the submissions alone, and the log stays byte-identical to the
-        pre-scheduler format.
+        pre-scheduler format. The writer does not wait for a drain
+        record's fsync: the next acknowledged record's fsync covers it,
+        and a drain record lost in a crash only leaves its statements
+        queued for the recovered engine to drain again.
         """
         with self._ingest_lock:
             entries = self._scheduler.take(budget, classes)
@@ -892,7 +936,13 @@ class TuningEngine:
         f_plus: AbstractSet[Index],
         f_minus: AbstractSet[Index],
     ) -> FrozenSet[Index]:
-        """Route explicit DBA votes from ``client_id`` to the shared core."""
+        """Route explicit DBA votes from ``client_id`` to the shared core.
+
+        With a WAL attached the vote is logged and applied under the
+        writer lock, and the call returns once its record is durable;
+        readers may see the vote before then.
+        """
+        logged = None
         with self._pump_lock:
             # Validate before logging: a WAL record for a vote the core
             # then rejects would be replayed by every subsequent recovery
@@ -905,7 +955,7 @@ class TuningEngine:
                 # The position pins the vote to the statement count it ran
                 # at: recovery pumps exactly that far before re-applying,
                 # so feedback lands on the same work-function state.
-                self._wal.append(
+                logged = self._wal, self._wal.append(
                     "vote",
                     {
                         "client_id": client_id,
@@ -914,7 +964,11 @@ class TuningEngine:
                         "minus": [ix.to_payload() for ix in sorted(f_minus)],
                     },
                 )
-            return self._tuner.feedback(frozenset(f_plus), frozenset(f_minus))
+            recommendation = self._tuner.feedback(
+                frozenset(f_plus), frozenset(f_minus)
+            )
+        _await_durable(logged)
+        return recommendation
 
     def _note_adoption(self) -> None:  # holds: _pump_lock
         self._adoptions += 1
@@ -926,11 +980,12 @@ class TuningEngine:
         The realized totWork series is charged the transition cost of
         building the index here — at the moment the DBA actually paid it.
         """
+        logged = None
         with self._pump_lock:
             if index in self._materialized:
                 raise ValueError(f"{index.name} is already materialized")
             if self._wal is not None:
-                self._wal.append(
+                logged = self._wal, self._wal.append(
                     "materialize",
                     {
                         "client_id": client_id,
@@ -948,14 +1003,16 @@ class TuningEngine:
             self._tuner.notify_materialized(
                 created={index}, dropped=frozenset()
             )
+        _await_durable(logged)
 
     def drop_index(self, client_id: str, index: Index) -> None:
         """``client_id`` drops an index; WFIT learns via a −vote."""
+        logged = None
         with self._pump_lock:
             if index not in self._materialized:
                 raise ValueError(f"{index.name} is not materialized")
             if self._wal is not None:
-                self._wal.append(
+                logged = self._wal, self._wal.append(
                     "materialize",
                     {
                         "client_id": client_id,
@@ -973,6 +1030,7 @@ class TuningEngine:
             self._tuner.notify_materialized(
                 created=frozenset(), dropped={index}
             )
+        _await_durable(logged)
 
     def adopt(
         self, client_id: str = "default", *, lease: bool = True
@@ -986,8 +1044,11 @@ class TuningEngine:
         (``adopt_period=1``) convention of
         :func:`repro.core.driver.run_online`, which casts no votes.
         The realized totWork series is charged the transition cost
-        δ(materialized, recommended) here.
+        δ(materialized, recommended) here. With a WAL attached the call
+        returns once the adoption's record is durable; readers may see the
+        new materialized set before then.
         """
+        logged = None
         with self._pump_lock:
             if self._wal is not None:
                 # Adoption is deterministic given the position: the replayed
@@ -1000,7 +1061,7 @@ class TuningEngine:
                 }
                 if not lease:
                     payload["lease"] = False
-                self._wal.append("materialize", payload)
+                logged = self._wal, self._wal.append("materialize", payload)
             rec = self._tuner.recommend()
             created = tuple(sorted(rec - self._materialized))
             dropped = tuple(sorted(self._materialized - rec))
@@ -1012,6 +1073,7 @@ class TuningEngine:
             self._materialized = set(rec)
             if lease:
                 self._tuner.feedback(rec, frozenset(dropped))
+        _await_durable(logged)
         return created, dropped
 
     # -- observability ---------------------------------------------------------

@@ -444,7 +444,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "K statements")
     replay.add_argument("--wal-fsync-ms", type=float, default=0.0,
                         help="WAL group-commit interval in ms (default 0 = "
-                        "fsync every record)")
+                        "every acknowledged call waits for its record's "
+                        "fsync)")
     replay.add_argument("--metrics-out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     replay.add_argument("--trace-out", type=str, default=None,

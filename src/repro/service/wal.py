@@ -21,11 +21,26 @@ about. The classic fix is the classic database one:
   artifact of crashing mid-append) is detected and tolerated, while
   mid-file corruption — including a damaged length field — is detected
   and **refused**;
-* fsyncs are group-committed: ``fsync_interval_ms`` defaults to 0, an
-  fsync per append; with ``fsync_interval_ms > 0`` an append only pays
-  for an fsync when the interval has elapsed, batching many records per
-  flush (the durability point is the fsync — records appended after the
-  last fsync may be lost on crash, which is the knob's explicit trade);
+* ordering and durability are separate steps, and fsyncs are
+  group-committed: :meth:`WriteAheadLog.append` only writes, and the
+  engine calls :meth:`WriteAheadLog.sync_to` after it leaves the
+  critical section that ordered the record, so the single writer can
+  analyze a statement while its submitter waits for the disk. The first
+  caller whose record no fsync covers yet fsyncs everything appended so
+  far, holding no lock; callers an in-flight fsync covers wait for it
+  instead of issuing another. ``fsync_interval_ms`` defaults to 0, where
+  ``sync_to`` always returns a durable record. With
+  ``fsync_interval_ms > 0`` a ``sync_to`` skips the fsync while the last
+  one is younger than the interval, so a record becomes durable only at
+  the first ``sync_to`` after the interval, at
+  :meth:`~WriteAheadLog.sync` or at :meth:`~WriteAheadLog.close` — an
+  idle log can hold records unsynced indefinitely, and a crash loses
+  them (the knob's explicit trade);
+* a failed fsync is sticky: after it, every append, sync, checkpoint
+  mark and rotation raises :class:`WalError` naming the failure. A later
+  fsync that succeeded could otherwise make the failed call's record
+  durable behind an acknowledged one, and the kernel may already have
+  dropped the pages the failure left unwritten;
 * each successful checkpoint — published crash-atomically by
   :func:`repro.ioutil.atomic_write_json` — captures an atomic *mark*
   (highest covered sequence number + the log length holding exactly the
@@ -222,12 +237,29 @@ def _wal_instruments() -> Dict[str, object]:
 
 
 class WriteAheadLog:
-    """Append-only, CRC-framed, fsync-batched record log.
+    """Append-only, CRC-framed, group-committed record log.
 
-    Thread-safe: appends from concurrent submitters serialize on an
-    internal lock, and the engine calls :meth:`append` while already
-    holding the lock that orders the corresponding in-memory mutation, so
-    sequence order equals effect order. Sequence numbers are monotone
+    Ordering and durability are two calls. :meth:`append` writes one
+    record under the append lock and returns its sequence number; it
+    never fsyncs. :meth:`sync_to` returns once that record is durable.
+    The engine appends inside the critical section that orders the
+    record's in-memory effect, so sequence order equals effect order, and
+    syncs after leaving it. Readers may therefore see an effect whose
+    record is not durable yet; it survives a crash only if its record
+    reached disk.
+
+    Group commit needs no thread of its own: the first :meth:`sync_to`
+    caller whose record is not yet covered becomes the leader and fsyncs
+    everything appended so far, with no lock held, so appends continue
+    meanwhile. A caller whose record a finished or in-flight fsync covers
+    returns without issuing another. :meth:`reset` and :meth:`close`
+    wait for an in-flight fsync before they swap or close the handle.
+
+    A failed fsync is sticky: the leader's call re-raises the error, and
+    from then on :meth:`append`, :meth:`sync_to`, :meth:`sync`,
+    :meth:`checkpoint_mark` and :meth:`reset` raise :class:`WalError`
+    naming it, while :meth:`close` only releases the handle. Nothing is
+    acknowledged after a lost fsync. Sequence numbers are monotone
     across :meth:`reset` (checkpoint truncation) — that is what makes
     replay after a crash *during* truncation idempotent.
     """
@@ -247,6 +279,9 @@ class WriteAheadLog:
         self._path = os.fspath(path)
         self.fsync_interval_ms = float(fsync_interval_ms)
         self._lock = threading.Lock()
+        # Notified under _lock whenever an fsync ends or fails, so
+        # followers and a waiting reset()/close() re-check.
+        self._fsync_done = threading.Condition(self._lock)
         self._handle = self._io.open_append(self._path)  # guarded-by: _lock
         if truncate_to is not None:
             # A torn tail from a previous crash: cut back to the clean
@@ -265,7 +300,11 @@ class WriteAheadLog:
         self._next_seq = next_seq  # guarded-by: _lock
         self._appended_seq = next_seq - 1  # guarded-by: _lock
         self._synced_seq = next_seq - 1  # guarded-by: _lock
+        # The last record the in-flight fsync covers; None when no fsync
+        # is in flight.
+        self._syncing_to: Optional[int] = None  # guarded-by: _lock
         self._last_fsync_monotonic: Optional[float] = None  # guarded-by: _lock
+        self._failure: Optional[BaseException] = None  # guarded-by: _lock
         self._records_appended = 0  # guarded-by: _lock
         self._bytes_appended = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -284,16 +323,25 @@ class WriteAheadLog:
         with self._lock:
             return self._bytes_appended
 
-    def append(self, kind: str, payload: Dict[str, object]) -> int:
-        """Append one record; returns its sequence number.
+    def _check_usable(self) -> None:  # holds: _lock
+        if self._failure is not None:
+            raise WalError(
+                f"write-ahead log is unusable: an fsync failed "
+                f"({self._failure!r}), so no later record can be made "
+                "durable"
+            ) from self._failure
+        if self._closed:
+            raise WalError("write-ahead log is closed")
 
-        With ``fsync_interval_ms == 0`` the record is durable on return.
-        Otherwise durability lags by at most the interval (group commit);
-        :meth:`sync` forces it.
+    def append(self, kind: str, payload: Dict[str, object]) -> int:
+        """Write one record; returns its sequence number.
+
+        The record is not durable on return: pass the sequence number to
+        :meth:`sync_to` once the caller has left the critical section
+        that orders the record's effect.
         """
         with self._lock:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
+            self._check_usable()
             seq = self._next_seq
             record = encode_record(seq, kind, payload)
             # No per-append flush: records sit in the user-space buffer
@@ -306,35 +354,75 @@ class WriteAheadLog:
             self._appended_seq = seq
             self._records_appended += 1
             self._bytes_appended += len(record)
-            if self.fsync_interval_ms <= 0.0:
-                self._fsync_locked()
-            else:
-                now = _monotonic()
-                last = self._last_fsync_monotonic
-                if last is None or (now - last) * 1000.0 >= self.fsync_interval_ms:
-                    self._fsync_locked()
             if obs.state.enabled:
                 instruments = _wal_instruments()
                 instruments["records"].inc()  # type: ignore[union-attr]
                 instruments["bytes"].inc(len(record))  # type: ignore[union-attr]
         return seq
 
-    def _fsync_locked(self) -> None:  # holds: _lock
-        started = _monotonic()
-        self._io.fsync(self._handle)
-        ended = _monotonic()
-        self._last_fsync_monotonic = ended
-        self._synced_seq = self._appended_seq
-        if obs.state.enabled:
-            _wal_instruments()["fsync"].observe(ended - started)  # type: ignore[union-attr]
+    def sync_to(self, seq: int) -> None:
+        """Return once record ``seq`` is durable (group commit).
+
+        With ``fsync_interval_ms == 0`` the record is durable on return.
+        With an interval, a call returns at once while an fsync is in
+        flight or the last one ended less than the interval ago; the
+        record then becomes durable at the first ``sync_to`` after the
+        interval, at :meth:`sync` or at :meth:`close`, and an idle log
+        can hold it unsynced indefinitely.
+        """
+        self._sync(seq, paced=self.fsync_interval_ms > 0.0)
 
     def sync(self) -> None:
-        """Force all appended records durable (group-commit flush)."""
+        """Force every appended record durable, whatever the interval."""
         with self._lock:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
-            if self._synced_seq < self._appended_seq or self._last_fsync_monotonic is None:
-                self._fsync_locked()
+            self._check_usable()
+            seq = self._appended_seq
+        self._sync(seq, paced=False)
+
+    def _sync(self, seq: int, *, paced: bool) -> None:
+        with self._lock:
+            while True:
+                if self._failure is None and self._synced_seq >= seq:
+                    return
+                self._check_usable()
+                if paced and (
+                    self._syncing_to is not None
+                    or (
+                        self._last_fsync_monotonic is not None
+                        and (_monotonic() - self._last_fsync_monotonic) * 1000.0
+                        < self.fsync_interval_ms
+                    )
+                ):
+                    return
+                if self._syncing_to is None:
+                    break
+                self._fsync_done.wait()
+            # Lead: cover everything appended so far in one fsync, issued
+            # outside the lock so appends (and the engine's writer) go on.
+            target = self._syncing_to = self._appended_seq
+            handle = self._handle
+        try:
+            ended = self._fsync(handle)
+        except BaseException as exc:
+            with self._lock:
+                self._failure = exc
+                self._syncing_to = None
+                self._fsync_done.notify_all()
+            raise
+        with self._lock:
+            self._syncing_to = None
+            self._last_fsync_monotonic = ended
+            self._synced_seq = max(self._synced_seq, target)
+            self._fsync_done.notify_all()
+
+    def _fsync(self, handle) -> float:
+        """fsync ``handle``; returns the monotonic time it finished."""
+        started = _monotonic()
+        self._io.fsync(handle)
+        ended = _monotonic()
+        if obs.state.enabled:
+            _wal_instruments()["fsync"].observe(ended - started)  # type: ignore[union-attr]
+        return ended
 
     def checkpoint_mark(self) -> int:
         """Atomically capture the checkpoint boundary; returns its seq.
@@ -350,8 +438,7 @@ class WriteAheadLog:
         seq becomes the snapshot's ``wal_seq``.
         """
         with self._lock:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
+            self._check_usable()
             self._mark = (self._appended_seq, self._end_offset)
             return self._appended_seq
 
@@ -369,11 +456,14 @@ class WriteAheadLog:
         whose floor record declares what was rotated away. Sequence
         numbering continues where it left off, so records appended after
         the reset are distinguishable from (and ordered after)
-        everything the checkpoint covered.
+        everything the checkpoint covered. An in-flight fsync of the old
+        log finishes first; the rotation's own fsync then covers every
+        record appended so far.
         """
         with self._lock:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
+            while self._syncing_to is not None:
+                self._fsync_done.wait()
+            self._check_usable()
             marked_seq, marked_offset = (
                 self._mark
                 if self._mark is not None
@@ -382,9 +472,9 @@ class WriteAheadLog:
             self._mark = None
             tail = b""
             if marked_offset < self._end_offset:
-                # Acknowledged records landed after the mark: carry them
-                # into the rotated log verbatim. Flush first — they may
-                # still sit in the append handle's user-space buffer.
+                # Records landed after the mark: carry them into the
+                # rotated log verbatim. Flush first — they may still sit
+                # in the append handle's user-space buffer.
                 self._io.flush(self._handle)
                 tail = self._io.read_bytes(self._path)[marked_offset:]
             floor = encode_record(marked_seq, "floor", dict(note or {}))
@@ -403,14 +493,27 @@ class WriteAheadLog:
             self._synced_seq = self._appended_seq
 
     def close(self) -> None:
-        """Flush outstanding records and release the file handle."""
+        """Make outstanding records durable and release the file handle.
+
+        After a failed fsync it only releases the handle. A
+        :meth:`sync_to` racing ``close`` returns once close's final fsync
+        covers its record.
+        """
         with self._lock:
             if self._closed:
                 return
-            if self._synced_seq < self._appended_seq:
-                self._fsync_locked()
-            self._io.close(self._handle)
-            self._closed = True
+            while self._syncing_to is not None:
+                self._fsync_done.wait()
+            try:
+                if self._failure is None and self._synced_seq < self._appended_seq:
+                    self._fsync(self._handle)
+                    self._synced_seq = self._appended_seq
+            except BaseException as exc:
+                self._failure = exc
+                raise
+            finally:
+                self._io.close(self._handle)
+                self._closed = True
 
 
 def _snapshot_filename(snapshot_id: int) -> str:

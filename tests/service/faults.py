@@ -19,14 +19,18 @@ behind.
 
 Extra corruption knobs (``flip_byte``, ``truncate_durable``,
 ``drop_fsyncs``) model media corruption, torn sectors, and lying disks.
+Two fsync knobs drive concurrency tests: ``block_fsync`` holds one fsync
+until the test releases it, and ``fail_fsync`` makes one fsync raise
+without pinning anything (an EIO from the disk).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+import threading
+from typing import Dict, List, Optional, Union
 
-__all__ = ["FaultyIO", "SimulatedCrash", "MUTATING_OPS"]
+__all__ = ["FaultyIO", "FsyncGate", "SimulatedCrash", "MUTATING_OPS"]
 
 #: Ops that change on-disk state; ``schedule_crash(op="*")`` counts these.
 MUTATING_OPS = ("write", "fsync", "truncate", "replace", "fsync_dir")
@@ -39,6 +43,20 @@ class SimulatedCrash(RuntimeError):
     discarded all volatile state — the test should abandon the crashed
     engine and run recovery against the same IO instance.
     """
+
+
+class FsyncGate:
+    """One blocked fsync (see :meth:`FaultyIO.block_fsync`).
+
+    ``entered`` is set once the fsync has started; it then waits for
+    ``release``, at most ``timeout`` seconds, and goes on as a plain fsync
+    (scheduled crashes included).
+    """
+
+    def __init__(self, timeout: float = 10.0) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.timeout = timeout
 
 
 class _File:
@@ -75,6 +93,10 @@ class FaultyIO:
         self.crashes = 0
         self.op_counts: Dict[str, int] = {}
         self._schedule: List[Dict[str, object]] = []
+        # [remaining fsyncs, gate or error] entries; guarded by _fault_lock
+        # because concurrent callers may fsync at once.
+        self._fsync_faults: List[list] = []
+        self._fault_lock = threading.Lock()
 
     # -- fault scheduling ------------------------------------------------------
 
@@ -104,6 +126,31 @@ class FaultyIO:
             if remaining - 1 == 0:
                 return str(entry["phase"])
         return None
+
+    def block_fsync(self, at: int = 1, timeout: float = 10.0) -> FsyncGate:
+        """Block the ``at``-th fsync from now until the returned gate's
+        ``release`` is set. The bytes it pins are those written before it
+        started."""
+        gate = FsyncGate(timeout)
+        with self._fault_lock:
+            self._fsync_faults.append([int(at), gate])
+        return gate
+
+    def fail_fsync(self, error: BaseException, at: int = 1) -> None:
+        """Make the ``at``-th fsync from now raise ``error`` and pin
+        nothing; later fsyncs work again."""
+        with self._fault_lock:
+            self._fsync_faults.append([int(at), error])
+
+    def _next_fsync_fault(self) -> Union[FsyncGate, BaseException, None]:
+        fired: Union[FsyncGate, BaseException, None] = None
+        with self._fault_lock:
+            for entry in self._fsync_faults:
+                entry[0] -= 1
+                if entry[0] == 0:
+                    fired = entry[1]
+            self._fsync_faults = [e for e in self._fsync_faults if e[0] > 0]
+        return fired
 
     def crash(self) -> None:
         """Simulate power loss: only durable names and bytes survive."""
@@ -169,11 +216,19 @@ class FaultyIO:
         pass  # live bytes already model the page cache
 
     def fsync(self, handle: _Handle) -> None:
+        pinned = bytes(handle.file.live)
+        fault = self._next_fsync_fault()
+        if isinstance(fault, FsyncGate):
+            fault.entered.set()
+            if not fault.release.wait(fault.timeout):
+                raise RuntimeError("a blocked fsync was never released")
+        elif fault is not None:
+            raise fault
         phase = self._tick("fsync")
         if phase == "before":
             self._crash_now("crash before fsync")
         if not self.drop_fsyncs:
-            handle.file.durable = bytes(handle.file.live)
+            handle.file.durable = pinned
         if phase == "after":
             self._crash_now("crash after fsync")
 
@@ -259,6 +314,12 @@ class FaultyIO:
 
     def durable_names(self) -> List[str]:
         return sorted(self._durable)
+
+    def durable_bytes(self, path) -> bytes:
+        """What a crash now would leave of ``path`` (b"" when its name is
+        not durable)."""
+        f = self._durable.get(os.fspath(path))
+        return b"" if f is None else f.durable
 
     def live_names(self) -> List[str]:
         return sorted(self._live)

@@ -263,17 +263,17 @@ class TestGroupCommit:
         io = FaultyIO()
         wal = self._durable_wal(io, fsync_interval_ms=0)
         for n in range(3):
-            wal.append("submit", {"n": n})
+            wal.sync_to(wal.append("submit", {"n": n}))
         io.crash()
         assert [r.seq for r in read_wal("/w/wal.log", io=io).records] == [1, 2, 3]
 
     def test_group_commit_loses_only_the_unsynced_suffix(self):
         io = FaultyIO()
-        # Effectively-infinite interval: only the first append (which seeds
+        # Effectively-infinite interval: only the first sync (which seeds
         # the pacing clock) fsyncs; the rest ride the page cache.
         wal = self._durable_wal(io, fsync_interval_ms=1e9)
         for n in range(5):
-            wal.append("submit", {"n": n})
+            wal.sync_to(wal.append("submit", {"n": n}))
         io.crash()
         survivors = read_wal("/w/wal.log", io=io).records
         assert [r.seq for r in survivors] == [1]
@@ -298,10 +298,10 @@ class TestGroupCommit:
     def test_crash_before_fsync_loses_the_record(self):
         io = FaultyIO()
         wal = self._durable_wal(io, fsync_interval_ms=0)
-        wal.append("submit", {"n": 1})
+        wal.sync_to(wal.append("submit", {"n": 1}))
         io.schedule_crash(op="fsync", phase="before")
         with pytest.raises(SimulatedCrash):
-            wal.append("submit", {"n": 2})
+            wal.sync_to(wal.append("submit", {"n": 2}))
         assert [r.seq for r in read_wal("/w/wal.log", io=io).records] == [1]
 
     def test_crash_mid_write_leaves_a_tolerated_torn_tail(self):
