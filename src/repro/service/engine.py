@@ -104,6 +104,7 @@ from .scheduler import (
     QueueFull,
     normalize_priority,
 )
+from .wal import WalError
 
 __all__ = [
     "ClientSession",
@@ -753,7 +754,10 @@ class TuningEngine:
         pre-scheduler format. The writer does not wait for a drain
         record's fsync: the next acknowledged record's fsync covers it,
         and a drain record lost in a crash only leaves its statements
-        queued for the recovered engine to drain again.
+        queued for the recovered engine to drain again. For the same
+        reason a log that takes no more records (an fsync failed, or it
+        was closed) makes the writer skip the record, not drop the batch:
+        no later record could become durable, so recovery is unchanged.
         """
         with self._ingest_lock:
             entries = self._scheduler.take(budget, classes)
@@ -762,14 +766,17 @@ class TuningEngine:
                 and self._wal is not None
                 and self._scheduler.priorities_seen
             ):
-                self._wal.append(
-                    "drain",
-                    {
-                        "position": self._statements_processed,
-                        "count": len(entries),
-                        "classes": list(classes),
-                    },
-                )
+                try:
+                    self._wal.append(
+                        "drain",
+                        {
+                            "position": self._statements_processed,
+                            "count": len(entries),
+                            "classes": list(classes),
+                        },
+                    )
+                except WalError:
+                    pass
         if not entries:
             return 0
         self._process_entries(entries)

@@ -45,7 +45,9 @@ about. The classic fix is the classic database one:
   :func:`repro.ioutil.atomic_write_json` — captures an atomic *mark*
   (highest covered sequence number + the log length holding exactly the
   records up to it) in the same ingest-lock region that snapshots the
-  pending queue, then **rotates** the log: a ``floor`` record naming the
+  pending queue, is published only once the records up to the mark are
+  durable (so a failed fsync aborts it before anything is published),
+  then **rotates** the log: a ``floor`` record naming the
   covered sequence plus every record appended after the mark is written
   to a temp file, fsynced, and renamed over the log. Records appended
   concurrently between the mark and the rotation — fsync-acknowledged
@@ -672,6 +674,11 @@ class Durability:
         """Publish a crash-atomic snapshot, then rotate the WAL; returns
         the snapshot's path.
 
+        The snapshot is published only once every record it covers is
+        durable, whatever the fsync interval: if one of their fsyncs
+        fails, the checkpoint raises and publishes nothing, so no
+        snapshot holds the effect of a call that failed.
+
         The WAL is rotated only *after* the snapshot rename is durable,
         and only up to the mark the snapshot captured — records appended
         concurrently with the publish survive the rotation. A crash
@@ -684,6 +691,10 @@ class Durability:
         document = self._engine.checkpoint(
             extra=extra, drain=drain, snapshot_id=snapshot_id
         )
+        # Publish only durable effects: a covered record whose fsync is
+        # still in flight may fail, and its caller then sees an error the
+        # snapshot must not contradict. A failed fsync raises here.
+        self._wal.sync()
         path = self.snapshot_path(snapshot_id)
         # Compact (no indent): json.dumps then runs its C encoder, and
         # the file drops the indentation's whitespace.

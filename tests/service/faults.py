@@ -50,13 +50,15 @@ class FsyncGate:
 
     ``entered`` is set once the fsync has started; it then waits for
     ``release``, at most ``timeout`` seconds, and goes on as a plain fsync
-    (scheduled crashes included).
+    (scheduled crashes included), or raises ``error`` and pins nothing
+    when that was set before the release.
     """
 
     def __init__(self, timeout: float = 10.0) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
         self.timeout = timeout
+        self.error: Optional[BaseException] = None
 
 
 class _File:
@@ -222,6 +224,8 @@ class FaultyIO:
             fault.entered.set()
             if not fault.release.wait(fault.timeout):
                 raise RuntimeError("a blocked fsync was never released")
+            if fault.error is not None:
+                raise fault.error
         elif fault is not None:
             raise fault
         phase = self._tick("fsync")

@@ -150,9 +150,7 @@ class TestFsyncOutsideTheLocks:
         assert engine.pump() == 4
         durability.close()
 
-    def test_checkpoint_during_a_blocked_fsync_keeps_the_acknowledged_submit(
-        self, toy_stats
-    ):
+    def test_checkpoint_publishes_once_the_blocked_fsync_ends(self, toy_stats):
         io = FaultyIO()
         engine, durability = _durable_engine(toy_stats, io)
         for offset in (0.0, 0.1):
@@ -165,20 +163,20 @@ class TestFsyncOutsideTheLocks:
             )
             assert gate.entered.wait(TIMEOUT)
             checkpoint = _Call(durability.checkpoint)
-            # The checkpoint drains the queued statement and publishes its
-            # snapshot (one rename) while the submit's fsync is blocked...
-            published = _wait_until(lambda: io.op_counts.get("replace", 0) == 1)
-            # ...and its rotation waits for that fsync to finish.
+            # The checkpoint drains the queued statement while the submit's
+            # fsync is blocked...
+            drained = _wait_until(lambda: engine.statements_processed == 3)
+            # ...and publishes nothing until that fsync covers its record.
             checkpoint.join(0.05)
-            rotation_waited = (
-                checkpoint.is_alive() and io.op_counts.get("replace", 0) == 1
+            publish_waited = (
+                checkpoint.is_alive() and io.op_counts.get("replace", 0) == 0
             )
         finally:
             gate.release.set()
         submit.join(TIMEOUT)
         checkpoint.join(TIMEOUT)
-        assert published, "the checkpoint waited for the submitter's fsync"
-        assert rotation_waited
+        assert drained, "the checkpoint waited for the submitter's fsync to drain"
+        assert publish_waited, "the checkpoint published an unsynced record"
         assert submit.error is None and checkpoint.error is None
         assert io.op_counts["replace"] == 2  # the snapshot, then the rotation
         io.crash()
@@ -188,6 +186,44 @@ class TestFsyncOutsideTheLocks:
         assert recovered.statements_processed == engine.statements_processed == 3
         assert recovered.total_work == engine.total_work
         assert recovered.tuner.recommend() == engine.tuner.recommend()
+
+    def test_a_failed_fsync_aborts_a_racing_checkpoint(self, toy_stats):
+        io = FaultyIO()
+        engine, durability = _durable_engine(toy_stats, io)
+        statements = [narrow_sql(toy_stats, offset=0.1 * k) for k in range(3)]
+        for sql in statements[:2]:
+            engine.submit("client", sql)
+        engine.pump()
+        gate = io.block_fsync()
+        try:
+            submit = _Call(engine.submit, "client", statements[2])
+            assert gate.entered.wait(TIMEOUT)
+            checkpoint = _Call(durability.checkpoint)
+            drained = _wait_until(lambda: engine.statements_processed == 3)
+            # Let the checkpoint reach its wait for the fsync, then fail it.
+            checkpoint.join(0.05)
+            gate.error = OSError(errno.EIO, "injected fsync failure")
+        finally:
+            gate.release.set()
+        submit.join(TIMEOUT)
+        checkpoint.join(TIMEOUT)
+        assert drained, "the checkpoint waited for the submitter's fsync to drain"
+        assert isinstance(submit.error, OSError)
+        assert isinstance(checkpoint.error, WalError)
+        # A published snapshot would hold the failed submit's statement.
+        assert io.op_counts.get("replace", 0) == 0
+        durability.close()
+        io.crash()
+        reference = make_engine(toy_stats)
+        for sql in statements[:2]:
+            reference.submit("client", sql)
+        reference.pump()
+        recovered, report = _recover(toy_stats, io)
+        recovered.pump()
+        assert report["snapshot_id"] is None
+        assert recovered.statements_processed == 2
+        assert recovered.total_work == reference.total_work
+        assert recovered.tuner.recommend() == reference.tuner.recommend()
 
     def test_crash_at_the_fsync_of_an_analyzed_statement(self, toy_stats):
         io = FaultyIO()
@@ -293,6 +329,41 @@ class TestStickyFailure:
         assert recovered.total_work == reference.total_work
         assert recovered.tuner.recommend() == reference.tuner.recommend()
 
+    @pytest.mark.parametrize("drive", ["pump", "start"])
+    def test_the_writer_drains_without_drain_records_after_a_failed_fsync(
+        self, toy_stats, drive
+    ):
+        io = FaultyIO()
+        engine, durability = _durable_engine(toy_stats, io)
+        statements = [narrow_sql(toy_stats, offset=0.1 * k) for k in range(3)]
+        engine.submit("fg", statements[0], priority="interactive")
+        engine.submit("client", statements[1])
+        io.fail_fsync(OSError(errno.EIO, "injected fsync failure"))
+        with pytest.raises(OSError):
+            engine.submit("client", statements[2])
+        # A drain record can no longer be logged; the batch is analyzed
+        # anyway instead of leaving the live engine with the log's error.
+        if drive == "pump":
+            assert engine.pump() == 3
+        else:
+            engine.start(poll_interval=0.005)
+            drained = _wait_until(lambda: engine.statements_processed == 3)
+            engine.stop()
+            assert drained, "the drain thread stopped at the failed log"
+        assert engine.statements_processed == 3
+        assert engine.queue_depth == 0
+        durability.close()
+        io.crash()
+        reference = make_engine(toy_stats)
+        reference.submit("fg", statements[0], priority="interactive")
+        reference.submit("client", statements[1])
+        reference.pump()
+        recovered, _ = _recover(toy_stats, io)
+        recovered.pump()
+        assert recovered.statements_processed == 2
+        assert recovered.total_work == reference.total_work
+        assert recovered.tuner.recommend() == reference.tuner.recommend()
+
     def test_every_wal_call_after_a_failed_fsync_raises(self):
         io = FaultyIO()
         wal = _durable_wal(io)
@@ -370,7 +441,31 @@ class TestLossyInterval:
         assert [r.seq for r in read_wal(WAL, io=io).records] == [1, 2]
 
 
-class TestCloseRace:
+class TestHandleSwaps:
+    def test_reset_waits_for_the_in_flight_fsync(self):
+        io = FaultyIO()
+        wal = _durable_wal(io)
+        gate = io.block_fsync()
+        try:
+            first = _Call(wal.sync_to, wal.append("submit", {"n": 1}))
+            assert gate.entered.wait(TIMEOUT)
+            wal.checkpoint_mark()
+            second = _Call(wal.sync_to, wal.append("submit", {"n": 2}))
+            rotation = _Call(wal.reset)
+            rotation.join(0.05)
+            reset_waited = (
+                rotation.is_alive() and io.op_counts.get("replace", 0) == 0
+            )
+        finally:
+            gate.release.set()
+        for call in (first, second, rotation):
+            call.join(TIMEOUT)
+        assert reset_waited, "reset() did not wait for the in-flight fsync"
+        assert [first.error, second.error, rotation.error] == [None] * 3
+        io.crash()
+        survivors = read_wal(WAL, io=io).records
+        assert [(r.kind, r.seq) for r in survivors] == [("floor", 1), ("submit", 2)]
+
     def test_sync_to_racing_close_returns_once_close_covers_it(self):
         io = FaultyIO()
         wal = _durable_wal(io)

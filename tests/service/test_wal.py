@@ -291,7 +291,7 @@ class TestGroupCommit:
         io = FaultyIO()
         wal = self._durable_wal(io, fsync_interval_ms=0)
         io.drop_fsyncs = True  # a lying disk from here on
-        wal.append("submit", {"n": 1})
+        wal.sync_to(wal.append("submit", {"n": 1}))
         io.crash()
         assert read_wal("/w/wal.log", io=io).records == ()
 
