@@ -7,7 +7,6 @@ from .figures import (
     figure9_feedback,
     figure10_feedback_independent,
     figure11_lag,
-    figure11_lag_engine,
     figure12_auto,
     overhead_table,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "bench_parameters",
     "figure10_feedback_independent",
     "figure11_lag",
-    "figure11_lag_engine",
     "figure12_auto",
     "figure8_baseline",
     "figure9_feedback",

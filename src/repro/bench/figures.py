@@ -21,7 +21,6 @@ __all__ = [
     "figure9_feedback",
     "figure10_feedback_independent",
     "figure11_lag",
-    "figure11_lag_engine",
     "figure12_auto",
     "overhead_table",
 ]
@@ -211,49 +210,6 @@ def figure11_lag(
             context, _fresh_wfit(context), adopt_period=lag
         )
         result.add_curve(label, series)
-    return result
-
-
-def figure11_lag_engine(
-    context: ExperimentContext, lags: Tuple[int, ...] = (1, 25, 50, 75)
-) -> FigureResult:
-    """Figure 11 replayed through the *service engine's* live accounting.
-
-    The same lagged-DBA model as :func:`figure11_lag`, but driven through
-    :class:`~repro.service.engine.TuningEngine` as a real client would:
-    statements are submitted and pumped one at a time, and every T
-    statements the DBA adopts the current recommendation
-    (``lease=lag > 1`` reproduces ``run_online``'s convention of casting
-    lease feedback only for a genuinely lagged DBA). The curves are the
-    engine's **realized** totWork ratio — the series
-    ``metrics()["realized_total_work"]`` reports — so this function is
-    the cross-check that the engine's online accounting reproduces the
-    offline Figure 11 experiment exactly (the bit-identity is asserted
-    in ``tests/bench/test_harness.py``).
-    """
-    from ..service.engine import TuningEngine
-
-    result = FigureResult(
-        name="Figure 11 (engine)",
-        description="effect of delayed responses, engine realized totWork",
-    )
-    for lag in lags:
-        label = "WFIT" if lag == 1 else f"LAG {lag}"
-        engine = TuningEngine(
-            context.optimizer,
-            context.transitions,
-            batch_size=1,
-            fixed_partition=context.partition_for(_default_state_cnt(context)),
-        )
-        series: List[float] = []
-        for position, statement in enumerate(context.statements):
-            engine.submit("dba", statement)
-            engine.pump()
-            if (position + 1) % lag == 0:
-                engine.adopt("dba", lease=lag > 1)
-            series.append(engine.realized_total_work)
-        engine.close()
-        result.add_curve(label, context.ratio_series(series))
     return result
 
 

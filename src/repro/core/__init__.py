@@ -5,7 +5,7 @@ from .bc import BC
 from .candidates import IndexStatistics, RecencyStatistic, top_indices
 from .driver import TuningPoint, TuningResult, run_online
 from .offline import FixedPartitionResult, compute_fixed_partition
-from .opt import FeedbackEvent, OfflineOptimizer, OptimalSchedule, brute_force_opt
+from .opt import FeedbackEvent, OfflineOptimizer, OptimalSchedule
 from .partitioning import choose_partition, partition_loss, pairwise_loss, state_count
 from .wfa import WFA, TransitionCosts
 from .wfa_kernel import available_backends, default_backend, force_backend, make_kernel
@@ -27,7 +27,6 @@ __all__ = [
     "WFAPlus",
     "WFIT",
     "available_backends",
-    "brute_force_opt",
     "choose_partition",
     "compute_fixed_partition",
     "default_backend",

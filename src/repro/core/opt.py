@@ -13,7 +13,8 @@ same work-function recurrence WFA maintains — so:
   stored per-step work functions. Its create/drop events generate the
   prescient-DBA vote streams V_GOOD / V_BAD of Figures 9 and 10.
 
-A brute-force variant over the full ``2^|C|`` space is provided for tests.
+The exact OPT over the unpartitioned ``2^|C|`` space, which the tests check
+this one against, lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bitset import delta_cost
 from .wfa import CostFunction
 from .wfa_plus import validate_partition
 
-__all__ = ["OptimalSchedule", "OfflineOptimizer", "brute_force_opt", "FeedbackEvent"]
+__all__ = ["OptimalSchedule", "OfflineOptimizer", "FeedbackEvent"]
 
 
 @dataclass(frozen=True)
@@ -415,19 +416,3 @@ class OfflineOptimizer:
                 break
             schedule = [config - {best_index} for config in schedule]
         return schedule
-
-
-def brute_force_opt(
-    statements: Sequence[object],
-    candidates: AbstractSet[Index],
-    initial_config: AbstractSet[Index],
-    cost_fn: CostFunction,
-    transitions,
-) -> OptimalSchedule:
-    """Exact OPT over the unpartitioned space ``2^C`` (tests only)."""
-    return OfflineOptimizer(
-        [frozenset(candidates)] if candidates else [],
-        initial_config,
-        cost_fn,
-        transitions,
-    ).run(statements)

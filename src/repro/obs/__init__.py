@@ -3,8 +3,9 @@
 The package has two halves sharing one on/off switch:
 
 * **Metrics** (:mod:`repro.obs.registry`): a process-wide
-  :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges and
-  fixed-bucket histograms, exported as JSON snapshots or Prometheus text.
+  :class:`~repro.obs.registry.MetricsRegistry` of counters and
+  fixed-bucket histograms, plus collector-backed counters and gauges,
+  exported as JSON snapshots or Prometheus text.
 * **Traces** (:mod:`repro.obs.trace`): nested pipeline spans
   (``with obs.span("wfit.prepare"): ...``) kept in a bounded ring and
   exportable in the Chrome ``trace_event`` format.

@@ -1,11 +1,14 @@
-"""Thread-safe metrics registry: counters, gauges, fixed-bucket histograms.
+"""Thread-safe metrics registry: counters, fixed-bucket histograms, and
+collector-backed counters and gauges.
 
 The registry is the numeric half of the telemetry layer (:mod:`repro.obs`):
 every instrumented component — the work-function kernels, the what-if
 optimizer, WFIT's phases, the tuning engine — records into instruments
 obtained from one process-wide :class:`MetricsRegistry` (see
-:func:`repro.obs.default_registry`). The registry then exposes the whole
-state three ways:
+:func:`repro.obs.default_registry`). A level that goes up and down (the
+engine's queue depths) is a gauge sample from a collector, read at
+snapshot time, so it is always current and dies with its owner. The
+registry then exposes the whole state three ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-ready document (schema below),
   what the replay CLI's ``--metrics-out`` embeds and the bench harnesses
@@ -73,7 +76,6 @@ from typing import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_TIME_BUCKETS",
@@ -169,37 +171,6 @@ class Counter:
             raise ValueError("counters can only increase")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0  # guarded-by: _lock
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -335,16 +306,6 @@ class MetricsRegistry:
             child = family.children.get(key)
             if child is None:
                 child = family.children[key] = Counter()
-        return child  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "",
-              labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        family = self._family(name, "gauge", help)
-        key = _label_key(labels)
-        with family.lock:
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Gauge()
         return child  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "",

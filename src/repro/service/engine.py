@@ -57,6 +57,12 @@ way for concurrent traffic:
   record reached disk. A call whose fsync fails raises, its effect may
   already be visible, and every later write raises
   :class:`repro.service.wal.WalError`.
+* **One write path per WAL record kind** — only this module builds or
+  reads record payloads (:mod:`repro.service.wal` frames and syncs them),
+  and recovery re-applies each record through the step that logged it
+  (:meth:`TuningEngine._replay`). ``vote`` and ``materialize`` records
+  carry the acting ``client_id`` and the statement ``position`` they ran
+  at.
 
 Checkpoint/restore lives in :mod:`repro.service.snapshot`;
 :meth:`TuningEngine.checkpoint` and :meth:`TuningEngine.restore` are the
@@ -74,8 +80,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     AbstractSet,
+    Any,
+    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -104,7 +113,7 @@ from .scheduler import (
     QueueFull,
     normalize_priority,
 )
-from .wal import WalError
+from .wal import CorruptRecord, WalError, WalRecord
 
 __all__ = [
     "ClientSession",
@@ -226,6 +235,66 @@ def _await_durable(logged) -> None:
     if logged is not None:
         wal, seq = logged
         wal.sync_to(seq)
+
+
+def _entry_payload(
+    client_id: str, statement: Statement, priority: str
+) -> Dict[str, object]:
+    """The payload of a ``submit`` record or a ``submit_many`` entry (and
+    of a checkpoint's pending entry); the default class is not written."""
+    item: Dict[str, object] = {
+        "client_id": client_id,
+        "sql": to_sql(statement, lossless=True),
+    }
+    if priority != DEFAULT_PRIORITY:
+        item["priority"] = priority
+    return item
+
+
+# WAL payload decoding: a missing or mistyped field raises TypeError or
+# ValueError, which TuningEngine._replay reports as CorruptRecord.
+_REQUIRED = object()
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise TypeError(f"{what} is {type(value).__name__}, not {kind.__name__}")
+
+
+def _field(data: Any, name: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[name]`` checked to be a ``kind``, or ``default`` when absent."""
+    if name in _typed(data, dict, "the payload"):
+        return _typed(data[name], kind, f"field {name!r}")
+    if default is _REQUIRED:
+        raise ValueError(f"missing field {name!r}")
+    return default
+
+
+def _decoded_entry(data: Any) -> Tuple[str, str, str]:
+    """``(client_id, sql, priority)`` of a ``submit`` payload or entry."""
+    return (
+        _field(data, "client_id", str),
+        _field(data, "sql", str),
+        normalize_priority(_field(data, "priority", str, DEFAULT_PRIORITY)),
+    )
+
+
+def _decoded_index(data: Any) -> Index:
+    columns = _field(data, "columns", list)
+    return Index(
+        _field(data, "table", str),
+        tuple(_typed(column, str, "a column") for column in columns),
+    )
+
+
+def _corrupt(record: WalRecord, problem: Exception) -> CorruptRecord:
+    return CorruptRecord(
+        f"WAL record seq {record.seq} ({record.kind}) does not decode: "
+        f"{problem}",
+        record.offset,
+        seq=record.seq,
+    )
 
 
 # Process-wide engine instruments on the default registry, built lazily so
@@ -489,16 +558,6 @@ class TuningEngine:
             state = self._clients[client_id] = _ClientState(client_id)
         return state
 
-    def _resolve_priority(  # holds: _ingest_lock
-        self, client_id: str, priority: Optional[str]
-    ) -> str:
-        """``priority``, else the client's default class (``normal`` for a
-        client that has no state yet)."""
-        if priority is not None:
-            return priority
-        state = self._clients.get(client_id)
-        return state.priority if state is not None else DEFAULT_PRIORITY
-
     def session(
         self, client_id: str = "default", priority: Optional[str] = None
     ) -> "ClientSession":
@@ -571,42 +630,18 @@ class TuningEngine:
         """Enqueue one statement for ``client_id``; returns the parsed AST.
 
         ``priority`` overrides the session's default class for this one
-        statement. Admission control runs *first*: when the class's
-        queue bound would be exceeded, :class:`QueueFull` is raised
-        before anything is logged or enqueued — the WAL never records a
-        submission the engine did not accept, so recovery replays
-        exactly the admitted stream, and a rejected submission leaves no
-        session behind. The statement is analyzed at the next
-        :meth:`pump` (or by the background drain thread when
-        :meth:`start` is active). A statement that names a table the
-        optimizer has no statistics for, or a column not in its table,
-        raises :class:`~repro.db.schema.SchemaError` before admission.
-
-        With a WAL attached the record is appended and the statement
-        enqueued under one ingest-lock acquisition; the call then waits,
-        outside the lock, until the record is durable. The writer may
-        analyze the statement before the call returns.
+        statement. This is :meth:`submit_many`'s step, logged as one flat
+        ``submit`` record. A statement naming a table or column the
+        optimizer's statistics lack raises
+        :class:`~repro.db.schema.SchemaError`, and one over its class's
+        queue bound :class:`QueueFull`, before anything is logged or
+        enqueued: recovery replays exactly the admitted stream, and a
+        rejected submission leaves no session behind. The statement is
+        analyzed at the next :meth:`pump` (or by the drain thread under
+        :meth:`start`), possibly before the call returns once its record
+        is durable.
         """
-        parsed = self._parse_and_bind(statement)
-        if priority is not None:
-            priority = normalize_priority(priority)
-        logged = None
-        with self._ingest_lock:
-            resolved = self._resolve_priority(client_id, priority)
-            self._scheduler.admit(resolved, 1)
-            if self._wal is not None:
-                payload: Dict[str, object] = {
-                    "client_id": client_id,
-                    "sql": to_sql(parsed, lossless=True),
-                }
-                if resolved != DEFAULT_PRIORITY:
-                    payload["priority"] = resolved
-                logged = self._wal, self._wal.append("submit", payload)
-            self._scheduler.push(resolved, client_id, parsed)
-            self._client_locked(client_id).submitted += 1
-            self._wakeup.notify()
-        _await_durable(logged)
-        return parsed
+        return self._submit([(client_id, statement, priority)], "submit")[0][1]
 
     def submit_many(
         self,
@@ -632,49 +667,50 @@ class TuningEngine:
         parsing). With a WAL attached the batch is one record, and the
         call returns once it is durable, as :meth:`submit` does.
         """
+        return len(self._submit(entries, "submit_many"))
+
+    def _submit(
+        self, entries: Iterable[tuple], kind: str
+    ) -> List[Tuple[str, Statement, str]]:
+        """Parse → admit → log → enqueue, the one ingest step: parse and
+        bind every entry, then admit, log one ``kind`` record and enqueue
+        under one ingest-lock acquisition, then wait for the fsync. Returns
+        the enqueued ``(client_id, statement, priority)`` entries."""
         batch: List[Tuple[str, Statement, Optional[str]]] = []
         for entry in entries:
             if len(entry) == 3:
-                client_id, statement, priority = entry  # type: ignore[misc]
+                client_id, statement, priority = entry
             else:
-                client_id, statement = entry  # type: ignore[misc]
+                client_id, statement = entry
                 priority = None
             parsed = self._parse_and_bind(statement)
             if priority is not None:
                 priority = normalize_priority(priority)
             batch.append((client_id, parsed, priority))
+        resolved: List[Tuple[str, Statement, str]] = []
         if not batch:
-            return 0
+            return resolved
         logged = None
         with self._ingest_lock:
-            resolved = [
-                (client_id, parsed, self._resolve_priority(client_id, priority))
-                for client_id, parsed, priority in batch
-            ]
             counts: Dict[str, int] = {}
-            for _, _, priority in resolved:
+            for client_id, parsed, priority in batch:
+                if priority is None:  # the client's default class
+                    state = self._clients.get(client_id)
+                    priority = DEFAULT_PRIORITY if state is None else state.priority
+                resolved.append((client_id, parsed, priority))
                 counts[priority] = counts.get(priority, 0) + 1
             for priority in sorted(counts):
                 self._scheduler.admit(priority, counts[priority])
             if self._wal is not None:
-                payload_entries: List[Dict[str, object]] = []
-                for client_id, parsed, priority in resolved:
-                    item: Dict[str, object] = {
-                        "client_id": client_id,
-                        "sql": to_sql(parsed, lossless=True),
-                    }
-                    if priority != DEFAULT_PRIORITY:
-                        item["priority"] = priority
-                    payload_entries.append(item)
-                logged = self._wal, self._wal.append(
-                    "submit_many", {"entries": payload_entries}
-                )
+                items = [_entry_payload(*entry) for entry in resolved]
+                payload = items[0] if kind == "submit" else {"entries": items}
+                logged = self._wal, self._wal.append(kind, payload)
             for client_id, parsed, priority in resolved:
                 self._scheduler.push(priority, client_id, parsed)
                 self._client_locked(client_id).submitted += 1
             self._wakeup.notify()
         _await_durable(logged)
-        return len(batch)
+        return resolved
 
     def _analyze(self, client_id: str, statement: Statement) -> None:  # holds: _pump_lock
         """Run one statement through the shared core (writer lock held)."""
@@ -758,6 +794,9 @@ class TuningEngine:
         reason a log that takes no more records (an fsync failed, or it
         was closed) makes the writer skip the record, not drop the batch:
         no later record could become durable, so recovery is unchanged.
+        Recovery replays a drain record through this method (logging
+        nothing: no WAL is attached then). Logging drain records for every
+        history measured slower on ``durable-dba`` (README, Recovery).
         """
         with self._ingest_lock:
             entries = self._scheduler.take(budget, classes)
@@ -824,23 +863,6 @@ class TuningEngine:
                     break
                 processed += count
         return processed
-
-    def _replay_drain(self, count: int, classes: Sequence[str]) -> int:
-        """Re-form one WAL-logged micro-batch during recovery.
-
-        Pops exactly the entries the original ``drain`` record covered
-        (same class filter, same deterministic order) and analyzes them.
-        Returns how many were actually available — the caller
-        (:meth:`repro.service.wal.Durability._apply_record`) refuses
-        recovery on a shortfall.
-        """
-        eligible = tuple(normalize_priority(c) for c in classes) or PRIORITIES
-        with self._pump_lock:
-            with self._ingest_lock:
-                entries = self._scheduler.take(count, eligible)
-            if entries:
-                self._process_entries(entries)
-            return len(entries)
 
     # -- background drain ------------------------------------------------------
 
@@ -949,7 +971,6 @@ class TuningEngine:
         writer lock, and the call returns once its record is durable;
         readers may see the vote before then.
         """
-        logged = None
         with self._pump_lock:
             # Validate before logging: a WAL record for a vote the core
             # then rejects would be replayed by every subsequent recovery
@@ -958,24 +979,29 @@ class TuningEngine:
             # same check-then-log order).
             if frozenset(f_plus) & frozenset(f_minus):
                 raise ValueError("F+ and F- must be disjoint")
-            if self._wal is not None:
-                # The position pins the vote to the statement count it ran
-                # at: recovery pumps exactly that far before re-applying,
-                # so feedback lands on the same work-function state.
-                logged = self._wal, self._wal.append(
-                    "vote",
-                    {
-                        "client_id": client_id,
-                        "position": self._statements_processed,
-                        "plus": [ix.to_payload() for ix in sorted(f_plus)],
-                        "minus": [ix.to_payload() for ix in sorted(f_minus)],
-                    },
-                )
+            logged = self._log_action("vote", client_id, {
+                "plus": [ix.to_payload() for ix in sorted(f_plus)],
+                "minus": [ix.to_payload() for ix in sorted(f_minus)],
+            })
             recommendation = self._tuner.feedback(
                 frozenset(f_plus), frozenset(f_minus)
             )
         _await_durable(logged)
         return recommendation
+
+    def _log_action(  # holds: _pump_lock
+        self, kind: str, client_id: str, payload: Dict[str, object]
+    ) -> Optional[Tuple[object, int]]:
+        """Append a ``vote`` or ``materialize`` record, stamped with the
+        acting ``client_id`` and the statement position the action runs
+        at; returns what :func:`_await_durable` waits on (None with no WAL
+        attached). Replay pumps to that position before re-applying the
+        action, so it lands on the same work-function state."""
+        if self._wal is None:
+            return None
+        payload["client_id"] = client_id
+        payload["position"] = self._statements_processed
+        return self._wal, self._wal.append(kind, payload)
 
     def _note_adoption(self) -> None:  # holds: _pump_lock
         self._adoptions += 1
@@ -987,55 +1013,34 @@ class TuningEngine:
         The realized totWork series is charged the transition cost of
         building the index here — at the moment the DBA actually paid it.
         """
-        logged = None
-        with self._pump_lock:
-            if index in self._materialized:
-                raise ValueError(f"{index.name} is already materialized")
-            if self._wal is not None:
-                logged = self._wal, self._wal.append(
-                    "materialize",
-                    {
-                        "client_id": client_id,
-                        "position": self._statements_processed,
-                        "action": "create",
-                        "index": index.to_payload(),
-                    },
-                )
-            before = frozenset(self._materialized)
-            self._materialized.add(index)
-            self._charge_realized_transition(
-                self._transitions.delta(before, frozenset(self._materialized))
-            )
-            self._note_adoption()
-            self._tuner.notify_materialized(
-                created={index}, dropped=frozenset()
-            )
-        _await_durable(logged)
+        self._materialize(client_id, index, create=True)
 
     def drop_index(self, client_id: str, index: Index) -> None:
         """``client_id`` drops an index; WFIT learns via a −vote."""
-        logged = None
+        self._materialize(client_id, index, create=False)
+
+    def _materialize(self, client_id: str, index: Index, create: bool) -> None:
+        """Create or drop ``index``: check, log, apply, then wait for the
+        record's fsync outside the writer lock."""
         with self._pump_lock:
-            if index not in self._materialized:
-                raise ValueError(f"{index.name} is not materialized")
-            if self._wal is not None:
-                logged = self._wal, self._wal.append(
-                    "materialize",
-                    {
-                        "client_id": client_id,
-                        "position": self._statements_processed,
-                        "action": "drop",
-                        "index": index.to_payload(),
-                    },
-                )
+            if (index in self._materialized) == create:
+                state = "already" if create else "not"
+                raise ValueError(f"{index.name} is {state} materialized")
+            logged = self._log_action("materialize", client_id, {
+                "action": "create" if create else "drop",
+                "index": index.to_payload(),
+            })
             before = frozenset(self._materialized)
-            self._materialized.discard(index)
+            changed = frozenset((index,))
+            after = before | changed if create else before - changed
+            self._materialized = set(after)
             self._charge_realized_transition(
-                self._transitions.delta(before, frozenset(self._materialized))
+                self._transitions.delta(before, after)
             )
             self._note_adoption()
             self._tuner.notify_materialized(
-                created=frozenset(), dropped={index}
+                created=changed if create else frozenset(),
+                dropped=frozenset() if create else changed,
             )
         _await_durable(logged)
 
@@ -1055,20 +1060,14 @@ class TuningEngine:
         returns once the adoption's record is durable; readers may see the
         new materialized set before then.
         """
-        logged = None
         with self._pump_lock:
-            if self._wal is not None:
-                # Adoption is deterministic given the position: the replayed
-                # engine recomputes the same recommendation there, so only
-                # the action itself needs logging.
-                payload: Dict[str, object] = {
-                    "client_id": client_id,
-                    "position": self._statements_processed,
-                    "action": "adopt",
-                }
-                if not lease:
-                    payload["lease"] = False
-                logged = self._wal, self._wal.append("materialize", payload)
+            # Adoption is deterministic given the position: the replayed
+            # engine recomputes the same recommendation there, so only the
+            # action itself needs logging.
+            payload: Dict[str, object] = {"action": "adopt"}
+            if not lease:
+                payload["lease"] = False
+            logged = self._log_action("materialize", client_id, payload)
             rec = self._tuner.recommend()
             created = tuple(sorted(rec - self._materialized))
             dropped = tuple(sorted(self._materialized - rec))
@@ -1082,6 +1081,106 @@ class TuningEngine:
                 self._tuner.feedback(rec, frozenset(dropped))
         _await_durable(logged)
         return created, dropped
+
+    # -- WAL replay ------------------------------------------------------------
+
+    def _replay(self, record: WalRecord) -> None:
+        """Re-apply one WAL record past the restored snapshot (no WAL is
+        attached during recovery, so nothing is re-logged).
+
+        Submissions re-enter through the ingest step with their recorded
+        class (``normal`` when none is named, never the session's current
+        default); a drain record re-forms its batch through
+        :meth:`_drain_batch`; votes and materializations run once the
+        queue is pumped to the position they originally ran at. A payload
+        that lacks a field, holds one of the wrong type or SQL that does
+        not parse, or names an unknown kind or action raises
+        :class:`CorruptRecord` with the record's seq and byte offset
+        before anything is applied.
+        """
+        try:
+            position, apply = self._decoded(record)
+        except (TypeError, ValueError) as exc:
+            raise _corrupt(record, exc) from exc
+        with self._pump_lock:
+            if position is not None:
+                self._replay_to(position, record)
+            try:
+                apply()
+            except ParseError as exc:
+                # Only a submission's SQL is parsed here, before anything is
+                # enqueued, and the engine logs only SQL that parses back.
+                raise _corrupt(record, exc) from exc
+
+    def _decoded(
+        self, record: WalRecord
+    ) -> Tuple[Optional[int], Callable[[], object]]:
+        """``record``'s statement position (None for a submission) and the
+        call that re-applies it."""
+        kind, data = record.kind, record.payload
+        if kind in ("submit", "submit_many"):
+            items = [data] if kind == "submit" else _field(data, "entries", list)
+            entries = [_decoded_entry(item) for item in items]
+            return None, partial(self._submit, entries, kind)
+        if kind not in ("drain", "vote", "materialize"):
+            raise ValueError(f"unknown record kind {kind!r}")
+        position = _field(data, "position", int)
+        if kind == "drain":
+            count = _field(data, "count", int)
+            classes = tuple(
+                normalize_priority(_typed(name, str, "a class"))
+                for name in _field(data, "classes", list)
+            )
+            return position, partial(self._redrain, record, count, classes)
+        client_id = _field(data, "client_id", str)
+        if kind == "vote":
+            plus = frozenset(map(_decoded_index, _field(data, "plus", list)))
+            minus = frozenset(map(_decoded_index, _field(data, "minus", list)))
+            return position, partial(self.vote, client_id, plus, minus)
+        action = _field(data, "action", str)
+        if action == "adopt":
+            lease = _field(data, "lease", bool, True)
+            return position, partial(self.adopt, client_id, lease=lease)
+        if action not in ("create", "drop"):
+            raise ValueError(f"unknown materialize action {action!r}")
+        index = _decoded_index(_field(data, "index", dict))
+        return position, partial(
+            self._materialize, client_id, index, action == "create"
+        )
+
+    def _redrain(  # holds: _pump_lock
+        self, record: WalRecord, count: int, classes: Tuple[str, ...]
+    ) -> None:
+        taken = self._drain_batch(count, classes)
+        if taken < count:
+            raise WalError(
+                f"WAL drain record seq {record.seq} covers {count} "
+                f"statements but only {taken} were queued in classes "
+                f"{classes!r} — the log is missing submissions"
+            )
+
+    def _replay_to(self, position: int, record: WalRecord) -> None:  # holds: _pump_lock
+        """Pump to statement ``position`` before ``record``'s action."""
+        deficit = position - self._statements_processed
+        if deficit < 0:
+            raise WalError(
+                f"WAL record seq {record.seq} expects statement position "
+                f"{position} but the engine is already past it "
+                f"({self._statements_processed})"
+            )
+        # The deficit covers drains the log holds no records for. The
+        # engine writes drain records from the first non-default
+        # submission on, so every undocumented drain happened while every
+        # entry ever queued was "normal", and popped those FIFO. Catch up
+        # from the default class only: later re-enqueued higher-class
+        # submissions did not exist at those drains.
+        if deficit and self.pump(deficit, classes=(DEFAULT_PRIORITY,)) < deficit:
+            raise WalError(
+                f"WAL record seq {record.seq} expects statement position "
+                f"{position} but only {self._statements_processed} "
+                "statements are recoverable — the log is missing "
+                "submissions (was an fsync dropped?)"
+            )
 
     # -- observability ---------------------------------------------------------
 
@@ -1220,18 +1319,10 @@ class TuningEngine:
         engine_options: Optional[Dict[str, object]] = None,
     ) -> Tuple["TuningEngine", Dict[str, object]]:
         """Rebuild an engine from a durability directory (newest usable
-        snapshot + WAL tail); returns ``(engine, report)``.
-
-        The newest usable snapshot is restored (with none, a fresh
-        engine built with ``engine_options`` replays the whole log), then
-        the WAL tail is replayed — submissions re-enter the queues (priority
-        classes included), drained micro-batches re-form at their logged
-        boundaries, votes and materializations re-apply at the statement
-        positions they originally ran at; a torn final record is
-        tolerated, mid-file corruption refuses with
-        :class:`repro.service.wal.CorruptRecord`.
-        Replayed submissions are left queued: pump (or attach a fresh
-        WAL via :class:`repro.service.wal.Durability` first) to continue.
+        snapshot + WAL tail, see :meth:`repro.service.wal.Durability.recover`);
+        returns ``(engine, report)``. Replayed submissions are left queued:
+        pump (or attach a fresh WAL via :class:`repro.service.wal.Durability`
+        first) to continue.
         """
         from ..ioutil import REAL_IO
         from .wal import Durability

@@ -23,12 +23,13 @@ snapshot every K statements — kill the process at any instant and
 ``recover`` rebuilds the engine from the directory. ``recover --verify``
 additionally runs the uninterrupted engine over the same trace, through
 the same chunked loop as ``replay`` (under mixed priority classes the
-chunk boundaries decide the analysis order), and asserts the recovered
-engine's per-statement recommendation sequence and final totWork match —
-the step-identical guarantee — exiting 1 on divergence. Exit 2 means
+chunk boundaries decide the analysis order), and compares the
+recommendation after each statement ``recover`` steps, the final
+recommendation (votes replayed after the last statement change only
+that) and the final totWork — exiting 1 on divergence. Exit 2 means
 unusable input: out-of-range arguments, unusable durable state
-(unreadable or unsupported snapshots, a WAL gap), or a snapshot without
-trace parameters.
+(unreadable or unsupported snapshots, a WAL gap, a record that does not
+decode), or a snapshot without trace parameters.
 
 All subcommands emit a JSON metrics report (stdout or ``--metrics-out``);
 the report embeds a full :mod:`repro.obs` registry snapshot under ``"obs"``
@@ -138,17 +139,6 @@ def _build_trace(params: Dict[str, object]) -> Tuple[object, MultiClientTrace]:
     return stats, trace
 
 
-def _build_engine(
-    stats, batch_size: int, engine_options: Dict[str, object]
-) -> TuningEngine:
-    return TuningEngine(
-        WhatIfOptimizer(stats),
-        StatsTransitionCosts(stats),
-        batch_size=batch_size,
-        **engine_options,
-    )
-
-
 def _emit(report: Dict[str, object], metrics_out: Optional[str]) -> None:
     if metrics_out:
         atomic_write_json(metrics_out, report)
@@ -227,7 +217,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     stats, trace = _build_trace(params)
     engine_options = {"idx_cnt": args.idx_cnt, "state_cnt": args.state_cnt}
     try:
-        engine = _build_engine(stats, args.batch_size, engine_options)
+        engine = TuningEngine.for_stats(
+            stats, batch_size=args.batch_size, **engine_options
+        )
     except ValueError as exc:
         print(f"invalid engine options: {exc}", file=sys.stderr)
         return 2
@@ -360,7 +352,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        reference = _build_engine(stats, engine.batch_size, engine_options)
+        reference = TuningEngine.for_stats(
+            stats, batch_size=engine.batch_size, **engine_options
+        )
         _apply_priority_map(reference, dict(params.get("priority_map") or {}))
         reference_recs = _drive(
             reference,
@@ -374,16 +368,21 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             for i, (a, b) in enumerate(zip(recovered_recs, reference_recs))
             if a != b
         ]
+        final_recovered = list(_recommendation_names(engine))
+        final_reference = list(_recommendation_names(reference))
         work_delta = abs(engine.total_work - reference.total_work)
         verified = (
             len(recovered_recs) == len(reference_recs)
             and not mismatches
+            and final_recovered == final_reference
             and work_delta
             <= _VERIFY_TOL * max(1.0, abs(reference.total_work))
         )
         report["verify"] = {
             "verified": verified,
             "recommendation_mismatches": mismatches,
+            "final_recommendation_recovered": final_recovered,
+            "final_recommendation_reference": final_reference,
             "total_work_recovered": engine.total_work,
             "total_work_reference": reference.total_work,
             "total_work_delta": work_delta,

@@ -19,7 +19,9 @@ any misbehaving client. This module factors scheduling out of
   of queue content: no clocks, no randomness, no aging. A
   uniform-priority queue therefore drains in exact submission order —
   bit-identical to the pre-scheduler FIFO engine, which is the
-  determinism oracle the property tests pin.
+  determinism oracle the property tests pin. Recovery relies on it too:
+  the engine replays a logged ``drain`` record through the same drain
+  step, with the record's count and classes, and pops the same entries.
 * **Admission control** — per-class depth bounds
   (:data:`DEFAULT_QUEUE_LIMIT` unless overridden) with typed
   backpressure: :meth:`IngestScheduler.admit` raises :class:`QueueFull`
@@ -158,7 +160,8 @@ class IngestScheduler:
         # The engine keys WAL drain-record logging off it — an engine
         # that has only ever seen the default class drains in pure FIFO
         # order, so its log needs no batch-boundary records and stays
-        # byte-identical to the pre-scheduler format.
+        # byte-identical to the pre-scheduler format; replay catches up
+        # on those undocumented drains from the default class.
         self._priorities_seen = False  # guarded-by: _lock
 
     # -- admission -----------------------------------------------------------

@@ -107,6 +107,7 @@ def checkpoint_engine(
     pending list restores the original submission counts.
     """
     from ..query.parser import to_sql
+    from .engine import _entry_payload
 
     with engine._pump_lock:
         # Client registration and the queue mutate under the ingest lock
@@ -124,15 +125,11 @@ def checkpoint_engine(
         # truncated away unreplayed.
         with engine._ingest_lock:
             clients = sorted(engine._clients.items())
-            pending = []
-            for entry in engine._scheduler.entries():
-                item: Dict[str, object] = {
-                    "client_id": entry.client_id,
-                    "sql": to_sql(entry.statement, lossless=True),
-                }
-                if entry.priority != "normal":
-                    item["priority"] = entry.priority
-                pending.append(item)
+            # Each queued statement is encoded as the WAL logs a submission.
+            pending = [
+                _entry_payload(entry.client_id, entry.statement, entry.priority)
+                for entry in engine._scheduler.entries()
+            ]
             wal = engine._wal
             wal_seq = wal.checkpoint_mark() if wal is not None else 0
         document: Dict[str, object] = {
@@ -226,7 +223,7 @@ def restore_engine(
 def _restore(
     document: Dict[str, object], optimizer: WhatIfOptimizer, transitions
 ):
-    from .engine import TuningEngine
+    from .engine import TuningEngine, _decoded_entry
 
     optimizer.mask_universe.extend_order(
         Index.from_payload(payload) for payload in document["universe_order"]
@@ -276,18 +273,12 @@ def _restore(
         state.processed = int(item["processed"])
         state.recommended_work = float(item["recommended_work"])
         state.realized_work = float(item["realized_work"])
-    # Replay the pending queue in submission order: the statements re-enter
-    # the queue un-analyzed — priority classes included — exactly as they
-    # stood at the snapshot point, and the next pump processes them.
-    # submit() re-increments the per-session submitted counters past the
-    # serialized processed counts. Priorities are passed explicitly (an
-    # absent key means the entry was queued as "normal"), never left to
-    # the session default, which the lines above may have restored to a
-    # different class than the entry was admitted under.
-    for item in document["pending"]:
-        engine.submit(
-            str(item["client_id"]),
-            str(item["sql"]),
-            priority=str(item.get("priority", "normal")),
-        )
+    # The pending queue re-enters un-analyzed, in submission order, through
+    # the ingest step a WAL submission replays through: each entry keeps
+    # its recorded class (an absent key means "normal"), never the session
+    # default restored above, and the per-session submitted counters grow
+    # past the serialized processed counts again.
+    engine._submit(
+        [_decoded_entry(item) for item in document["pending"]], "submit_many"
+    )
     return engine

@@ -9,13 +9,12 @@ about. The classic fix is the classic database one:
 * every ingest-path mutation (``submit`` / ``submit_many`` / ``vote`` /
   ``materialize``) appends a record to an append-only log **before** the
   in-memory mutation, under the same lock acquisition, so log order
-  equals effect order. Submissions carry their priority class when it is
-  not the default, and once any non-default class has been enqueued the
-  single writer also logs ``drain`` records — batch boundaries naming
-  the position, count, and eligible classes of each micro-batch — so
-  replay re-forms priority-interleaved batches exactly (an all-default
-  history needs none: it drains FIFO and the log format stays identical
-  to the pre-scheduler one);
+  equals effect order. Once any non-default priority class has been
+  enqueued, the single writer also logs ``drain`` records, the batch
+  boundaries replay needs to re-form priority-interleaved batches. The
+  engine (:mod:`repro.service.engine`) builds and replays every record
+  payload; this module frames, scans, group-commits and rotates the log,
+  walks the snapshots and refuses gaps;
 * records are length-prefixed and CRC32-checksummed — the header's
   length field carries its own CRC, so a torn final record (the expected
   artifact of crashing mid-append) is detected and tolerated, while
@@ -60,8 +59,9 @@ about. The classic fix is the classic database one:
 
 Every checkpoint is one self-contained snapshot document (see
 :mod:`repro.service.snapshot`). Recovery (:meth:`Durability.recover`)
-restores the newest usable snapshot, replays the WAL tail, and hands
-back an engine that is *step-identical* to the uninterrupted run — the
+restores the newest usable snapshot, hands each record of the WAL tail
+to the engine's replay (``TuningEngine._replay``), and returns an engine
+that is *step-identical* to the uninterrupted run — the
 property the crash/fault-injection suite
 (``tests/service/test_crash_recovery.py``) asserts at every kill point.
 
@@ -83,7 +83,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..ioutil import REAL_IO, FileIO, atomic_write_json
-from .scheduler import DEFAULT_PRIORITY
 
 __all__ = [
     "CorruptRecord",
@@ -123,16 +122,20 @@ class WalError(Exception):
 
 
 class CorruptRecord(WalError):
-    """A complete record whose checksum (or JSON body) does not verify.
+    """A complete record whose checksum (or JSON body) does not verify, or
+    whose payload does not decode at replay (``seq`` names the record).
 
     Unlike a torn tail — which is the expected artifact of crashing
     mid-append and is silently tolerated — mid-file corruption means the
     log cannot be trusted at all, so readers refuse and report where.
     """
 
-    def __init__(self, message: str, offset: int) -> None:
+    def __init__(
+        self, message: str, offset: int, *, seq: Optional[int] = None
+    ) -> None:
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
+        self.seq = seq
 
 
 @dataclass(frozen=True)
@@ -726,13 +729,12 @@ class Durability:
         unrestorable snapshots are skipped and reported; with none left,
         a fresh engine built with ``engine_options`` replays the whole
         log), then replays the WAL tail: records covered by the
-        snapshot (``seq <= wal_seq``) are skipped, submissions re-enter
-        the queue, and votes/materializations are applied at exactly the
-        statement position they originally happened at. A torn final
-        record is tolerated; mid-file corruption raises
-        :class:`CorruptRecord`. Statements replayed into the queue are
-        left for the caller to pump — recovery restores state, it does
-        not advance it.
+        snapshot (``seq <= wal_seq``) are skipped, and the engine
+        re-applies every other one (``TuningEngine._replay``). A torn
+        final record is tolerated; mid-file corruption, or a record whose
+        payload does not decode, raises :class:`CorruptRecord`.
+        Statements replayed into the queue are left for the caller to
+        pump — recovery restores state, it does not advance it.
 
         Falling back past a newer-but-unusable checkpoint is refused
         (:class:`repro.service.snapshot.BrokenChain`) whenever the WAL
@@ -794,7 +796,7 @@ class Durability:
                 if record.kind == "floor" or record.seq <= wal_floor:
                     covered += 1
                     continue
-                Durability._apply_record(engine, record)
+                engine._replay(record)
                 replayed += 1
             report = {
                 "snapshot_id": document.get("snapshot_id") if document else None,
@@ -865,110 +867,3 @@ class Durability:
                 "refusing recovery — acknowledged mutations are missing "
                 "from the snapshots and WAL: " + "; ".join(problems)
             )
-
-    @staticmethod
-    def _apply_record(engine, record: WalRecord) -> None:
-        """Replay one WAL record against a recovering engine.
-
-        The engine has no WAL attached during recovery, so replay does
-        not re-log. Votes and materializations are position-gated: the
-        record carries the global statement count at which the action
-        originally ran, and the queue is pumped exactly that far first,
-        so feedback lands on the same work-function state it mutated in
-        the original run.
-        """
-        from ..db.index import Index
-
-        data = record.payload
-        if record.kind == "submit":
-            # A record without a "priority" key was enqueued as "normal"
-            # (the default class is not logged). The session's *current*
-            # default must not apply, because by replay time it may have
-            # changed.
-            engine.submit(
-                str(data["client_id"]),
-                str(data["sql"]),
-                priority=str(data.get("priority", "normal")),
-            )
-        elif record.kind == "submit_many":
-            engine.submit_many(
-                (
-                    str(entry["client_id"]),
-                    str(entry["sql"]),
-                    str(entry.get("priority", "normal")),
-                )
-                for entry in data["entries"]
-            )
-        elif record.kind == "drain":
-            # A drain record is a logged batch boundary: the single
-            # writer popped `count` entries from the priority queues of
-            # `classes` at statement position `position`. Re-forming the
-            # batch with the same class filter and the same deterministic
-            # (priority, seq) order reproduces the original analysis
-            # order exactly, even when classes interleave.
-            Durability._pump_to(engine, int(data["position"]), record)
-            count = int(data["count"])
-            classes = tuple(str(c) for c in data.get("classes") or ())
-            processed = engine._replay_drain(count, classes)
-            if processed < count:
-                raise WalError(
-                    f"WAL drain record seq {record.seq} covers {count} "
-                    f"statements but only {processed} were queued in "
-                    f"classes {classes!r} — the log is missing submissions"
-                )
-        elif record.kind == "vote":
-            Durability._pump_to(engine, int(data["position"]), record)
-            engine.vote(
-                str(data["client_id"]),
-                frozenset(Index.from_payload(p) for p in data["plus"]),
-                frozenset(Index.from_payload(p) for p in data["minus"]),
-            )
-        elif record.kind == "materialize":
-            Durability._pump_to(engine, int(data["position"]), record)
-            action = data["action"]
-            if action == "create":
-                engine.create_index(
-                    str(data["client_id"]), Index.from_payload(data["index"])
-                )
-            elif action == "drop":
-                engine.drop_index(
-                    str(data["client_id"]), Index.from_payload(data["index"])
-                )
-            elif action == "adopt":
-                engine.adopt(
-                    str(data["client_id"]),
-                    lease=bool(data.get("lease", True)),
-                )
-            else:
-                raise WalError(
-                    f"unknown materialize action {action!r} (seq {record.seq})"
-                )
-        else:
-            raise WalError(
-                f"unknown WAL record kind {record.kind!r} (seq {record.seq})"
-            )
-
-    @staticmethod
-    def _pump_to(engine, position: int, record: WalRecord) -> None:
-        deficit = position - engine.statements_processed
-        if deficit < 0:
-            raise WalError(
-                f"WAL record seq {record.seq} expects statement position "
-                f"{position} but the engine is already past it "
-                f"({engine.statements_processed})"
-            )
-        if deficit:
-            # The deficit covers drains the log holds no records for. The
-            # engine writes drain records from the first non-default
-            # submission on, so every undocumented drain happened while
-            # every entry ever queued was "normal", and popped those FIFO.
-            # Catch up from the default class only: later re-enqueued
-            # higher-class submissions did not exist at those drains.
-            pumped = engine.pump(deficit, classes=(DEFAULT_PRIORITY,))
-            if pumped < deficit:
-                raise WalError(
-                    f"WAL record seq {record.seq} expects statement position "
-                    f"{position} but only {engine.statements_processed} "
-                    "statements are recoverable — the log is missing "
-                    "submissions (was an fsync dropped?)"
-                )

@@ -7,11 +7,47 @@ import pytest
 from repro.bench import (
     FigureResult,
     figure11_lag,
-    figure11_lag_engine,
     figure8_baseline,
     get_context,
 )
 from repro.bench.context import ExperimentContext
+from repro.bench.figures import _default_state_cnt
+from repro.service.engine import TuningEngine
+
+
+def figure11_lag_engine(context: ExperimentContext, lags) -> FigureResult:
+    """Figure 11 replayed through the service engine's live accounting.
+
+    The lagged-DBA model of :func:`figure11_lag`, driven through
+    :class:`TuningEngine` as a client would: statements are submitted and
+    pumped one at a time, and every T statements the DBA adopts the
+    current recommendation (``lease=lag > 1`` is ``run_online``'s
+    convention of casting lease feedback only for a lagged DBA). The
+    curves are the engine's realized totWork ratio, the series
+    ``metrics()["realized_total_work"]`` reports.
+    """
+    result = FigureResult(
+        name="Figure 11 (engine)",
+        description="effect of delayed responses, engine realized totWork",
+    )
+    for lag in lags:
+        label = "WFIT" if lag == 1 else f"LAG {lag}"
+        engine = TuningEngine(
+            context.optimizer,
+            context.transitions,
+            batch_size=1,
+            fixed_partition=context.partition_for(_default_state_cnt(context)),
+        )
+        series = []
+        for position, statement in enumerate(context.statements):
+            engine.submit("dba", statement)
+            engine.pump()
+            if (position + 1) % lag == 0:
+                engine.adopt("dba", lease=lag > 1)
+            series.append(engine.realized_total_work)
+        engine.close()
+        result.add_curve(label, context.ratio_series(series))
+    return result
 
 
 @pytest.fixture(scope="module")

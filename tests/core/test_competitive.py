@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import run_online
-from repro.core.opt import brute_force_opt
 from repro.core.wfa import WFA
 from repro.core.wfa_plus import WFAPlus
 
+from reference import brute_force_opt
 from synth import make_synthetic_instance
 
 

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro.core.opt import FeedbackEvent, OfflineOptimizer, brute_force_opt
+from repro.core.opt import FeedbackEvent, OfflineOptimizer
 from repro.core.wfa import WFA, TransitionCosts
 from repro.core.driver import run_online
 
+from reference import brute_force_opt
 from synth import make_indices, make_synthetic_instance
 
 

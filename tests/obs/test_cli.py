@@ -10,10 +10,14 @@ from repro.obs.__main__ import main
 from repro.obs.registry import MetricsRegistry
 
 
+def _depth():
+    return [{"name": "r_depth", "type": "gauge", "value": 4}]
+
+
 def _make_snapshot(counter: float = 3, observed=(0.5, 2.0)) -> dict:
     registry = MetricsRegistry()
     registry.counter("r_total", help="a counter", labels={"k": "x"}).inc(counter)
-    registry.gauge("r_depth").set(4)
+    registry.register_collector(_depth)
     hist = registry.histogram("r_seconds", buckets=(1.0,))
     for value in observed:
         hist.observe(value)

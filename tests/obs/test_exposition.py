@@ -23,8 +23,18 @@ from repro.obs.registry import (
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / "prometheus_exposition.txt"
 
 
+def _queue_depth():
+    """The fixture's gauge family: gauges come from collectors."""
+    return [{
+        "name": "repro_demo_queue_depth",
+        "type": "gauge",
+        "help": "Pending statements.",
+        "value": 5,
+    }]
+
+
 def build_fixture_registry() -> MetricsRegistry:
-    """A small registry with every instrument type and formatting edge."""
+    """A small registry with every metric type and formatting edge."""
     registry = MetricsRegistry()
     registry.counter(
         "repro_demo_statements_total",
@@ -39,10 +49,7 @@ def build_fixture_registry() -> MetricsRegistry:
         "repro_demo_cache_events_total",
         labels={"kind": "miss"},
     ).inc(3)
-    registry.gauge(
-        "repro_demo_queue_depth",
-        help="Pending statements.",
-    ).set(5)
+    registry.register_collector(_queue_depth)
     hist = registry.histogram(
         "repro_demo_relax_seconds",
         help="Relax wall time.",

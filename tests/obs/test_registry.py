@@ -27,6 +27,17 @@ def registry() -> MetricsRegistry:
     return MetricsRegistry()
 
 
+class _Level:
+    """A gauge sample source: gauges come from collectors."""
+
+    def __init__(self, name: str, value: float) -> None:
+        self.name = name
+        self.value = value
+
+    def collect(self):
+        return [{"name": self.name, "type": "gauge", "value": self.value}]
+
+
 class TestInstruments:
     def test_counter_accumulates(self, registry):
         counter = registry.counter("r_total")
@@ -37,13 +48,6 @@ class TestInstruments:
     def test_counter_rejects_negative(self, registry):
         with pytest.raises(ValueError):
             registry.counter("r_total").inc(-1)
-
-    def test_gauge_moves_both_ways(self, registry):
-        gauge = registry.gauge("r_depth")
-        gauge.set(10)
-        gauge.dec(3)
-        gauge.inc()
-        assert gauge.value == 8.0
 
     def test_get_or_create_returns_same_child(self, registry):
         a = registry.counter("r_total", labels={"k": "x"})
@@ -60,7 +64,7 @@ class TestInstruments:
     def test_type_conflict_raises(self, registry):
         registry.counter("r_thing")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("r_thing")
+            registry.histogram("r_thing")
 
     def test_histogram_bucket_conflict_raises(self, registry):
         registry.histogram("r_seconds", buckets=(1.0, 2.0))
@@ -194,7 +198,8 @@ class TestThreadSafety:
 class TestSnapshot:
     def test_snapshot_schema_round_trips_json(self, registry):
         registry.counter("r_total", help="c").inc(3)
-        registry.gauge("r_depth").set(-2)
+        depth = _Level("r_depth", -2)
+        registry.register_collector(depth.collect)
         registry.histogram("r_seconds", buckets=(1.0,)).observe(0.5)
         document = json.loads(json.dumps(registry.snapshot(), sort_keys=True))
         validate_snapshot(document)
@@ -225,14 +230,14 @@ class TestSnapshot:
 
     def test_diff_subtracts_counters_and_histograms(self, registry):
         counter = registry.counter("r_total")
-        gauge = registry.gauge("r_depth")
+        depth = _Level("r_depth", 10)
+        registry.register_collector(depth.collect)
         hist = registry.histogram("r_seconds", buckets=(1.0,))
         counter.inc(2)
-        gauge.set(10)
         hist.observe(0.5)
         before = registry.snapshot()
         counter.inc(3)
-        gauge.set(4)
+        depth.value = 4
         hist.observe(0.5)
         hist.observe(9.0)
         delta = diff_snapshots(before, registry.snapshot())
@@ -279,6 +284,16 @@ class TestCollectors:
         del source
         gc.collect()
         assert "r_collected_total" not in registry.snapshot()["metrics"]
+
+    def test_collector_gauge_reports_the_current_level(self, registry):
+        depth = _Level("r_depth", 10)
+        registry.register_collector(depth.collect)
+        depth.value = 3
+        metric = registry.snapshot()["metrics"]["r_depth"]
+        assert metric["type"] == "gauge"
+        assert metric["samples"] == [{"labels": {}, "value": 3.0}]
+        depth.value = 8
+        assert registry.snapshot()["metrics"]["r_depth"]["samples"][0]["value"] == 8.0
 
     def test_collector_name_collision_raises(self, registry):
         registry.counter("r_collected_total")

@@ -1,7 +1,7 @@
 """Reference implementations the production kernels are checked against.
 
 Three pieces of the pre-kernel code, kept verbatim in their pricing and
-arithmetic so equivalence tests can compare with ``==``:
+arithmetic so equivalence tests can compare with ``==``, plus one oracle:
 
 * **The scalar plan search** (:class:`ReferenceCostModel`,
   :func:`best_path`): per call, it enumerates every access path of every
@@ -21,6 +21,10 @@ arithmetic so equivalence tests can compare with ``==``:
   replays workloads through it and the kernel-backed
   :class:`~repro.core.wfa.WFA` and requires identical recommendations and
   work-function values at every step.
+* **Exact OPT** (:func:`brute_force_opt`): the offline optimum over the
+  unpartitioned ``2^C`` space, which ``tests/core/test_opt.py`` and
+  ``tests/core/test_competitive.py`` hold the partitioned
+  :class:`~repro.core.opt.OfflineOptimizer` and WFA's bounds against.
 
 ``benchmarks/bench_kernel.py`` prices its seed rows with all three: every
 configuration is materialized as a ``frozenset`` per cost lookup and every
@@ -35,6 +39,7 @@ from typing import (
     AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro.core.opt import OfflineOptimizer, OptimalSchedule
 from repro.core.wfa import CostFunction
 from repro.db.index import Index, IndexSizer
 from repro.db.stats import PAGE_SIZE
@@ -60,6 +65,7 @@ __all__ = [
     "ReferenceIndexSizer",
     "ReferenceWFA",
     "best_path",
+    "brute_force_opt",
     "plan_indices",
     "used_indices",
 ]
@@ -610,3 +616,24 @@ class ReferenceWFA:
             if diff < min_diff:
                 w[mask] += min_diff - diff
         return self.recommend()
+
+
+# ---------------------------------------------------------------------------
+# Exact OPT
+# ---------------------------------------------------------------------------
+
+def brute_force_opt(
+    statements: Sequence[object],
+    candidates: AbstractSet[Index],
+    initial_config: AbstractSet[Index],
+    cost_fn: CostFunction,
+    transitions,
+) -> OptimalSchedule:
+    """Exact OPT over the unpartitioned space ``2^C``: one part holding
+    every candidate, so no stable-partition assumption is made."""
+    return OfflineOptimizer(
+        [frozenset(candidates)] if candidates else [],
+        initial_config,
+        cost_fn,
+        transitions,
+    ).run(statements)

@@ -100,6 +100,67 @@ class TestReplay:
             replay_report["metrics"]["total_work"], rel=1e-9
         )
 
+    def test_verify_compares_the_final_recommendation(self, tmp_path):
+        """A vote logged after the last statement changes the recovered
+        recommendation but steps no statement, and the last checkpoint
+        covers every statement: verify must still see the divergence."""
+        from repro.db import StatsTransitionCosts, build_catalog
+        from repro.optimizer import WhatIfOptimizer
+        from repro.service import Durability, TuningEngine
+
+        durable = tmp_path / "durable"
+        assert main([
+            "replay", "--scale", "0.02", "--per-phase", "2", "--clients", "2",
+            "--limit", "12", "--checkpoint-every", "4",
+            "--durable-dir", str(durable),
+            "--metrics-out", str(tmp_path / "replay.json"),
+        ]) == 0
+        _, stats = build_catalog(scale=0.02)
+        engine, _ = TuningEngine.recover(
+            durable, WhatIfOptimizer(stats), StatsTransitionCosts(stats)
+        )
+        assert engine.statements_processed == 12
+        endorsed = sorted(
+            engine.tuner.candidates - engine.recommendation().recommended
+        )[0]
+        durability = Durability(durable)
+        durability.attach(engine)
+        engine.vote("dba", frozenset({endorsed}), frozenset())
+        durability.close()
+
+        out = tmp_path / "recover.json"
+        code = main([
+            "recover", "--dir", str(durable), "--verify",
+            "--metrics-out", str(out),
+        ])
+        verify = json.loads(out.read_text())["verify"]
+        assert endorsed.name in verify["final_recommendation_recovered"]
+        assert endorsed.name not in verify["final_recommendation_reference"]
+        assert verify["recommendation_mismatches"] == []
+        assert verify["total_work_delta"] == 0.0
+        assert verify["verified"] is False
+        assert code == 1
+
+    def test_a_record_that_does_not_decode_exits_2(self, tmp_path, capsys):
+        """A CRC-valid ``vote`` record without its ``plus`` field is
+        unusable durable state (exit 2), not a ``KeyError`` traceback."""
+        from repro.service.wal import WriteAheadLog, read_wal
+
+        durable = tmp_path / "durable"
+        assert main([
+            "replay", *TRACE_FLAGS, "--durable-dir", str(durable),
+            "--metrics-out", str(tmp_path / "replay.json"),
+        ]) == 0
+        path = durable / "wal.log"
+        wal = WriteAheadLog(path, next_seq=read_wal(path).records[-1].seq + 1)
+        wal.append("vote", {"client_id": "dba", "position": 10, "minus": []})
+        wal.close()
+        capsys.readouterr()
+        assert main(["recover", "--dir", str(durable)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("recover failed: WAL record seq ")
+        assert "missing field 'plus'" in err
+
     @pytest.mark.parametrize("chunking", ["--checkpoint-every", "--adopt-every"])
     def test_chunked_priority_run_verifies(self, tmp_path, chunking):
         """Under mixed priority classes each chunk drains ``interactive``
