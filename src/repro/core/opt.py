@@ -3,8 +3,10 @@
 
 OPT knows the entire workload in advance and picks the recommendation
 schedule minimizing total work. Within each part of a stable partition the
-optimum is a shortest path through the index transition graph — i.e. the
-same work-function recurrence WFA maintains — so:
+optimum is a shortest path through the index transition graph, which is
+the work-function recurrence itself: OPT steps the same
+:class:`~repro.core.wfa_plus.WFAPlus` code WFIT runs, keeps every part's
+``w`` and cost vector after each statement, and so:
 
 * ``totWork(OPT, Q_n) = Σ_k min_S w^{(k)}_n(S) − (K−1)·Σ_{i≤n} cost(q_i, ∅)``
   (Lemma B.1), computed for *every* prefix ``n`` because the experiment
@@ -24,8 +26,8 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.index import Index
 from .bitset import delta_cost
-from .wfa import CostFunction
-from .wfa_plus import validate_partition
+from .wfa import WFA, CostFunction
+from .wfa_plus import WFAPlus, validate_partition
 
 __all__ = ["OptimalSchedule", "OfflineOptimizer", "FeedbackEvent"]
 
@@ -152,108 +154,45 @@ class OptimalSchedule:
         return out
 
 
-class _PartState:
-    """Work-function DP with full history for one part."""
+def _backtrack(
+    part: WFA, history: List[List[float]], cost_log: List[List[float]], upto: int
+) -> List[int]:
+    """Recover one optimal schedule (masks per statement) of ``part`` for
+    the prefix of ``upto`` statements.
 
-    def __init__(
-        self,
-        indices: Sequence[Index],
-        initial: AbstractSet[Index],
-        transitions,
-    ) -> None:
-        self.indices: Tuple[Index, ...] = tuple(sorted(indices))
-        self._bit_of = {ix: 1 << i for i, ix in enumerate(self.indices)}
-        self.size = 1 << len(self.indices)
-        self._create = [transitions.create_cost(ix) for ix in self.indices]
-        self._drop = [transitions.drop_cost(ix) for ix in self.indices]
-        self.initial_mask = self.mask_of(initial)
-        first = [self.delta(self.initial_mask, mask) for mask in range(self.size)]
-        self.history: List[List[float]] = [first]
-
-    def mask_of(self, subset: AbstractSet[Index]) -> int:
-        mask = 0
-        for index in subset:
-            bit = self._bit_of.get(index)
-            if bit is not None:
-                mask |= bit
-        return mask
-
-    def set_of(self, mask: int) -> FrozenSet[Index]:
-        return frozenset(
-            ix for i, ix in enumerate(self.indices) if mask & (1 << i)
-        )
-
-    def delta(self, old: int, new: int) -> float:
-        total = 0.0
-        for i in range(len(self.indices)):
-            bit = 1 << i
-            if new & bit and not old & bit:
-                total += self._create[i]
-            elif old & bit and not new & bit:
-                total += self._drop[i]
-        return total
-
-    def step(self, costs: List[float]) -> None:
-        """Append ``w_n`` computed from ``w_{n-1}`` and this statement's costs."""
-        previous = self.history[-1]
-        new_w = [previous[mask] + costs[mask] for mask in range(self.size)]
-        for i in range(len(self.indices)):
-            bit = 1 << i
-            create = self._create[i]
-            drop = self._drop[i]
-            for mask in range(self.size):
-                if mask & bit:
-                    continue
-                with_bit = mask | bit
-                alt_hi = new_w[mask] + create
-                if alt_hi < new_w[with_bit]:
-                    new_w[with_bit] = alt_hi
-                alt_lo = new_w[with_bit] + drop
-                if alt_lo < new_w[mask]:
-                    new_w[mask] = alt_lo
-        self.history.append(new_w)
-
-    def min_work(self, n: int) -> float:
-        return min(self.history[n])
-
-    def backtrack(
-        self, cost_log: List[List[float]], upto: Optional[int] = None
-    ) -> List[int]:
-        """Recover one optimal schedule (masks per statement) for the prefix
-        of ``upto`` statements (default: all).
-
-        ``cost_log[n][mask]`` must be the cost of statement ``n+1``
-        under that mask. Ties prefer staying in the target configuration
-        (fewest transitions), then the smaller mask.
-        """
-        n_statements = len(self.history) - 1 if upto is None else upto
-        if n_statements == 0:
-            return []
-        final = self.history[n_statements]
-        target = min(range(self.size), key=lambda m: (final[m], m))
-        masks: List[int] = [0] * n_statements
-        for n in range(n_statements, 0, -1):
-            previous = self.history[n - 1]
-            costs = cost_log[n - 1]
-            best_mask = None
-            best_value = float("inf")
-            for mask in range(self.size):
-                value = previous[mask] + costs[mask] + self.delta(mask, target)
-                if (
-                    best_mask is None
-                    or value < best_value - 1e-9
-                    or (
-                        abs(value - best_value) <= 1e-9 * max(1.0, abs(best_value))
-                        and (mask == target) > (best_mask == target)
-                    )
-                ):
-                    best_mask = mask
-                    best_value = value
-            if best_mask is None:
-                raise RuntimeError("stage-2 scan found no predecessor mask")
-            masks[n - 1] = best_mask
-            target = best_mask
-        return masks
+    ``history[n]`` is the part's ``w`` after ``n`` statements and
+    ``cost_log[n][mask]`` the cost of statement ``n+1`` under that mask.
+    Ties prefer staying in the target configuration (fewest transitions),
+    then the smaller mask.
+    """
+    if upto == 0:
+        return []
+    size = part.state_count
+    final = history[upto]
+    target = min(range(size), key=lambda m: (final[m], m))
+    masks: List[int] = [0] * upto
+    for n in range(upto, 0, -1):
+        previous = history[n - 1]
+        costs = cost_log[n - 1]
+        best_mask = None
+        best_value = float("inf")
+        for mask in range(size):
+            value = previous[mask] + costs[mask] + part.delta(mask, target)
+            if (
+                best_mask is None
+                or value < best_value - 1e-9
+                or (
+                    abs(value - best_value) <= 1e-9 * max(1.0, abs(best_value))
+                    and (mask == target) > (best_mask == target)
+                )
+            ):
+                best_mask = mask
+                best_value = value
+        if best_mask is None:
+            raise RuntimeError("stage-2 scan found no predecessor mask")
+        masks[n - 1] = best_mask
+        target = best_mask
+    return masks
 
 
 class OfflineOptimizer:
@@ -282,31 +221,31 @@ class OfflineOptimizer:
         schedule should be re-derived and evaluated under true costs
         (populates :attr:`OptimalSchedule.prefix_total_work`).
         """
-        parts = [
-            _PartState(sorted(part), self._initial & part, self._transitions)
-            for part in self._parts
-        ]
-        per_part_costs: List[List[List[float]]] = [[] for _ in parts]
+        candidates = frozenset().union(*self._parts)
+        plus = WFAPlus(
+            self._parts, self._initial & candidates, self._cost_fn,
+            self._transitions,
+        )
+        parts = plus.instances
+        # Per part: w_0 … w_n, and each statement's cost vector.
+        histories = [[part.export_state()["w"]] for part in parts]
+        cost_logs: List[List[List[float]]] = [[] for _ in parts]
         empty_cost_running = 0.0
         series: List[float] = []
         n_parts = len(parts)
         for statement in statements:
             empty_cost_running += self._cost_fn(statement, frozenset())
-            for part, cost_log in zip(parts, per_part_costs):
-                costs = [
-                    self._cost_fn(statement, part.set_of(mask))
-                    for mask in range(part.size)
-                ]
-                cost_log.append(costs)
-                part.step(costs)
-            n = len(series) + 1
-            total = sum(part.min_work(n) for part in parts)
-            total -= (n_parts - 1) * empty_cost_running
-            series.append(total)
+            plus.prepare_statement(statement)
+            plus.relax()
+            for part, history, cost_log in zip(parts, histories, cost_logs):
+                cost_log.append(part.statement_costs())
+                history.append(part.export_state()["w"])
+            series.append(plus.min_work() - (n_parts - 1) * empty_cost_running)
+        logs = list(zip(parts, histories, cost_logs))
 
         # Recover the full-workload schedule and evaluate under true costs.
         n_statements = len(series)
-        schedule = self._extract_schedule(statements, parts, per_part_costs)
+        schedule = self._extract_schedule(statements, logs)
         evaluated: List[float] = []
         running = 0.0
         previous = self._initial
@@ -325,9 +264,7 @@ class OfflineOptimizer:
                 prefix_total_work[n] = evaluated[-1]
                 continue
             prefix = statements[:n]
-            prefix_schedule = self._extract_schedule(
-                prefix, parts, per_part_costs, upto=n
-            )
+            prefix_schedule = self._extract_schedule(prefix, logs)
             prefix_total_work[n] = self._evaluate(prefix, prefix_schedule)
         return OptimalSchedule(
             schedule=schedule,
@@ -340,14 +277,14 @@ class OfflineOptimizer:
     def _extract_schedule(
         self,
         statements: Sequence[object],
-        parts: List[_PartState],
-        per_part_costs: List[List[List[float]]],
-        upto: Optional[int] = None,
+        logs: Sequence[Tuple[WFA, List[List[float]], List[List[float]]]],
     ) -> List[FrozenSet[Index]]:
+        """The optimal schedule for ``statements``, a prefix of the run
+        that recorded ``logs`` (per part: its history and cost log)."""
         length = len(statements)
         merged: List[set] = [set() for _ in range(length)]
-        for part, cost_log in zip(parts, per_part_costs):
-            masks = part.backtrack(cost_log, upto=upto)
+        for part, history, cost_log in logs:
+            masks = _backtrack(part, history, cost_log, length)
             for n, mask in enumerate(masks):
                 merged[n].update(part.set_of(mask))
         schedule = [frozenset(s) for s in merged]

@@ -36,8 +36,9 @@ lexicographic tie-break of Appendix B. Note the δ arguments are *reversed*
 relative to the symmetric original of Borodin & El-Yaniv — the form required
 by the paper's competitive proof for asymmetric δ (footnote 4).
 
-Feedback handling (Figure 4) lives here too so that both WFA⁺ and WFIT can
-delegate to their parts.
+Feedback handling (Figure 4) lives here too, so that WFA⁺
+(:class:`~repro.core.wfa_plus.WFAPlus`), which owns the parts of WFIT and
+OPT, can delegate to them.
 """
 
 from __future__ import annotations
@@ -102,8 +103,6 @@ class WFA:
         initial_config: AbstractSet[Index],
         cost_fn: CostFunction,
         transitions,
-        work_values: Optional[Sequence[float]] = None,
-        recommendation: Optional[AbstractSet[Index]] = None,
     ) -> None:
         """Create an instance tracking ``indices``.
 
@@ -117,15 +116,10 @@ class WFA:
             The what-if interface ``cost(q, X)``.
         transitions:
             δ provider with ``create_cost`` / ``drop_cost``.
-        work_values / recommendation:
-            Optional warm-start state (used by WFIT's ``repartition``); when
-            given, they replace the default ``w0(S) = δ(S0, S)``.
-            ``work_values`` is ``w`` by local mask, the layout of
-            ``export_state()["w"]``: one value for *every* configuration of
-            the part. A vector of any other length raises
-            :class:`ValueError` (a defaulted ``w[S] = 0`` would declare S
-            reachable for free and corrupt every recommendation after a
-            repartition).
+
+        The work function starts at ``w0(S) = δ(S0, S)``; a seeded state
+        (WFA⁺'s repartition warm start, a checkpoint) is adopted through
+        :meth:`load_state`.
         """
         self._indices: Tuple[Index, ...] = tuple(sorted(set(indices)))
         if len(self._indices) > 20:
@@ -159,15 +153,8 @@ class WFA:
                 1 << universe.ensure(ix) for ix in self._indices
             ]
 
-        initial_mask = self._mask_of(initial_config)
-        if work_values is not None:
-            self._kernel.load_w(self._checked_w(work_values))
-        else:
-            self._kernel.reset_from_delta(initial_mask)
-        if recommendation is not None:
-            self._rec = self._mask_of(recommendation)
-        else:
-            self._rec = initial_mask
+        self._rec = self._mask_of(initial_config)
+        self._kernel.reset_from_delta(self._rec)
         self._statements_analyzed = 0
         # Lazily-bound relax-duration histogram (obs layer); None until the
         # first instrumented relax so disabled runs never touch the registry.
@@ -207,7 +194,8 @@ class WFA:
                 mask |= bit
         return mask
 
-    def _set_of(self, mask: int) -> FrozenSet[Index]:
+    def set_of(self, mask: int) -> FrozenSet[Index]:
+        """The configuration of local ``mask``."""
         subsets = self._subsets
         if subsets is not None:
             return subsets[mask]
@@ -215,11 +203,13 @@ class WFA:
             ix for i, ix in enumerate(self._indices) if mask & (1 << i)
         )
 
-    def _delta_masks(self, old: int, new: int) -> float:
+    def delta(self, old: int, new: int) -> float:
+        """δ between the configurations of local masks ``old`` and ``new``."""
         return self._delta_table.delta(old, new)
 
     def _checked_w(self, values: Sequence[float]) -> List[float]:
-        """``values`` as floats, if there is exactly one per local mask."""
+        """``values`` as floats, if there is exactly one per local mask (a
+        defaulted ``w[S] = 0`` would declare S reachable for free)."""
         w = [float(v) for v in values]
         if len(w) != self._size:
             raise ValueError(
@@ -249,12 +239,12 @@ class WFA:
 
     def recommend(self) -> FrozenSet[Index]:
         """``WFA.recommend()`` of Figure 3."""
-        return self._set_of(self._rec)
+        return self.set_of(self._rec)
 
     def work_function(self) -> Dict[FrozenSet[Index], float]:
         """Snapshot of ``w[S]`` for every configuration (for repartitioning)."""
         values = self._kernel.export_w()
-        return {self._set_of(mask): values[mask] for mask in range(self._size)}
+        return {self.set_of(mask): values[mask] for mask in range(self._size)}
 
     # -- checkpoint hooks ----------------------------------------------------
 
@@ -288,7 +278,7 @@ class WFA:
 
     def reset_statement_count(self) -> None:
         """Restart :attr:`statements_analyzed` at 0, the count of a freshly
-        built part (WFIT's repartition keeps an unchanged part's instance)."""
+        built part (WFA⁺'s repartition keeps an unchanged part's instance)."""
         self._statements_analyzed = 0
 
     def work_value(self, subset: AbstractSet[Index]) -> float:
@@ -297,6 +287,10 @@ class WFA:
     def min_work(self) -> float:
         """``min_S w_n(S)`` — the optimal total work within this part."""
         return self._kernel.min_work()
+
+    def statement_costs(self) -> List[float]:
+        """``cost(q, S)`` by local mask for the statement last prepared."""
+        return self._kernel.costs.tolist()
 
     # -- the algorithm -----------------------------------------------------------
 
@@ -331,7 +325,7 @@ class WFA:
         """
         self._fill_costs(statement)
 
-    def relax(self) -> FrozenSet[Index]:
+    def relax(self) -> None:
         """Phase 2 of :meth:`analyze_statement`: run the kernel update.
 
         Stage 1 (the per-dimension min-plus relaxation) and stage 2 (the
@@ -359,23 +353,23 @@ class WFA:
             hist.observe(time.perf_counter() - started)
         else:
             self._rec = self._kernel.analyze(self._rec)
-        return self.recommend()
 
     def analyze_statement(self, statement: object) -> FrozenSet[Index]:
         """``WFA.analyzeQuery`` of Figure 3; returns the new recommendation.
 
-        Exactly :meth:`prepare_statement` followed by :meth:`relax` — WFIT
-        calls the two phases separately so its spans time the shared-cache
-        phase and the kernel phase apart.
+        Exactly :meth:`prepare_statement` followed by :meth:`relax` — WFA⁺
+        calls the two phases separately so WFIT's spans time the
+        shared-cache phase and the kernel phase apart.
         """
         self.prepare_statement(statement)
-        return self.relax()
+        self.relax()
+        return self.recommend()
 
     def scores(self) -> Dict[FrozenSet[Index], float]:
         """Current ``score(S) = w[S] + δ(S, currRec)`` for every S (debug/tests)."""
         values = self._kernel.export_w()
         return {
-            self._set_of(mask): values[mask] + self._delta_masks(mask, self._rec)
+            self.set_of(mask): values[mask] + self.delta(mask, self._rec)
             for mask in range(self._size)
         }
 

@@ -66,9 +66,7 @@ from __future__ import annotations
 import contextlib
 import os
 from array import array
-from typing import (
-    Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bitset import MaskDeltaTable
 
@@ -81,7 +79,6 @@ __all__ = [
     "NumpyWFKernel",
     "PurePythonWFKernel",
     "available_backends",
-    "combined_backend",
     "default_backend",
     "force_backend",
     "make_kernel",
@@ -149,19 +146,6 @@ def force_backend(name: str) -> Iterator[None]:
         yield
     finally:
         _forced_backend = previous
-
-
-def combined_backend(instances: Iterable[Any]) -> str:
-    """The backend(s) a collection of WFA instances runs on.
-
-    Backend selection is per part (size-aware), so a mixed partition
-    reports the sorted combination, e.g. ``"numpy+python"``; an empty
-    collection reports the large-part default.
-    """
-    backends = {instance.kernel_backend for instance in instances}
-    if not backends:
-        return default_backend()
-    return "+".join(sorted(backends))
 
 
 def make_kernel(

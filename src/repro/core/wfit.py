@@ -1,29 +1,32 @@
 # reprolint: zone=deterministic
 """WFIT: the end-to-end semi-automatic index tuning algorithm (§5).
 
-WFIT wraps an array of per-part :class:`~repro.core.wfa.WFA` instances
-(the WFA⁺ recommendation logic) with the two mechanisms WFA⁺ lacks:
+WFIT runs one :class:`~repro.core.wfa_plus.WFAPlus` (the WFA⁺
+recommendation logic, owner of every part's work function) and adds what
+§5 puts around it:
 
 * **Feedback** (Figure 4): positive/negative DBA votes switch each part's
   recommendation to the consistent configuration and raise work-function
   values so bound (5.1) holds — the state looks as if the *workload* had
   led WFIT to the voted configuration, which is what makes recovery from
-  bad advice possible.
+  bad advice possible. WFIT keeps the bookkeeping (U, the vote counters);
+  WFA⁺ applies the votes to its parts.
 * **Automatic candidate maintenance** (Figures 5–7): per statement,
   ``chooseCands`` mines candidate indices, updates benefit/interaction
   statistics from the statement's IBG, picks the top candidates, and
-  re-partitions them; ``repartition`` then rebuilds the WFA instances,
-  initializing each new part's work function from the old ones so that no
-  accumulated evidence is lost.
+  re-partitions them; WFA⁺'s ``repartition`` then rebuilds the changed
+  parts, initializing each new part's work function from the old ones so
+  that no accumulated evidence is lost.
 
 Passing ``fixed_partition`` disables candidate maintenance, yielding the
 configuration most of the paper's experiments use (WFIT ≡ WFA⁺ + feedback).
 
-:meth:`WFIT.analyze_statement` updates the parts in two serial phases, in
-fixed part order: every part's cost fetch through the shared what-if
-optimizer (:meth:`~repro.core.wfa.WFA.prepare_statement`), then every
-part's kernel relaxation (:meth:`~repro.core.wfa.WFA.relax`). The
-``wfit.prepare`` / ``wfit.relax`` spans time the two phases separately.
+:meth:`WFIT.analyze_statement` steps WFA⁺ in its two phases: every part's
+cost fetch through the shared what-if optimizer
+(:meth:`~repro.core.wfa_plus.WFAPlus.prepare_statement`), then every
+part's kernel relaxation (:meth:`~repro.core.wfa_plus.WFAPlus.relax`).
+The ``wfit.prepare`` / ``wfit.relax`` spans time the two phases
+separately.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from ..optimizer.extract import extract_indices
 from ..optimizer.whatif import WhatIfOptimizer
 from .candidates import IndexStatistics, top_indices
 from .partitioning import choose_partition
-from .wfa import WFA
-from .wfa_plus import validate_partition
+from .wfa_plus import WFAPlus
 
 # Module-cached WFIT counters (statements analyzed, repartitions) on the
 # default registry; lazy so importing this module registers nothing.
@@ -62,17 +64,6 @@ def _wfit_counters():
     return _WFIT_COUNTERS
 
 __all__ = ["WFIT"]
-
-
-def _remap_table(bits: Sequence[int]) -> List[int]:
-    """Local mask → mask of ``bits`` for every local mask of a part, where
-    ``bits[k]`` is the image of local position ``k`` (0: not mapped). The
-    lowest-bit recurrence of :class:`~repro.core.bitset.MaskDeltaTable`."""
-    table = [0] * (1 << len(bits))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
-    return table
 
 
 class WFIT:
@@ -161,40 +152,25 @@ class WFIT:
         self._ordered_universe: List[Index] = sorted(self._universe)
         self.repartition_count = 0
 
-        if fixed_partition is not None:
-            parts = validate_partition(fixed_partition)
-            candidates = frozenset().union(*parts) if parts else frozenset()
-            stray = self._initial_config - candidates
-            if stray:
-                raise ValueError(
-                    "initial config outside fixed partition: "
-                    f"{sorted(ix.name for ix in stray)}"
-                )
-            self._auto = False
-        else:
-            # Figure 4 initialization: C = S0 with singleton parts.
-            parts = tuple(
-                frozenset({index}) for index in sorted(self._initial_config)
-            )
-            self._auto = True
-        self._parts: List[FrozenSet[Index]] = list(parts)
-        self._instances: List[WFA] = [
-            WFA(sorted(part), self._initial_config & part, self._cost_fn, transitions)
-            for part in self._parts
+        self._auto = fixed_partition is None
+        # In auto mode, Figure 4's initialization: C = S0 in singleton parts.
+        parts = fixed_partition if fixed_partition is not None else [
+            frozenset({index}) for index in sorted(self._initial_config)
         ]
+        self._plus = WFAPlus(
+            parts, self._initial_config, self._cost_fn, transitions
+        )
 
     # -- introspection -------------------------------------------------------
 
     @property
     def candidates(self) -> FrozenSet[Index]:
         """C: the union of all monitored parts."""
-        if not self._parts:
-            return frozenset()
-        return frozenset().union(*self._parts)
+        return self._plus.candidates
 
     @property
     def partition(self) -> Tuple[FrozenSet[Index], ...]:
-        return tuple(self._parts)
+        return self._plus.partition
 
     @property
     def universe(self) -> FrozenSet[Index]:
@@ -219,22 +195,17 @@ class WFIT:
 
     @property
     def tracked_states(self) -> int:
-        return sum(instance.state_count for instance in self._instances)
+        return self._plus.state_count
 
     @property
     def kernel_backend(self) -> str:
         """The work-function kernel backend(s) the parts run on (mixed
         partitions report e.g. ``"numpy+python"``)."""
-        from .wfa_kernel import combined_backend
-
-        return combined_backend(self._instances)
+        return self._plus.kernel_backend
 
     def recommend(self) -> FrozenSet[Index]:
         """``WFIT.recommend()``: the current recommendation ⋃_k currRec_k."""
-        out: set = set()
-        for instance in self._instances:
-            out.update(instance.recommend())
-        return frozenset(out)
+        return self._plus.recommend()
 
     def _grow_universe(self, indices: Iterable[Index]) -> None:
         """Add ``indices`` to U, keeping its index order: only the indices
@@ -314,12 +285,12 @@ class WFIT:
             or position % self.partition_refresh_period == 0
         )
         if not refresh:
-            return list(self._parts)
+            return list(self.partition)
         doi = self.statistics.doi_lookup(position)
         return choose_partition(
             monitored,
             self.state_cnt,
-            self._parts,
+            self.partition,
             doi,
             self._rng,
             rand_cnt=self.rand_cnt,
@@ -328,135 +299,12 @@ class WFIT:
     # -- repartition (Figure 5) ------------------------------------------------------
 
     def _repartition(self, new_parts: Sequence[FrozenSet[Index]]) -> None:
-        """Adopt a new stable partition, preserving work-function evidence.
-
-        Each new part P starts from (Figure 5, lines 6–7)
-
-            w(S) = Σ_old w_old(S ∩ P_old) + δ(S0 ∩ P − C_old, S − C_old)
-
-        by local mask: the sum runs over the old parts that overlap P, in
-        old-part order, reading each old part's exported ``w`` through a
-        new-to-old local-mask table; the δ term for indices never
-        monitored before is summed on its own, then added.
-
-        A new part equal to an old part keeps that part's instance, with
-        its statement count restarted at 0. The formula would give it
-        0.0 + w_old(S) + 0.0, which is w_old(S) (work values are sums of
-        non-negative costs, never −0.0), and the recommendation P ∩ rec,
-        which is the old part's own; so its ``export_state()`` is that of
-        a rebuilt part. Only old parts that overlap a changed part export
-        their ``w``.
-        """
-        materialized = self.recommend()
-        new_candidates = (
-            frozenset().union(*new_parts) if new_parts else frozenset()
-        )
-        uncovered = materialized - new_candidates
-        if uncovered:
-            raise ValueError(
-                "new partition must cover materialized indices; missing "
-                f"{sorted(ix.name for ix in uncovered)}"
-            )
-        old_candidates = self.candidates
-        kept = dict(zip(self._parts, self._instances))
-        changed = frozenset().union(
-            *(part for part in new_parts if part not in kept)
-        )
-        old_w: Dict[int, List[float]] = {}
-        # index -> (old part number, its bit in that part's local mask)
-        old_position: Dict[Index, Tuple[int, int]] = {}
-        for number, (part, instance) in enumerate(zip(self._parts, self._instances)):
-            if not part & changed:
-                continue
-            old_w[number] = instance.export_state()["w"]
-            for k, index in enumerate(sorted(part)):
-                old_position[index] = (number, 1 << k)
-
-        new_instances: List[WFA] = []
-        for part in new_parts:
-            instance = kept.get(part)
-            if instance is None:
-                instance = self._warm_started(
-                    part, old_w, old_position, old_candidates, materialized
-                )
-            new_instances.append(instance)
-        # Every new part exists by now, so a raise above left the tuner as
-        # it was.
-        for part, instance in zip(new_parts, new_instances):
-            if part in kept:
-                instance.reset_statement_count()
-        self._parts = list(new_parts)
-        self._instances = new_instances
+        """Adopt a new stable partition; WFA⁺ warm-starts the changed parts
+        from the old work functions (Figure 5, lines 6–7)."""
+        self._plus.repartition(new_parts, self._initial_config)
         self.repartition_count += 1
         if obs.state.enabled:
             _wfit_counters()[1].inc()
-
-    def _warm_started(
-        self,
-        part: FrozenSet[Index],
-        old_w: Dict[int, List[float]],
-        old_position: Dict[Index, Tuple[int, int]],
-        old_candidates: FrozenSet[Index],
-        materialized: FrozenSet[Index],
-    ) -> WFA:
-        """A new part's instance, seeded by Figure 5's lines 6–7."""
-        ordered = sorted(part)
-        # Per overlapping old part: the image of each new position.
-        bits: Dict[int, List[int]] = {}
-        for k, index in enumerate(ordered):
-            found = old_position.get(index)
-            if found is not None:
-                number, bit = found
-                bits.setdefault(number, [0] * len(ordered))[k] = bit
-        values = [0.0] * (1 << len(ordered))
-        for number in sorted(bits):
-            w = old_w[number]
-            values = [
-                total + w[old_mask]
-                for total, old_mask in zip(values, _remap_table(bits[number]))
-            ]
-        fresh = self._fresh_delta(ordered, old_candidates)
-        values = [total + delta for total, delta in zip(values, fresh)]
-        return WFA(
-            ordered,
-            self._initial_config & part,
-            self._cost_fn,
-            self._transitions,
-            work_values=values,
-            recommendation=part & materialized,
-        )
-
-    def _fresh_delta(
-        self, ordered: Sequence[Index], old_candidates: AbstractSet[Index]
-    ) -> List[float]:
-        """Line 7 of Figure 5 by local mask: δ(S0 ∩ P − C_old, S − C_old),
-        the cost of creating indices never monitored before (relative to
-        the original S0). Sums creates in ascending position, then drops,
-        as ``delta_cost`` does."""
-        fresh = [
-            (k, index) for k, index in enumerate(ordered)
-            if index not in old_candidates
-        ]
-        initial = self._initial_config
-        creates = [
-            (k, self._transitions.create_cost(index))
-            for k, index in fresh if index not in initial
-        ]
-        drops = [
-            (k, self._transitions.drop_cost(index))
-            for k, index in fresh if index in initial
-        ]
-        out = []
-        for mask in range(1 << len(ordered)):
-            total = 0.0
-            for k, cost in creates:
-                if mask >> k & 1:
-                    total += cost
-            for k, cost in drops:
-                if not mask >> k & 1:
-                    total += cost
-            out.append(total)
-        return out
 
     # -- the public interface (Figure 4) ------------------------------------------------
 
@@ -477,15 +325,13 @@ class WFIT:
             if self._auto:
                 with obs.span("wfit.choose_candidates"):
                     new_parts = self._choose_candidates(statement, position)
-                if set(new_parts) != set(self._parts):
+                if set(new_parts) != set(self.partition):
                     self._repartition(new_parts)
             with obs.span("wfit.prepare"):
-                for instance in self._instances:
-                    instance.prepare_statement(statement)
+                self._plus.prepare_statement(statement)
             self._n = position
             with obs.span("wfit.relax"):
-                for instance in self._instances:
-                    instance.relax()
+                self._plus.relax()
         if obs.state.enabled:
             _wfit_counters()[0].inc()
         return self.recommend()
@@ -500,15 +346,11 @@ class WFIT:
         the universe U so the index can enter C at the next repartition.
         """
         plus = frozenset(f_plus)
-        minus = frozenset(f_minus)
-        if plus & minus:
-            raise ValueError("F+ and F- must be disjoint")
+        recommendation = self._plus.feedback(plus, f_minus)
         self._grow_universe(plus)
-        for instance in self._instances:
-            instance.apply_feedback(plus, minus)
         self._feedback_count += 1
         self._last_feedback_position = self._n
-        return self.recommend()
+        return recommendation
 
     def notify_materialized(self, created: AbstractSet[Index], dropped: AbstractSet[Index]) -> FrozenSet[Index]:
         """Implicit feedback: the DBA changed the physical configuration
@@ -553,13 +395,7 @@ class WFIT:
             "universe": [ix.to_payload() for ix in self._ordered_universe],
             "rng_state": [rng_version, list(rng_internal), rng_gauss],
             "statistics": self.statistics.export_state(),
-            "parts": [
-                {
-                    "indices": [ix.to_payload() for ix in sorted(part)],
-                    "state": instance.export_state(),
-                }
-                for part, instance in zip(self._parts, self._instances)
-            ],
+            "parts": self._plus.export_state(),
         }
 
     @classmethod
@@ -602,7 +438,6 @@ class WFIT:
             create_penalty_factor=options["create_penalty_factor"],
             partition_refresh_period=int(options["partition_refresh_period"]),
         )
-        tuner._auto = auto
         tuner._n = int(state["statements_analyzed"])
         tuner.repartition_count = int(state["repartition_count"])
         tuner._feedback_count = int(state["feedback_count"])
@@ -619,12 +454,10 @@ class WFIT:
         tuner._rng.setstate(
             (int(rng_version), tuple(int(v) for v in rng_internal), rng_gauss)
         )
-        tuner._parts = list(parts)
-        tuner._instances = []
-        for part, item in zip(parts, state["parts"]):
-            instance = WFA(
-                sorted(part), initial & part, tuner._cost_fn, transitions
-            )
-            instance.load_state(item["state"])
-            tuner._instances.append(instance)
+        # Repartitions may have dropped an S0 index from C.
+        candidates = frozenset().union(*parts)
+        tuner._plus = WFAPlus(
+            parts, initial & candidates, tuner._cost_fn, transitions
+        )
+        tuner._plus.load_state(state["parts"])
         return tuner

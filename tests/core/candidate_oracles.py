@@ -6,7 +6,7 @@ These are the original, frozenset-level implementations of
 production, the partition oracle reads doi for same-table pairs only and
 takes every cross-table pair as 0.0. Production code
 (:mod:`repro.core.partitioning`,
-:meth:`repro.core.wfit.WFIT._repartition`,
+:meth:`repro.core.wfa_plus.WFAPlus.repartition`,
 :func:`repro.core.candidates.top_indices` over WFIT's ordered U) runs the
 same computations on positions, masks and pre-sorted pools; the property
 tests assert that both give exactly equal (``==``) results and leave the
@@ -202,7 +202,7 @@ def reference_warm_start(tuner, new_parts: Sequence[FrozenSet[Index]]) -> List[L
     """
     old_candidates = tuner.candidates
     old_parts = list(tuner.partition)
-    old_values = [instance.work_function() for instance in tuner._instances]
+    old_values = [instance.work_function() for instance in tuner._plus.instances]
     initial = tuner._initial_config
     out: List[List[float]] = []
     for part in new_parts:

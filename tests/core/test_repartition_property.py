@@ -1,9 +1,10 @@
 """Property test: the mask-based ``repartition`` warm start equals the
 set-based oracle exactly.
 
-:meth:`repro.core.wfit.WFIT._repartition` seeds every new part's work
-function by local mask (Figure 5, lines 6–7); ``candidate_oracles`` keeps
-the original frozenset computation. From a tuned auto-mode state, random
+:meth:`repro.core.wfa_plus.WFAPlus.repartition`, which WFIT's
+``_repartition`` calls, seeds every new part's work function by local mask
+(Figure 5, lines 6–7); ``candidate_oracles`` keeps the original frozenset
+computation. From a tuned auto-mode state, random
 new partitions — indices kept, dropped and never monitored before,
 including an initially materialized index that left the candidate set (the
 line-7 drop term), and old parts kept verbatim — must give every new part
@@ -20,7 +21,6 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from candidate_oracles import reference_warm_start
-from repro.core.wfa import WFA
 from repro.core.wfa_kernel import available_backends, force_backend
 from repro.core.wfit import WFIT
 from repro.db import StatsTransitionCosts
@@ -75,20 +75,22 @@ def _draw_partition(data, pool, required, old_parts):
 def _repartition_matches_oracle(tuner, new_parts, backend):
     expected = reference_warm_start(tuner, new_parts)
     materialized = tuner.recommend()
-    rebuilt = [
-        WFA(
-            sorted(part), tuner._initial_config & part, tuner._cost_fn,
-            tuner._transitions, work_values=vector,
-            recommendation=part & materialized,
-        ).export_state()
-        for part, vector in zip(new_parts, expected)
-    ]
-    old = dict(zip(tuner.partition, tuner._instances))
+    rebuilt = []
+    for part, vector in zip(new_parts, expected):
+        ordered = sorted(part)
+        rebuilt.append({
+            "w": vector,
+            "recommendation_mask": sum(
+                1 << k for k, ix in enumerate(ordered) if ix in materialized
+            ),
+            "statements_analyzed": 0,
+        })
+    old = dict(zip(tuner.partition, tuner._plus.instances))
     counts = {part: instance.statements_analyzed for part, instance in old.items()}
     tuner._repartition(new_parts)
     assert list(tuner.partition) == new_parts
     for part, instance, vector, state in zip(
-        new_parts, tuner._instances, expected, rebuilt
+        new_parts, tuner._plus.instances, expected, rebuilt
     ):
         assert instance.kernel_backend == backend
         assert instance.export_state()["w"] == vector

@@ -100,9 +100,8 @@ class TestWFABasics:
             frozenset(),
             lambda q, X: 9.0 - 4.0 * len(X),
             TransitionCosts(default_create=3.0, default_drop=1.0),
-            work_values=wfa.export_state()["w"],
-            recommendation=wfa.recommend(),
         )
+        clone.load_state(wfa.export_state())
         assert clone.recommend() == wfa.recommend()
         for subset, value in wfa.work_function().items():
             assert clone.work_value(subset) == value
@@ -112,28 +111,24 @@ class TestWFABasics:
         them to w = 0.0 — an impossible "free" state that corrupts every
         recommendation after a repartition. A vector with fewer values than
         the part has configurations must raise instead."""
-        indices = make_indices(2)
+        wfa = WFA(make_indices(2), frozenset(), lambda q, X: 1.0, TransitionCosts())
         with pytest.raises(ValueError, match="has 3 values; this part tracks 4"):
-            WFA(
-                indices,
-                frozenset(),
-                lambda q, X: 1.0,
-                TransitionCosts(),
-                work_values=[3.0, 5.0, 6.0],
-            )
+            wfa.load_state({
+                "w": [3.0, 5.0, 6.0],
+                "recommendation_mask": 0,
+                "statements_analyzed": 0,
+            })
 
     def test_long_warm_start_vector_rejected(self):
         """A vector laid out for a larger part (one more index) must not be
         silently truncated onto this one."""
-        indices = make_indices(2)
+        wfa = WFA(make_indices(2), frozenset(), lambda q, X: 1.0, TransitionCosts())
         with pytest.raises(ValueError, match="has 8 values; this part tracks 4"):
-            WFA(
-                indices,
-                frozenset(),
-                lambda q, X: 1.0,
-                TransitionCosts(),
-                work_values=[3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
-            )
+            wfa.load_state({
+                "w": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
+                "recommendation_mask": 0,
+                "statements_analyzed": 0,
+            })
 
     def test_strong_benefit_triggers_creation(self):
         indices = make_indices(1)
@@ -214,7 +209,7 @@ class TestWorkFunctionInvariants:
 
 
 def test_prepare_relax_composes_to_analyze():
-    """WFIT's two-phase update is exactly analyze_statement."""
+    """WFA⁺'s two-phase update is exactly analyze_statement."""
     rng = random.Random(3)
     workload, transitions = make_synthetic_instance(rng, [3], 6)
     part = sorted(workload.partition[0])
@@ -223,8 +218,8 @@ def test_prepare_relax_composes_to_analyze():
     for statement in workload.statements:
         rec_whole = whole.analyze_statement(statement)
         split.prepare_statement(statement)
-        rec_split = split.relax()
-        assert rec_whole == rec_split
+        assert split.relax() is None
+        assert rec_whole == split.recommend()
         assert whole._kernel.export_w() == split._kernel.export_w()
         assert whole.statements_analyzed == split.statements_analyzed
 

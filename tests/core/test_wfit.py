@@ -33,7 +33,7 @@ class TestFixedMode:
         optimizer, transitions, _ = env
         a = Index(SALES, ("amount",))
         b = Index(SALES, ("sale_date",))
-        with pytest.raises(ValueError, match="outside fixed partition"):
+        with pytest.raises(ValueError, match="non-candidate"):
             WFIT(
                 optimizer, transitions,
                 initial_config={b},
@@ -142,7 +142,7 @@ class TestAutoMode:
             # out incomplete.
             tuner.analyze_statement(queries[step % len(queries)])
         assert tuner.repartition_count > 0
-        for instance in tuner._instances:
+        for instance in tuner._plus.instances:
             values = instance.work_function()
             for s, ws in values.items():
                 for t, wt in values.items():

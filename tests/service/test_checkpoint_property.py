@@ -76,7 +76,7 @@ def _drive(engine: TuningEngine, statements, vote_at, votes, start=0):
 def _work_functions(engine: TuningEngine):
     return [
         (instance.indices, instance.work_function())
-        for instance in engine.tuner._instances
+        for instance in engine.tuner._plus.instances
     ]
 
 

@@ -82,7 +82,7 @@ def _signature(engine: TuningEngine):
         "materialized": engine.materialized,
         "work": [
             (instance.indices, instance.work_function())
-            for instance in engine.tuner._instances
+            for instance in engine.tuner._plus.instances
         ],
     }
 

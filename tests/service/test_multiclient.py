@@ -72,7 +72,7 @@ class TestEngineDeterminism:
         ]
         assert engine_recs == single_recs
         assert len(engine.tuner.partition) == len(single.partition)
-        for ours, theirs in zip(engine.tuner._instances, single._instances):
+        for ours, theirs in zip(engine.tuner._plus.instances, single._plus.instances):
             assert ours.indices == theirs.indices
             assert ours.work_function() == theirs.work_function()
 
