@@ -288,10 +288,11 @@ def _decoded_index(data: Any) -> Index:
     )
 
 
-def _corrupt(record: WalRecord, problem: Exception) -> CorruptRecord:
+def _corrupt(
+    record: WalRecord, problem: Exception, failure: str = "does not decode"
+) -> CorruptRecord:
     return CorruptRecord(
-        f"WAL record seq {record.seq} ({record.kind}) does not decode: "
-        f"{problem}",
+        f"WAL record seq {record.seq} ({record.kind}) {failure}: {problem}",
         record.offset,
         seq=record.seq,
     )
@@ -1023,9 +1024,7 @@ class TuningEngine:
         """Create or drop ``index``: check, log, apply, then wait for the
         record's fsync outside the writer lock."""
         with self._pump_lock:
-            if (index in self._materialized) == create:
-                state = "already" if create else "not"
-                raise ValueError(f"{index.name} is {state} materialized")
+            self._check_materialize(index, create)
             logged = self._log_action("materialize", client_id, {
                 "action": "create" if create else "drop",
                 "index": index.to_payload(),
@@ -1043,6 +1042,12 @@ class TuningEngine:
                 dropped=frozenset() if create else changed,
             )
         _await_durable(logged)
+
+    def _check_materialize(self, index: Index, create: bool) -> None:  # holds: _pump_lock
+        """Refuse to create a materialized index or drop one that is not."""
+        if (index in self._materialized) == create:
+            state = "already" if create else "not"
+            raise ValueError(f"{index.name} is {state} materialized")
 
     def adopt(
         self, client_id: str = "default", *, lease: bool = True
@@ -1094,9 +1099,11 @@ class TuningEngine:
         :meth:`_drain_batch`; votes and materializations run once the
         queue is pumped to the position they originally ran at. A payload
         that lacks a field, holds one of the wrong type or SQL that does
-        not parse, or names an unknown kind or action raises
-        :class:`CorruptRecord` with the record's seq and byte offset
-        before anything is applied.
+        not parse, names an unknown kind or action, or votes for and
+        against one index raises :class:`CorruptRecord` with the record's
+        seq and byte offset before anything is applied; so does a create
+        or drop that contradicts the materialized set at its position,
+        after the pump to that position.
         """
         try:
             position, apply = self._decoded(record)
@@ -1136,6 +1143,8 @@ class TuningEngine:
         if kind == "vote":
             plus = frozenset(map(_decoded_index, _field(data, "plus", list)))
             minus = frozenset(map(_decoded_index, _field(data, "minus", list)))
+            if plus & minus:
+                raise ValueError("F+ and F- must be disjoint")
             return position, partial(self.vote, client_id, plus, minus)
         action = _field(data, "action", str)
         if action == "adopt":
@@ -1145,8 +1154,19 @@ class TuningEngine:
             raise ValueError(f"unknown materialize action {action!r}")
         index = _decoded_index(_field(data, "index", dict))
         return position, partial(
-            self._materialize, client_id, index, action == "create"
+            self._rematerialize, record, client_id, index, action == "create"
         )
+
+    def _rematerialize(  # holds: _pump_lock
+        self, record: WalRecord, client_id: str, index: Index, create: bool
+    ) -> None:
+        """Re-apply a create or drop at its position; one that contradicts
+        the materialized set there is corrupt, and nothing is applied."""
+        try:
+            self._check_materialize(index, create)
+        except ValueError as exc:
+            raise _corrupt(record, exc, "contradicts the engine") from exc
+        self._materialize(client_id, index, create)
 
     def _redrain(  # holds: _pump_lock
         self, record: WalRecord, count: int, classes: Tuple[str, ...]

@@ -161,6 +161,30 @@ class TestReplay:
         assert err.startswith("recover failed: WAL record seq ")
         assert "missing field 'plus'" in err
 
+    def test_a_vote_for_and_against_one_index_exits_2(self, tmp_path, capsys):
+        """A CRC-valid ``vote`` record that names one index in both ``plus``
+        and ``minus`` contradicts any engine: unusable durable state
+        (exit 2), not a ``ValueError`` traceback."""
+        from repro.service.wal import WriteAheadLog, read_wal
+
+        durable = tmp_path / "durable"
+        assert main([
+            "replay", *TRACE_FLAGS, "--durable-dir", str(durable),
+            "--metrics-out", str(tmp_path / "replay.json"),
+        ]) == 0
+        path = durable / "wal.log"
+        index = {"table": "tpch.lineitem", "columns": ["l_shipdate"]}
+        wal = WriteAheadLog(path, next_seq=read_wal(path).records[-1].seq + 1)
+        wal.append("vote", {
+            "client_id": "dba", "position": 10, "plus": [index], "minus": [index],
+        })
+        wal.close()
+        capsys.readouterr()
+        assert main(["recover", "--dir", str(durable)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("recover failed: WAL record seq ")
+        assert "F+ and F- must be disjoint" in err
+
     @pytest.mark.parametrize("chunking", ["--checkpoint-every", "--adopt-every"])
     def test_chunked_priority_run_verifies(self, tmp_path, chunking):
         """Under mixed priority classes each chunk drains ``interactive``

@@ -6,14 +6,15 @@ The engine logs one record per acknowledged write path — ``submit``,
 each through the path that logged it. These tests drive every path
 against a ``Durability``-attached engine and require the recovered engine
 to equal the live one exactly, then feed recovery records whose payload
-does not decode and require :class:`CorruptRecord` naming the record.
+does not decode, or contradicts the engine's state, and require
+:class:`CorruptRecord` naming the record.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.db import StatsTransitionCosts
+from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.query.parser import to_sql
 from repro.service import CorruptRecord, Durability, TuningEngine
@@ -190,3 +191,56 @@ def test_a_record_that_does_not_decode_raises_corrupt_record(
     assert caught.value.offset == bad.offset > 0
     assert problem in str(caught.value)
     assert f"seq 2 ({kind})" in str(caught.value)
+
+
+#: ``ix_sales_amount`` of the toy catalog, as a record payload.
+AMOUNT = Index("shop.sales", ("amount",)).to_payload()
+
+
+@pytest.mark.parametrize(
+    "payload, create_first, problem",
+    [
+        pytest.param(
+            {"plus": [AMOUNT], "minus": [AMOUNT]}, False,
+            "F+ and F- must be disjoint", id="vote-for-and-against",
+        ),
+        pytest.param(
+            {"action": "drop", "index": AMOUNT}, False,
+            "ix_sales_amount is not materialized", id="drop-not-materialized",
+        ),
+        pytest.param(
+            {"action": "create", "index": AMOUNT}, True,
+            "ix_sales_amount is already materialized", id="create-materialized",
+        ),
+    ],
+)
+def test_a_record_that_contradicts_the_engine_raises_corrupt_record(
+    toy_stats, tmp_path, payload, create_first, problem
+):
+    """A CRC-valid vote for and against one index, or a create or drop
+    that the materialized set contradicts at the record's position, is
+    refused with the record's seq and byte offset, not a bare
+    ``ValueError``."""
+    engine = TuningEngine(
+        WhatIfOptimizer(toy_stats), StatsTransitionCosts(toy_stats)
+    )
+    durability = Durability(tmp_path)
+    wal = durability.attach(engine)
+    engine.submit(
+        "a", "SELECT count(*) FROM shop.sales WHERE amount BETWEEN 10 AND 20"
+    )
+    engine.pump()
+    if create_first:
+        engine.create_index("dba", Index("shop.sales", ("amount",)))
+    kind = "materialize" if "action" in payload else "vote"
+    wal.append(kind, {"client_id": "dba", "position": 1, **payload})
+    durability.close()
+    bad = read_wal(tmp_path / "wal.log").records[-1]
+    with pytest.raises(CorruptRecord) as caught:
+        Durability.recover(
+            tmp_path, WhatIfOptimizer(toy_stats), StatsTransitionCosts(toy_stats)
+        )
+    assert caught.value.seq == bad.seq
+    assert caught.value.offset == bad.offset > 0
+    assert problem in str(caught.value)
+    assert f"seq {bad.seq} ({kind})" in str(caught.value)
