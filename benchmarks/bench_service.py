@@ -123,7 +123,7 @@ def run_priority_flood(stats, partition, statements, args, *, rounds=3):
             engine.submit_many(
                 [("bg", flood_statement, "background")] * flood_count
             )
-        engine.start(poll_interval=0.001)
+        engine.start()
         latencies = []
         processed = session.statements_processed
         for statement in interactive_statements:

@@ -76,16 +76,8 @@ DEFAULT_BASELINE = RESULTS_DIR / "bench_kernel_quick.json"
 
 
 def _rows_by_key(payload):
-    """Rows keyed by ``(part_size, backend)``.
-
-    Pre-kernel baselines carry no ``backend`` field; those rows were the
-    scalar pure-Python implementation, which the ``python`` work-function
-    kernel succeeds, so they gate that backend.
-    """
-    return {
-        (row["part_size"], row.get("backend", "python")): row
-        for row in payload["rows"]
-    }
+    """Rows keyed by ``(part_size, backend)``."""
+    return {(row["part_size"], row["backend"]): row for row in payload["rows"]}
 
 
 def compare(baseline, current, max_regression):

@@ -867,22 +867,23 @@ class TuningEngine:
 
     # -- background drain ------------------------------------------------------
 
-    def start(self, poll_interval: float = 0.05) -> None:
+    def start(self) -> None:
         """Start the background single-writer drain thread.
 
         The thread drains foreground micro-batches with :meth:`pump`;
         with no foreground queued it drains one background statement,
         then parks for the 8 ms pacing interval; with nothing queued at
-        all it parks for ``poll_interval``. Either wait ends as soon as a
-        submit notifies, and both re-check the queues (and the stop flag)
-        under the wakeup condition's lock — the lock every submit
-        notifies under — so a submit that lands after the pumps found
-        nothing is never slept through. Lifecycle transitions are
-        serialized by an internal lock: two threads racing into
-        ``start()`` cannot both pass the already-running check (one
-        starts the drain thread, the other raises), and a ``stop()``
-        concurrent with a ``start()`` observes either the fully-started
-        or the not-yet-started engine, never a half-built one.
+        all it waits, untimed, for a submit or :meth:`stop` to notify.
+        The pacing wait also ends as soon as a submit notifies, and both
+        waits re-check the queues (and the stop flag) under the wakeup
+        condition's lock — the lock every submit and ``stop()`` notifies
+        under — so a submit that lands after the pumps found nothing is
+        never slept through. Lifecycle transitions are serialized by an
+        internal lock: two threads racing into ``start()`` cannot both
+        pass the already-running check (one starts the drain thread, the
+        other raises), and a ``stop()`` concurrent with a ``start()``
+        observes either the fully-started or the not-yet-started engine,
+        never a half-built one.
         """
         with self._lifecycle_lock:
             if self._thread is not None:
@@ -900,12 +901,12 @@ class TuningEngine:
                         # Only foreground work cuts the pacing short.
                         if paced:
                             queued = self._scheduler.depth(FOREGROUND_CLASSES)
-                            timeout = _BACKGROUND_PACING
                         else:
                             queued = self._scheduler.depth()
-                            timeout = poll_interval
                         if queued == 0 and not self._stop_flag.is_set():
-                            self._wakeup.wait(timeout=timeout)
+                            self._wakeup.wait(
+                                timeout=_BACKGROUND_PACING if paced else None
+                            )
 
             thread = threading.Thread(
                 target=_loop, name="tuning-engine-drain", daemon=True

@@ -86,7 +86,7 @@ class TestSubmitWhileDraining:
             threading.Thread(target=submitter, args=item)
             for item in per_client.items()
         ]
-        engine.start(poll_interval=0.005)
+        engine.start()
         try:
             for thread in threads:
                 thread.start()
@@ -135,7 +135,7 @@ class TestSubmitWhileDraining:
              for i in range(4)]
             for b in range(4)
         ]
-        engine.start(poll_interval=0.005)
+        engine.start()
         try:
             workers = [
                 threading.Thread(target=engine.submit_many, args=(batch,))
@@ -207,7 +207,7 @@ class TestLifecycleRaces:
         def churner():
             while not stop_all.is_set():
                 try:
-                    engine.start(poll_interval=0.001)
+                    engine.start()
                 except RuntimeError:
                     pass
                 engine.stop(drain=False)
@@ -228,8 +228,8 @@ class TestLifecycleRaces:
         """A submit landing after both pumps came back empty, but before
         the drain thread parks, must still wake it: the idle wait
         re-checks the queues under the wakeup lock. Without the re-check
-        the submit's notify wakes nobody and the statement sits out the
-        whole 10 s poll interval."""
+        the submit's notify wakes nobody and the statement waits, untimed,
+        for the next submit."""
         engine = make_engine(toy_stats)
         pump = engine.pump
         injected = []
@@ -241,7 +241,7 @@ class TestLifecycleRaces:
             return count
 
         engine.pump = racing_pump
-        engine.start(poll_interval=10.0)
+        engine.start()
         try:
             deadline = time.monotonic() + 2.0
             while (
@@ -278,7 +278,7 @@ class TestSubmitMany:
 
     def test_single_notify_wakes_the_drain(self, toy_stats):
         engine = make_engine(toy_stats)
-        engine.start(poll_interval=10.0)  # only the notify can wake it fast
+        engine.start()  # the idle wait is untimed: only the notify wakes it
         try:
             engine.submit_many(
                 ("a", narrow_sql(toy_stats, offset=0.02 * i)) for i in range(6)

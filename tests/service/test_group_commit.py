@@ -101,7 +101,7 @@ class TestFsyncOutsideTheLocks:
         io = FaultyIO()
         engine, durability = _durable_engine(toy_stats, io)
         analyzed = record_analysis_order(engine)
-        engine.start(poll_interval=0.005)
+        engine.start()
         gate = io.block_fsync()
         try:
             submit = _Call(engine.submit, "client", narrow_sql(toy_stats))
@@ -230,7 +230,7 @@ class TestFsyncOutsideTheLocks:
         engine, durability = _durable_engine(toy_stats, io)
         analyzed = record_analysis_order(engine)
         statements = [narrow_sql(toy_stats, offset=0.1 * k) for k in range(4)]
-        engine.start(poll_interval=0.005)
+        engine.start()
         gate = None
         try:
             for sql in statements[:3]:
@@ -346,7 +346,7 @@ class TestStickyFailure:
         if drive == "pump":
             assert engine.pump() == 3
         else:
-            engine.start(poll_interval=0.005)
+            engine.start()
             drained = _wait_until(lambda: engine.statements_processed == 3)
             engine.stop()
             assert drained, "the drain thread stopped at the failed log"

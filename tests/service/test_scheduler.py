@@ -340,7 +340,7 @@ class TestDrainSemantics:
     def test_stop_drains_foreground_only(self, toy_stats):
         engine = make_engine(toy_stats)
         sql = narrow_sql(toy_stats)
-        engine.start(poll_interval=0.005)
+        engine.start()
         engine.stop(drain=False)  # thread down; queues untouched from here
         engine.submit("a", sql, priority="interactive")
         engine.submit("a", sql)
@@ -394,7 +394,7 @@ class TestDrainSemantics:
         engine.submit_many(
             [("flood", sql, "background")] * flood
         )
-        engine.start(poll_interval=0.005)
+        engine.start()
         per_thread = 5
         errors = []
 
