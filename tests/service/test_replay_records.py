@@ -193,29 +193,32 @@ def test_a_record_that_does_not_decode_raises_corrupt_record(
     assert f"seq 2 ({kind})" in str(caught.value)
 
 
-#: ``ix_sales_amount`` of the toy catalog, as a record payload.
-AMOUNT = Index("shop.sales", ("amount",)).to_payload()
+#: ``ix_sales_amount`` of the toy catalog.
+AMOUNT = Index("shop.sales", ("amount",))
 
 
 @pytest.mark.parametrize(
-    "payload, create_first, problem",
+    "kind, payload, create_first, problem",
     [
         pytest.param(
-            {"plus": [AMOUNT], "minus": [AMOUNT]}, False,
-            "F+ and F- must be disjoint", id="vote-for-and-against",
+            "vote",
+            {"plus": [AMOUNT.to_payload()], "minus": [AMOUNT.to_payload()]},
+            False, "F+ and F- must be disjoint", id="vote-for-and-against",
         ),
         pytest.param(
-            {"action": "drop", "index": AMOUNT}, False,
-            "ix_sales_amount is not materialized", id="drop-not-materialized",
+            "materialize", {"action": "drop", "index": AMOUNT.to_payload()},
+            False, "ix_sales_amount is not materialized",
+            id="drop-not-materialized",
         ),
         pytest.param(
-            {"action": "create", "index": AMOUNT}, True,
-            "ix_sales_amount is already materialized", id="create-materialized",
+            "materialize", {"action": "create", "index": AMOUNT.to_payload()},
+            True, "ix_sales_amount is already materialized",
+            id="create-materialized",
         ),
     ],
 )
 def test_a_record_that_contradicts_the_engine_raises_corrupt_record(
-    toy_stats, tmp_path, payload, create_first, problem
+    toy_stats, tmp_path, kind, payload, create_first, problem
 ):
     """A CRC-valid vote for and against one index, or a create or drop
     that the materialized set contradicts at the record's position, is
@@ -231,8 +234,7 @@ def test_a_record_that_contradicts_the_engine_raises_corrupt_record(
     )
     engine.pump()
     if create_first:
-        engine.create_index("dba", Index("shop.sales", ("amount",)))
-    kind = "materialize" if "action" in payload else "vote"
+        engine.create_index("dba", AMOUNT)
     wal.append(kind, {"client_id": "dba", "position": 1, **payload})
     durability.close()
     bad = read_wal(tmp_path / "wal.log").records[-1]
